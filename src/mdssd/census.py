@@ -15,7 +15,7 @@ from math import gcd
 import sympy
 
 from .constructions import construct_from_params, iter_valid_params
-from .errors import BudgetExceeded, EvenQ, SpotCheckFailed
+from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed
 from .field import make_field
 from .verify import check_self_dual
 
@@ -305,7 +305,7 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
             for pr in candidates[n]:
                 try:
                     art, _ = construct_from_params(ctx, pr)
-                except Exception as ex:  # try the next tuple
+                except MdssdError as ex:  # try the next tuple
                     failure = f"{pr.label()}: {ex}"
                     continue
                 if check_self_dual(art):

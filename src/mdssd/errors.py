@@ -78,6 +78,12 @@ class DimensionMismatch(MdssdError):
     pass
 
 
+class MalformedArtifact(MdssdError, ValueError):
+    def __init__(self, detail: str):
+        super().__init__(f"malformed artifact: {detail}")
+        self.detail = detail
+
+
 class DuplicatePoint(MdssdError):
     def __init__(self):
         super().__init__("evaluation points must be pairwise distinct")

@@ -6,6 +6,12 @@ Elements are canonically encoded as integers value(x) = sum(coeffs[i] * p^i)
 with coefficients constant-term first.  Fields small enough to materialize
 carry full exp/log tables for the multiplicative group, making mul/div/pow
 O(1); addition works digit-wise on the encoding.
+
+The exp table is filled by doubling: once g^0..g^{L-1} are known, the next L
+entries are g^L times them.  Multiplication by a fixed element is F_p-linear,
+so each doubling step is one d x d matrix product over F_p applied to the
+base-p digits of a block of known entries, in numpy.  The log table is the
+inverse permutation, filled by one scatter.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
 import sympy
 
 from .errors import (
@@ -31,6 +38,10 @@ from .errors import (
 # Largest q for which exp/log tables are built.  Larger parameter sets are
 # handled by validation-only integer arithmetic and never construct a field.
 TABLE_BUDGET = 1 << 20
+
+# Rows of the exp table multiplied per numpy call while doubling; bounds the
+# temporary digit arrays independently of q.
+_TABLE_CHUNK = 4096
 
 
 # --- dense polynomial arithmetic over F_p (coefficient lists, constant first) ---
@@ -121,7 +132,8 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
 
 class FieldCtx:
     """Immutable description of F_q = F_p[x]/(modulus) with a fixed primitive
-    element g and full exp/log tables.  Safe to share across threads."""
+    element g and full exp/log tables, as lists (`exp`, `log`) and as the
+    same read-only int64 arrays (`np_tables`).  Safe to share across threads."""
 
     def __init__(self, p: int, d: int):
         if d < 1:
@@ -139,7 +151,6 @@ class FieldCtx:
         self.modulus = _find_modulus(p, d)
         self.q1_factors = tuple(sorted(sympy.factorint(q - 1)))
         self._build_tables()
-        self._np_tables = None
 
     # -- construction helpers --
 
@@ -173,16 +184,43 @@ class FieldCtx:
         if g_val is None:  # only q = 3 has no candidate >= 2 ... but 2 works there
             raise AssertionError("no primitive element found")
         self.g_val = g_val
-        exp = [0] * q1
-        acc = 1
-        for i in range(q1):
-            exp[i] = acc
-            acc = self._raw_mul(acc, g_val)
-        log = [0] * self.q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self.exp = exp
-        self.log = log
+        exp = self._exp_table(g_val)
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(q1, dtype=np.int64)
+        exp.flags.writeable = False
+        log.flags.writeable = False
+        # scalar paths index Python lists; vectorized paths share the arrays
+        self.exp = exp.tolist()
+        self.log = log.tolist()
+        self.np_tables = (exp, log)
+
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        """Multiplication by c as a d x d matrix over F_p acting on digit
+        column vectors: column j holds the digits of c * x^j."""
+        p, d = self.p, self.d
+        cols = [self._raw_mul(c, p**j) for j in range(d)]
+        return np.array([[(col // p**i) % p for col in cols] for i in range(d)],
+                        dtype=np.int64)
+
+    def _exp_table(self, g_val: int) -> np.ndarray:
+        """exp[i] = g^i for 0 <= i < q-1, by doubling: exp[L:2L] = g^L exp[0:L]."""
+        p, d, q1 = self.p, self.d, self.q - 1
+        # digit products summed over d terms stay exact in int64
+        assert d * (p - 1) ** 2 < 1 << 63
+        weights = np.array([p**i for i in range(d)], dtype=np.int64)
+        exp = np.empty(q1, dtype=np.int64)
+        exp[0] = 1
+        step, g_step = 1, g_val  # g_step = g^step
+        while step < q1:
+            mat_t = self._mul_matrix(g_step).T
+            count = min(step, q1 - step)
+            for lo in range(0, count, _TABLE_CHUNK):
+                hi = min(lo + _TABLE_CHUNK, count)
+                digits = exp[lo:hi, None] // weights % p
+                exp[step + lo:step + hi] = (digits @ mat_t) % p @ weights
+            step *= 2
+            g_step = self._raw_mul(g_step, g_step)
+        return exp
 
     # -- element handles --
 
@@ -346,18 +384,6 @@ class FieldCtx:
             vals.add(acc)
             acc = self.mul_v(acc, gamma)
         return sorted(vals)
-
-    # -- vectorized table views (lazily built, used by verify) --
-
-    @property
-    def np_tables(self):
-        if self._np_tables is None:
-            import numpy as np
-
-            exp = np.array(self.exp, dtype=np.int64)
-            log = np.array(self.log, dtype=np.int64)
-            self._np_tables = (exp, log)
-        return self._np_tables
 
     # -- formatting --
 

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoint,
     IndexOutOfRange,
+    MalformedArtifact,
     NotASquare,
     OddLength,
     SquareConditionViolated,
@@ -230,14 +231,45 @@ def to_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int or value < 1:
+        raise MalformedArtifact(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _encodings(values, q: int, length: int, what: str) -> tuple[int, ...]:
+    """A list of exactly `length` ints (bools excluded) in [0, q)."""
+    if not isinstance(values, list) or len(values) != length:
+        raise MalformedArtifact(f"{what} must be a list of {length} entries")
+    if not set(map(type, values)) <= {int}:
+        raise MalformedArtifact(f"{what} has an entry that is not an integer")
+    if values and (min(values) < 0 or max(values) >= q):
+        raise MalformedArtifact(f"{what} has an entry outside [0, {q})")
+    return tuple(values)
+
+
 def artifact_from_dict(doc: dict) -> CodeArtifact:
-    ctx = make_field(doc["p"], doc["d"])
+    """Strict inverse of artifact_to_dict: every field element must be an
+    encoding in [0, q), and the shapes must agree with n, k and the
+    extended flag."""
+    p, d, n, k = (_int_field(doc, key) for key in ("p", "d", "n", "k"))
+    ctx = make_field(p, d)
     if list(ctx.modulus) != doc["modulus"]:
-        raise ValueError("stored modulus does not match the deterministic modulus")
+        raise MalformedArtifact("stored modulus does not match the deterministic modulus")
     cons = doc.get("construction", {})
-    extended = bool(cons.get("extended", False))
-    a = EvalVector(ctx, tuple(doc["a"]), extended)
-    v = ScalingVector(ctx, tuple(doc["v"]))
-    G = tuple(tuple(row) for row in doc["G"])
+    if not isinstance(cons, dict):
+        raise MalformedArtifact("construction must be an object")
+    extended = cons.get("extended", False)
+    if not isinstance(extended, bool):
+        raise MalformedArtifact(f"extended must be a boolean, got {extended!r}")
+    q = ctx.q
+    points = _encodings(doc["a"], q, n - extended, f"a (n = {n}, extended = {extended})")
+    a = EvalVector(ctx, points, extended)
+    v = ScalingVector(ctx, _encodings(doc["v"], q, len(points), "v (len(a) entries)"))
+    rows = doc["G"]
+    if not isinstance(rows, list) or len(rows) != k:
+        raise MalformedArtifact(f"G must be a list of k = {k} rows")
+    G = tuple(_encodings(row, q, n, f"G row {i}") for i, row in enumerate(rows))
     params = {key: val for key, val in cons.items() if key not in ("label", "extended")}
-    return CodeArtifact(ctx, a, v, doc["k"], G, cons.get("label", "unknown"), params)
+    return CodeArtifact(ctx, a, v, k, G, cons.get("label", "unknown"), params)

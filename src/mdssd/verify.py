@@ -209,14 +209,11 @@ def min_distance(art: CodeArtifact) -> int:
     return best
 
 
-def check_distinct_points(art: CodeArtifact) -> bool:
-    return art.a.is_distinct()
-
-
 def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
     start = time.monotonic()
-    rank_ok = field_rank(art.ctx, art.G) == art.k
     sd = check_self_dual(art)
+    # self-duality already implies rank k, so only a failed check needs the rank
+    rank_ok = sd or field_rank(art.ctx, art.G) == art.k
     mds_checked = "skipped_too_large"
     mds_ok: bool | None = None
     dist: int | None = None

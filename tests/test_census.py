@@ -104,3 +104,14 @@ def test_census_83_squared_reference_counts():
     new = set(new_lengths(83**2))
     assert len(prior) == 506
     assert len(prior | new) == 702
+
+
+def test_spot_check_lets_programming_errors_through(monkeypatch):
+    import mdssd.census as census
+
+    def broken(ctx, params):
+        raise IndexError("bug in a constructor")
+
+    monkeypatch.setattr(census, "construct_from_params", broken)
+    with pytest.raises(IndexError, match="bug in a constructor"):
+        census_report(25, spot_check_bound=16)

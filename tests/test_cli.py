@@ -116,3 +116,64 @@ def test_artifact_output_is_byte_identical(tmp_path, capsys):
         run(capsys, "construct", "--q", "49", "--theorem", "T3ii",
             "--m", "4", "--t", "2", "--s", "4", "--out", str(out))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value(target[last]) if callable(value) else value
+    return mutate
+
+
+def _drop(key, index=-1):
+    return lambda doc: doc[key].pop(index)
+
+
+# T1ii over F_9 with m=2, t=2: an extended [6, 3] code, 5 finite points
+MALFORMED = {
+    "G-str": _set(("G", 1, 2), "6"),
+    "G-float": _set(("G", 1, 2), 6.0),
+    "G-bool": _set(("G", 0, 0), True),
+    "a-float": _set(("a", 1), 1.0),
+    "v-bool": _set(("v", 0), True),
+    "G-minus-q": _set(("G", 1, 2), lambda x: x - 9),
+    "G-plus-q": _set(("G", 1, 2), lambda x: x + 9),
+    "a-out-of-range": _set(("a", 0), 9),
+    "v-negative": _set(("v", 1), -1),
+    "G-missing-row": _drop("G"),
+    "G-extra-row": lambda doc: doc["G"].append(doc["G"][0][:]),
+    "G-short-row": lambda doc: doc["G"][2].pop(),
+    "n-mismatch": _set(("n",), 8),
+    "extended-flag": _set(("construction", "extended"), False),
+    "v-short": _drop("v"),
+    "k-str": _set(("k",), "3"),
+    "k-zero": _set(("k",), 0),
+    "d-bool": _set(("d",), True),
+    "p-float": _set(("p",), 3.0),
+    "n-negative": _set(("n",), -6),
+    "extended-int": _set(("construction", "extended"), 1),
+    "construction-list": _set(("construction",), []),
+}
+
+
+@pytest.fixture(scope="module")
+def artifact_doc():
+    from mdssd.constructions import build
+    from mdssd.grs import artifact_to_dict
+
+    art, _ = build("T1ii", 3, 2, m=2, t=2)
+    return artifact_to_dict(art)
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_verify_malformed_artifact_exit_2(name, artifact_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(artifact_doc))
+    MALFORMED[name](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2 and "cannot load artifact: malformed artifact" in rep["error"]
+    assert "Traceback" not in err

@@ -200,3 +200,40 @@ def test_large_field_tables():
     assert ctx.order_v(ctx.g_val) == ctx.q - 1
     a = ctx.g_val
     assert ctx.mul_v(a, ctx.inv_v(a)) == 1
+
+
+# (p, d) -> (modulus, g_val) of the deterministic field
+REFERENCE_FIELDS = {
+    (3, 1): ((0, 1), 2),
+    (5, 1): ((0, 1), 2),
+    (1009, 1): ((0, 1), 11),
+    (3, 2): ((1, 0, 1), 4),
+    (7, 3): ((2, 0, 0, 1), 22),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (151, 2): ((1, 0, 1), 160),
+    (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34),
+}
+
+
+def _scalar_tables(ctx):
+    """Oracle: exp by the scalar recurrence g^{i+1} = g^i * g, log by inversion."""
+    exp = [0] * (ctx.q - 1)
+    acc = 1
+    for i in range(ctx.q - 1):
+        exp[i] = acc
+        acc = ctx._raw_mul(acc, ctx.g_val)
+    log = [0] * ctx.q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return exp, log
+
+
+@pytest.mark.parametrize("p,d", sorted(REFERENCE_FIELDS))
+def test_tables_match_scalar_recurrence(p, d):
+    ctx = make_field(p, d)
+    assert (ctx.modulus, ctx.g_val) == REFERENCE_FIELDS[(p, d)]
+    exp, log = _scalar_tables(ctx)
+    assert ctx.exp == exp and ctx.log == log
+    np_exp, np_log = ctx.np_tables
+    assert np_exp.dtype == np_log.dtype == "int64"
+    assert np_exp.tolist() == exp and np_log.tolist() == log

@@ -127,3 +127,44 @@ def test_large_code_gram_check_is_fast():
     art, _ = build("T1i", 13, 2, m=12, t=7)
     assert art.n == 84
     assert check_self_dual(art)
+
+
+def _count_rank_calls(monkeypatch):
+    import mdssd.verify as verify
+
+    calls = []
+    real = verify.field_rank
+
+    def counted(ctx, G):
+        calls.append(len(G))
+        return real(ctx, G)
+
+    monkeypatch.setattr(verify, "field_rank", counted)
+    return calls
+
+
+def _with_G(art, G):
+    return CodeArtifact(art.ctx, art.a, art.v, art.k, tuple(map(tuple, G)), art.label)
+
+
+def test_verify_artifact_computes_rank_once(monkeypatch):
+    good, _ = build("T1ii", 3, 2, m=2, t=2)
+    G = [list(row) for row in good.G]
+    corrupted = [row[:] for row in G]
+    corrupted[1][1] = good.ctx.add_v(corrupted[1][1], 3)
+    zero = [[0] * good.n for _ in range(good.k)]
+    repeated = [[1] + [0] * (good.n - 1)] * good.k
+    # (G, Gram = 0, expected report, field_rank calls)
+    cases = [
+        (G, True, {"self_dual": True, "rank_ok": True}, 1),
+        (corrupted, False, {"self_dual": False, "rank_ok": True}, 1),
+        (repeated, False, {"self_dual": False, "rank_ok": False}, 1),
+        (zero, True, {"self_dual": False, "rank_ok": False}, 2),
+    ]
+    calls = _count_rank_calls(monkeypatch)
+    for matrix, gram_zero, report, n_calls in cases:
+        assert gram_is_zero(good.ctx, matrix) == gram_zero
+        calls.clear()
+        rep = verify_artifact(_with_G(good, matrix), mds=False)
+        assert rep.to_dict() == {**report, "mds_checked": "skipped_too_large"}
+        assert len(calls) == n_calls
