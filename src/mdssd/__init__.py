@@ -27,7 +27,6 @@ from .errors import (
 from .field import (
     FieldCtx,
     FieldElement,
-    arith,
     element_order,
     make_field,
     quadratic_character,
@@ -65,7 +64,7 @@ __all__ = [
     "iter_valid_params", "validate",
     "HypothesisViolated", "MdssdError", "NotASquare", "ParityInfeasible",
     "SpotCheckFailed", "SquareConditionViolated", "TooLargeToMaterialize",
-    "FieldCtx", "FieldElement", "arith", "element_order", "make_field",
+    "FieldCtx", "FieldElement", "element_order", "make_field",
     "quadratic_character", "root_of_unity", "sqrt", "subfield_generator",
     "CodeArtifact", "EvalVector", "ScalingVector", "artifact_from_dict",
     "artifact_to_dict", "assemble_self_dual_grs", "assemble_self_dual_xgrs",

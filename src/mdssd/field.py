@@ -11,7 +11,10 @@ The exp table is filled by doubling: once g^0..g^{L-1} are known, the next L
 entries are g^L times them.  Multiplication by a fixed element is F_p-linear,
 so each doubling step is one d x d matrix product over F_p applied to the
 base-p digits of a block of known entries, in numpy.  The log table is the
-inverse permutation, filled by one scatter.
+inverse permutation, filled by one scatter.  The Zech table holds
+zech[i] = log(1 + g^i), so that vectorized code adds two nonzero elements
+as g^a + g^b = g^(a + zech[b - a]); zech[(q-1)/2] = -1 marks 1 + g^((q-1)/2)
+= 0.  Adding 1 changes only the constant digit, so it takes O(q) numpy.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
 class FieldCtx:
     """Immutable description of F_q = F_p[x]/(modulus) with a fixed primitive
     element g and full exp/log tables, as lists (`exp`, `log`) and as the
-    same read-only int64 arrays (`np_tables`).  Safe to share across threads."""
+    same read-only int64 arrays (`np_tables`), plus the read-only int32 Zech
+    table `np_zech`.  Safe to share across threads."""
 
     def __init__(self, p: int, d: int):
         if d < 1:
@@ -187,12 +191,26 @@ class FieldCtx:
         exp = self._exp_table(g_val)
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
-        exp.flags.writeable = False
-        log.flags.writeable = False
+        zech = self._zech_table(exp, log)
+        for table in (exp, log, zech):
+            table.flags.writeable = False
         # scalar paths index Python lists; vectorized paths share the arrays
         self.exp = exp.tolist()
         self.log = log.tolist()
         self.np_tables = (exp, log)
+        self.np_zech = zech
+
+    def _zech_table(self, exp: np.ndarray, log: np.ndarray) -> np.ndarray:
+        """zech[i] = log(1 + g^i) as int32, with -1 at i = (q-1)/2, where
+        1 + g^i = 0.  Adding 1 changes only the constant digit."""
+        low = exp % self.p
+        one_plus = exp - low
+        low += 1
+        low %= self.p
+        one_plus += low
+        zech = log[one_plus].astype(np.int32)
+        zech[(self.q - 1) // 2] = -1
+        return zech
 
     def _mul_matrix(self, c: int) -> np.ndarray:
         """Multiplication by c as a d x d matrix over F_p acting on digit
@@ -239,11 +257,6 @@ class FieldCtx:
         if not 0 <= value < self.q:
             raise ValueError(f"encoding {value} out of range [0, {self.q})")
         return FieldElement(self, value)
-
-    def from_coeffs(self, coeffs: list[int]) -> "FieldElement":
-        if len(coeffs) > self.d:
-            raise ValueError("too many coefficients")
-        return FieldElement(self, sum((c % self.p) * self.p**i for i, c in enumerate(coeffs)))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -494,18 +507,6 @@ def make_field(p: int, d: int) -> FieldCtx:
 
 
 # --- module-level operation surface ---
-
-def arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
 
 def quadratic_character(a: FieldElement) -> int:
     return a.ctx.chi_v(a.val)

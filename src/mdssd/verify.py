@@ -2,6 +2,14 @@
 rank), MDS-ness by exhaustive minors, and minimum distance by full codeword
 enumeration.  Nothing here reuses construction-side shortcuts; everything is
 recomputed from the generator matrix.
+
+The vectorized kernels are exact.  The Gram matrix G G^T is computed over
+the integers from the base-p digit planes of G by float64 BLAS products,
+with the columns taken in chunks small enough that every float64 sum stays
+below 2^53 (see `gram_is_zero`), then reduced mod p and mod the field
+modulus.  Rank and codeword enumeration work on int32 logarithms to the
+base g, with q-1 standing for zero: multiplication adds logs, and addition
+is one lookup in the field's Zech table, log(1 + g^i).
 """
 
 from __future__ import annotations
@@ -20,93 +28,119 @@ MINORS_BUDGET_N = 16
 DISTANCE_BUDGET = 1 << 22
 
 
-# --- vectorized field kernels on encoding arrays ---
+# --- vectorized field kernels ---
 
-def _np_mul(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    exp, log = ctx.np_tables
-    mask = (A != 0) & (B != 0)
-    la = log[np.where(A != 0, A, 1)]
-    lb = log[np.where(B != 0, B, 1)]
-    return np.where(mask, exp[(la + lb) % (ctx.q - 1)], 0)
+# Every integer of magnitude at most 2^53 is exact in float64.
+_EXACT_FLOAT = 1 << 53
 
-
-def _np_sub(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    p = ctx.p
-    if ctx.d == 1:
-        return (A - B) % p
-    out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-    a, b, mult = A.copy(), B.copy(), 1
-    for _ in range(ctx.d):
-        out += ((a - b) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
+# Entries per digit-plane block and per Gram row block (4 MB as 8-byte
+# values), so that Gram memory does not grow with d * k * n.
+_BLOCK_ENTRIES = 1 << 19
 
 
-def _np_add(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    p = ctx.p
-    if ctx.d == 1:
-        return (A + B) % p
-    out = np.zeros(np.broadcast(A, B).shape, dtype=np.int64)
-    a, b, mult = A.copy(), B.copy(), 1
-    for _ in range(ctx.d):
-        out += ((a + b) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
+def _logs(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
+    """int32 logs of an encoding array, with q-1 standing for zero."""
+    return np.where(M != 0, ctx.np_tables[1][M], ctx.q - 1).astype(np.int32)
 
 
-def _np_field_sum(ctx: FieldCtx, A: np.ndarray, axis: int) -> np.ndarray:
-    p = ctx.p
-    if ctx.d == 1:
-        return A.sum(axis=axis) % p
-    out = np.zeros(A.sum(axis=axis).shape, dtype=np.int64)
-    rem, mult = A.copy(), 1
-    for _ in range(ctx.d):
-        out += (rem % p).sum(axis=axis) % p * mult
-        rem //= p
-        mult *= p
-    return out
+def _log_outer(q1: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Logs of the products a_i * b_j, for int32 log vectors with q-1
+    standing for zero."""
+    T = a[:, None] + b
+    np.subtract(T, q1, out=T, where=T >= q1)
+    T[a == q1] = q1
+    T[:, b == q1] = q1
+    return T
+
+
+def _zech_index(ctx: FieldCtx) -> np.ndarray:
+    """zech[i mod (q-1)] for 0 <= i <= 2(q-1): a difference of two logs (or
+    q-1 for zero) plus q-1 indexes it without a mod."""
+    zech = ctx.np_zech
+    return np.concatenate((zech, zech, zech[:1]))
+
+
+def _log_add(q1: int, zech2: np.ndarray, A: np.ndarray, T: np.ndarray) -> None:
+    """A <- A + T in place, for int32 log arrays with q-1 standing for zero
+    and `zech2 = _zech_index(ctx)`: a + t = a (1 + t/a), so
+    log(a + t) = log a + zech[log t - log a], and t = -a gives zero."""
+    a_zero = A == q1
+    z = T - A
+    z += q1
+    z = zech2[z]
+    z[T == q1] = 0
+    cancel = z < 0
+    A += z
+    np.subtract(A, q1, out=A, where=A >= q1)
+    A[cancel] = q1
+    np.copyto(A, T, where=a_zero)
 
 
 def field_rank(ctx: FieldCtx, G) -> int:
-    """Rank by Gaussian elimination; pivot = first nonzero (deterministic)."""
-    M = np.array(G, dtype=np.int64)
-    rows, cols = M.shape
+    """Rank by Gaussian elimination on logs; pivot = first nonzero
+    (deterministic).  Each step adds -(f/piv) * pivot row, whose logs are
+    f - piv + log(-1) + row, to the rows below with a nonzero factor f,
+    right of the pivot column."""
+    L = _logs(ctx, np.array(G, dtype=np.int64))
+    zech2 = _zech_index(ctx)
+    q1 = ctx.q - 1
+    rows, cols = L.shape
     rank = 0
     for col in range(cols):
         if rank == rows:
             break
-        pivots = np.nonzero(M[rank:, col])[0]
-        if pivots.size == 0:
+        nz = np.flatnonzero(L[rank:, col] != q1)
+        if nz.size == 0:
             continue
-        pr = rank + int(pivots[0])
-        if pr != rank:
-            M[[rank, pr]] = M[[pr, rank]]
-        inv = ctx.inv_v(int(M[rank, col]))
-        M[rank] = _np_mul(ctx, M[rank], np.int64(inv))
-        below = M[rank + 1:]
-        if below.size:
-            factors = below[:, col:col + 1]
-            M[rank + 1:] = _np_sub(ctx, below, _np_mul(ctx, factors, M[rank][None, :]))
+        if nz[0]:
+            L[[rank, rank + nz[0]]] = L[[rank + nz[0], rank]]
+        below = rank + nz[1:]
+        f = L[below, col] - L[rank, col] + q1 // 2
+        f %= q1
+        A = L[below, col + 1:]
+        _log_add(q1, zech2, A, _log_outer(q1, f, L[rank, col + 1:]))
+        L[below, col + 1:] = A
         rank += 1
     return rank
 
 
 def gram_is_zero(ctx: FieldCtx, G) -> bool:
-    """True iff G * G^T is the zero matrix (exact, row by row)."""
+    """True iff G * G^T is the zero matrix, computed exactly.
+
+    G splits into d base-p digit planes D_i, so G G^T is the polynomial
+    sum_s C_s x^s with C_s = sum_{i+j=s} D_i D_j^T, reduced mod the monic
+    field modulus.  Each D_i D_j^T is one float64 BLAS product, added into
+    C_{i+j} in int64.  Over m columns its entries are sums of nonnegative
+    integers of at most m (p-1)^2, so the columns go in chunks of
+    m <= (2^53 - 1) / (p-1)^2: every float64 partial sum is then an exact
+    integer.  C is reduced mod p after each chunk, so it stays below
+    p + d * 2^53 < 2^63.  Rows of the Gram matrix are computed in blocks, and
+    columns chunked further, so that no array holds more than about
+    _BLOCK_ENTRIES entries.  G G^T is symmetric, so each row block is
+    computed from its diagonal rightwards, and the first nonzero block ends
+    the check."""
+    p, d = ctx.p, ctx.d
     Gn = np.array(G, dtype=np.int64)
-    k = Gn.shape[0]
-    exp, log = ctx.np_tables
-    mask = Gn != 0
-    Glog = log[np.where(mask, Gn, 1)]
-    q1 = ctx.q - 1
-    for i in range(k):
-        pm = mask[i][None, :] & mask
-        prods = np.where(pm, exp[(Glog[i][None, :] + Glog) % q1], 0)
-        if np.any(_np_field_sum(ctx, prods, axis=1) != 0):
+    k, n = Gn.shape
+    chunk = min((_EXACT_FLOAT - 1) // (p - 1) ** 2, max(1, _BLOCK_ENTRIES // (d * k)))
+    rows = max(1, _BLOCK_ENTRIES // ((2 * d - 1) * k))
+    # x^d = -(f_0 + ... + f_{d-1} x^{d-1}) for the monic modulus f
+    f = np.array(ctx.modulus[:d], dtype=np.int64)[:, None, None]
+    for top in range(0, k, rows):
+        C = np.zeros((2 * d - 1, min(rows, k - top), k - top), dtype=np.int64)
+        for lo in range(0, n, chunk):
+            block = Gn[:, lo:lo + chunk]
+            planes = np.empty((d,) + block.shape)
+            for i in range(d):
+                planes[i] = block // p**i % p
+            for i in range(d):
+                for j in range(d):
+                    C[i + j] += (planes[i, top:top + rows] @ planes[j, top:].T).astype(np.int64)
+            C %= p
+        for s in range(2 * d - 2, d - 1, -1):
+            C[s - d:s] -= f * C[s]
+            C[s - d:s] %= p
+        if C[:d].any():
             return False
     return True
 
@@ -193,18 +227,18 @@ def min_distance(art: CodeArtifact) -> int:
     total = q**k
     if total > DISTANCE_BUDGET:
         raise TooLarge(f"q^k = {total} > {DISTANCE_BUDGET} for codeword enumeration")
-    G = np.array(art.G, dtype=np.int64)
+    q1 = q - 1
+    LG = _logs(ctx, np.array(art.G, dtype=np.int64))
+    zech2 = _zech_index(ctx)
     best = n + 1
     chunk = 1 << 16
     for start in range(1, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        words = np.zeros((idx.size, n), dtype=np.int64)
-        rem = idx
+        rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        words = np.full((rem.size, n), q1, dtype=np.int32)
         for row in range(k):
-            coeff = rem % q
-            rem = rem // q
-            words = _np_add(ctx, words, _np_mul(ctx, coeff[:, None], G[row][None, :]))
-        weights = (words != 0).sum(axis=1)
+            _log_add(q1, zech2, words, _log_outer(q1, _logs(ctx, rem % q), LG[row]))
+            rem //= q
+        weights = (words != q1).sum(axis=1)
         best = min(best, int(weights.min()))
     return best
 

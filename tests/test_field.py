@@ -237,3 +237,20 @@ def test_tables_match_scalar_recurrence(p, d):
     np_exp, np_log = ctx.np_tables
     assert np_exp.dtype == np_log.dtype == "int64"
     assert np_exp.tolist() == exp and np_log.tolist() == log
+
+
+ZECH_FIELDS = [(3, 1), (5, 1), (1009, 1), (3, 2), (3, 4), (7, 3), (151, 2), (3, 10)]
+
+
+@pytest.mark.parametrize("p,d", ZECH_FIELDS)
+def test_zech_table_matches_digitwise_addition(p, d):
+    ctx = make_field(p, d)
+    zech = ctx.np_zech
+    half = (ctx.q - 1) // 2
+    assert zech.shape == (ctx.q - 1,)
+    expected = [ctx.log[ctx.add_v(1, ctx.exp[i])] for i in range(ctx.q - 1)]
+    expected[half] = -1  # 1 + g^((q-1)/2) = 1 - 1 = 0 has no log
+    assert ctx.add_v(1, ctx.exp[half]) == 0
+    assert zech.tolist() == expected
+    with pytest.raises(ValueError):
+        zech[0] = 0

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import random
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mdssd.constructions import build
 from mdssd.errors import DimensionMismatch, TooLarge
@@ -168,3 +174,242 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
         rep = verify_artifact(_with_G(good, matrix), mds=False)
         assert rep.to_dict() == {**report, "mds_checked": "skipped_too_large"}
         assert len(calls) == n_calls
+
+
+# --- vectorized kernels against scalar oracles ---
+
+# Oracles use only the digit-wise scalar add_v/sub_v and the exp/log lists,
+# never the Zech table or BLAS.
+
+def _oracle_rank(ctx, G):
+    M = [list(row) for row in G]
+    rank = 0
+    for col in range(len(M[0])):
+        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = ctx.inv_v(M[rank][col])
+        for r in range(rank + 1, len(M)):
+            if M[r][col]:
+                f = ctx.mul_v(M[r][col], inv)
+                M[r] = [ctx.sub_v(x, ctx.mul_v(f, y)) for x, y in zip(M[r], M[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_gram_is_zero(ctx, G):
+    for u in G:
+        for v in G:
+            acc = 0
+            for x, y in zip(u, v):
+                acc = ctx.add_v(acc, ctx.mul_v(x, y))
+            if acc:
+                return False
+    return True
+
+
+def _oracle_min_distance(ctx, G):
+    k, n = len(G), len(G[0])
+    best = n + 1
+    for idx in range(1, ctx.q**k):
+        word = [0] * n
+        for row in G:
+            idx, c = divmod(idx, ctx.q)
+            word = [ctx.add_v(w, ctx.mul_v(c, g)) for w, g in zip(word, row)]
+        best = min(best, sum(1 for w in word if w))
+    return best
+
+
+KERNEL_FIELDS = [(3, 1), (5, 1), (1009, 1), (3, 2), (3, 4), (7, 3), (151, 2), (3, 10)]
+
+
+def _random_matrix(ctx, rng, k, n):
+    """About half zero entries, with repeated rows, zero rows, zero columns
+    and rows that are combinations of others, each at random."""
+    G = [[rng.randrange(1, ctx.q) if rng.random() < 0.5 else 0 for _ in range(n)]
+         for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        G[rng.randrange(1, k)] = G[0][:]
+    if rng.random() < 0.3:
+        G[rng.randrange(k)] = [0] * n
+    if rng.random() < 0.3:
+        c = rng.randrange(n)
+        for row in G:
+            row[c] = 0
+    if k > 2 and rng.random() < 0.3:
+        a, b = rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)
+        G[-1] = [ctx.add_v(ctx.mul_v(a, x), ctx.mul_v(b, y)) for x, y in zip(G[0], G[1])]
+    return G
+
+
+def _self_dual_matrix(ctx, rng, k):
+    """k x 2k generator [I | A] (k even) with A A^T = -I, mixed by random
+    invertible row operations row_i <- c row_i + row_j and a random signed
+    column permutation, which keep G G^T = 0 and rank k.
+    A = sqrt(-1) I if -1 is a square, else blocks [[a, b], [-b, a]] with
+    a^2 + b^2 = -1."""
+    minus_one = ctx.neg_v(1)
+    A = [[0] * k for _ in range(k)]
+    if ctx.chi_v(minus_one) == 1:
+        for i in range(k):
+            A[i][i] = ctx.sqrt_v(minus_one)
+    else:
+        b = next(b for b in range(1, ctx.q)
+                 if ctx.chi_v(ctx.sub_v(minus_one, ctx.mul_v(b, b))) == 1)
+        a = ctx.sqrt_v(ctx.sub_v(minus_one, ctx.mul_v(b, b)))
+        for i in range(0, k, 2):
+            A[i][i] = A[i + 1][i + 1] = a
+            A[i][i + 1], A[i + 1][i] = b, ctx.neg_v(b)
+    G = [[int(i == j) for j in range(k)] + A[i] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.sample(range(k), 2)
+        c = rng.randrange(1, ctx.q)
+        G[i] = [ctx.add_v(ctx.mul_v(c, x), y) for x, y in zip(G[i], G[j])]
+    perm = rng.sample(range(2 * k), 2 * k)
+    signs = [rng.random() < 0.5 for _ in range(2 * k)]
+    return [[ctx.neg_v(row[c]) if s else row[c] for c, s in zip(perm, signs)] for row in G]
+
+
+def _corrupt(ctx, rng, G):
+    G = [list(row) for row in G]
+    r, c = rng.randrange(len(G)), rng.randrange(len(G[0]))
+    G[r][c] = ctx.add_v(G[r][c], rng.randrange(1, ctx.q))
+    return G
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_kernels_match_scalar_oracle_on_random_matrices(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(40):
+        G = _random_matrix(ctx, rng, rng.randint(1, 7), rng.randint(1, 12))
+        assert field_rank(ctx, G) == _oracle_rank(ctx, G)
+        assert gram_is_zero(ctx, G) == _oracle_gram_is_zero(ctx, G)
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_kernels_match_scalar_oracle_on_self_dual_matrices(p, d):
+    from mdssd.constructions import construct_from_params, iter_valid_params
+
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    matrices = [_self_dual_matrix(ctx, rng, k) for k in (2, 4, 6)]
+    params = list(iter_valid_params(p, d, 30))
+    matrices += [construct_from_params(ctx, pr)[0].G for pr in params[-3:]]
+    for G in matrices:
+        assert _oracle_gram_is_zero(ctx, G)
+        assert gram_is_zero(ctx, G)
+        assert field_rank(ctx, G) == _oracle_rank(ctx, G) == len(G)
+        for _ in range(5):
+            bad = _corrupt(ctx, rng, G)
+            assert gram_is_zero(ctx, bad) == _oracle_gram_is_zero(ctx, bad)
+            assert field_rank(ctx, bad) == _oracle_rank(ctx, bad)
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_gram_in_small_blocks_matches_scalar_oracle(p, d, monkeypatch):
+    # blocks of a few entries split every Gram check into many row blocks
+    # and column chunks
+    import mdssd.verify as verify
+
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 40)
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for k in (2, 4, 6):
+        G = _self_dual_matrix(ctx, rng, k)
+        assert gram_is_zero(ctx, G)
+        for _ in range(5):
+            bad = _corrupt(ctx, rng, G)
+            assert gram_is_zero(ctx, bad) == _oracle_gram_is_zero(ctx, bad)
+    for _ in range(10):
+        G = _random_matrix(ctx, rng, rng.randint(1, 7), rng.randint(1, 12))
+        assert gram_is_zero(ctx, G) == _oracle_gram_is_zero(ctx, G)
+
+
+def test_gram_multi_chunk_is_exact():
+    # (p-1)^2 is about 2^40 here, so at most 8192 columns go into one
+    # float64 product; rows of 24577 entries near p take four chunks, and
+    # their integer Gram entries exceed 2^53, where one float64 sum would
+    # round.
+    ctx = make_field(1048573, 1)
+    p = ctx.p
+    rng = random.Random(7)
+    i = ctx.sqrt_v(p - 1)
+    large = [a for a in range(p - p // 10, p) if (a * i) % p >= p - p // 10]
+    rows = []
+    for _ in range(2):
+        row = []
+        for a in rng.choices(large, k=12288):
+            row += [a, (a * i) % p]
+        rows.append(row + [0])
+    assert min(sum(x * x for x in row) for row in rows) > 1 << 53
+    assert _oracle_gram_is_zero(ctx, rows) and gram_is_zero(ctx, rows)
+    bad = [row[:] for row in rows]
+    bad[1][-1] = p - 1
+    assert not _oracle_gram_is_zero(ctx, bad) and not gram_is_zero(ctx, bad)
+    bad = [row[:] for row in rows]
+    bad[0][100] = p - 1 - bad[0][100]
+    assert gram_is_zero(ctx, bad) == _oracle_gram_is_zero(ctx, bad)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3)])
+def test_min_distance_matches_scalar_oracle(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(6):
+        k = rng.randint(1, 3 if ctx.q < 10 else 2)
+        n = rng.randint(k, 8)
+        G = _random_matrix(ctx, rng, k, n)
+        # a generator matrix alone: n may exceed q, so no evaluation vector
+        art = SimpleNamespace(ctx=ctx, k=k, n=n, G=tuple(map(tuple, G)))
+        assert min_distance(art) == _oracle_min_distance(ctx, G)
+
+
+# --- mutated artifacts through `mdssd verify` ---
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("in-range"), st.integers(0, 8)),
+    st.tuples(st.sampled_from(["minus-q", "plus-q"]), st.none()),
+    st.tuples(st.just("non-int"),
+              st.sampled_from([6.0, "6", None, True, False, [6], {"v": 6}])),
+)
+
+
+@pytest.fixture(scope="module")
+def f9_doc():
+    from mdssd.grs import artifact_to_dict
+
+    art, _ = build("T1ii", 3, 2, m=2, t=2)  # an extended [6, 3] code over F_9
+    return artifact_to_dict(art)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(row=st.integers(0, 2), col=st.integers(0, 5), mutation=_MUTATIONS)
+def test_verify_cli_on_mutated_entry(f9_doc, tmp_path, capsys, row, col, mutation):
+    """Out-of-range and non-int entries exit 2.  An in-range change exits 0
+    exactly when the scalar oracles find G G^T = 0 and rank k, else 4: a
+    changed G may still be self-dual, e.g. an entry negated in a column
+    with a_c = 0.  No input ends in a traceback."""
+    from mdssd.cli import main
+
+    ctx = make_field(3, 2)
+    kind, value = mutation
+    doc = json.loads(json.dumps(f9_doc))
+    x = doc["G"][row][col]
+    doc["G"][row][col] = {"in-range": value, "minus-q": x - 9,
+                          "plus-q": x + 9, "non-int": value}[kind]
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    expected = 2
+    if kind == "in-range":
+        ok = _oracle_gram_is_zero(ctx, doc["G"]) and _oracle_rank(ctx, doc["G"]) == 3
+        expected = 0 if ok else 4
+    for flags, allowed in ((["--no-mds"], {expected}), ([], {expected, 4})):
+        code = main(["verify", "--in", str(path), *flags])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert code in allowed  # the MDS checks may only add a failure
+        if code == 2:
+            assert "malformed artifact" in json.loads(captured.out)["error"]
