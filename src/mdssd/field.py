@@ -5,7 +5,10 @@ code constructions depend on.
 Elements are canonically encoded as integers value(x) = sum(coeffs[i] * p^i)
 with coefficients constant-term first.  Fields small enough to materialize
 carry full exp/log tables for the multiplicative group, making mul/div/pow
-O(1); addition works digit-wise on the encoding.
+O(1).  Addition is the integer sum mod p in a prime field.  Otherwise
+a + b = a (1 + b/a), and the encoding of 1 + b/a differs from that of b/a
+only in the constant digit, so addition costs a few table lookups and no
+digit loop; a - b adds -b = g^(log b + (q-1)/2).
 
 The exp table is filled by doubling: once g^0..g^{L-1} are known, the next L
 entries are g^L times them.  Multiplication by a fixed element is F_p-linear,
@@ -270,28 +273,28 @@ class FieldCtx:
     # -- raw arithmetic on canonical encodings (hot paths use these) --
 
     def add_v(self, a: int, b: int) -> int:
-        p = self.p
         if self.d == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        for _ in range(self.d):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a + b) % self.p
+        return a if b == 0 else self._add_power(a, self.log[b])
 
     def sub_v(self, a: int, b: int) -> int:
-        p = self.p
         if self.d == 1:
-            return (a - b) % p
-        out, mult = 0, 1
-        for _ in range(self.d):
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+            return (a - b) % self.p
+        # -b = g^(log b + (q-1)/2)
+        return a if b == 0 else self._add_power(a, self.log[b] + (self.q - 1) // 2)
+
+    def _add_power(self, a: int, e: int) -> int:
+        """a + g^e for an encoding a: a + g^e = a (1 + t) with t = g^e / a,
+        and the encoding of 1 + t differs from that of t only in the
+        constant digit."""
+        q1 = self.q - 1
+        if a == 0:
+            return self.exp[e % q1]
+        la = self.log[a]
+        t = self.exp[(e - la) % q1]
+        low = t % self.p
+        one_plus = t - low + (low + 1) % self.p
+        return 0 if one_plus == 0 else self.exp[(la + self.log[one_plus]) % q1]
 
     def neg_v(self, a: int) -> int:
         return self.sub_v(0, a)

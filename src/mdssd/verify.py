@@ -7,16 +7,23 @@ The vectorized kernels are exact.  The Gram matrix G G^T is computed over
 the integers from the base-p digit planes of G by float64 BLAS products,
 with the columns taken in chunks small enough that every float64 sum stays
 below 2^53 (see `gram_is_zero`), then reduced mod p and mod the field
-modulus.  Rank and codeword enumeration work on int32 logarithms to the
-base g, with q-1 standing for zero: multiplication adds logs, and addition
-is one lookup in the field's Zech table, log(1 + g^i).
+modulus.  Rank, minors and codeword enumeration work on int32 logarithms to
+the base g, with q-1 standing for zero: multiplication adds logs, and
+addition is one lookup in the field's Zech table, log(1 + g^i).
+
+The C(n, k) minors are eliminated in lockstep, as one (B, k, k) log array
+per block of column subsets taken in lexicographic order, so the first
+singular subset found is the lexicographically first.  Enumeration visits
+only the (q^k - 1)/(q - 1) coefficient vectors whose last nonzero entry is
+1; this is exhaustive because every nonzero codeword is a nonzero multiple
+of exactly one of them, with the same weight.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -34,7 +41,8 @@ DISTANCE_BUDGET = 1 << 22
 _EXACT_FLOAT = 1 << 53
 
 # Entries per digit-plane block and per Gram row block (4 MB as 8-byte
-# values), so that Gram memory does not grow with d * k * n.
+# values), so that Gram memory does not grow with d * k * n, and log entries
+# per block of minors, so that minors memory does not grow with C(n, k).
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -44,12 +52,15 @@ def _logs(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
 
 
 def _log_outer(q1: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Logs of the products a_i * b_j, for int32 log vectors with q-1
-    standing for zero."""
-    T = a[:, None] + b
-    np.subtract(T, q1, out=T, where=T >= q1)
-    T[a == q1] = q1
-    T[:, b == q1] = q1
+    """Logs of the products a_i * b_j, for int32 log arrays with q-1
+    standing for zero; leading axes of a and b are batch axes.  Zero logs
+    are moved to 2(q-1) first, so a sum with a zero factor stays at least
+    q-1 after one reduction and is clipped to q-1."""
+    a = np.where(a == q1, 2 * q1, a)
+    b = np.where(b == q1, 2 * q1, b)
+    T = a[..., :, None] + b[..., None, :]
+    T -= (T >= q1) * np.int32(q1)
+    np.minimum(T, q1, out=T)
     return T
 
 
@@ -178,50 +189,67 @@ def check_self_dual(art: CodeArtifact) -> bool:
     return gram_is_zero(art.ctx, art.G) and field_rank(art.ctx, art.G) == art.k
 
 
-def _det_nonzero(ctx: FieldCtx, rows: list[list[int]]) -> bool:
-    """Nonsingularity of a small square matrix by exact elimination."""
-    k = len(rows)
-    M = [row[:] for row in rows]
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return False
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        inv = ctx.inv_v(M[col][col])
-        for r in range(col + 1, k):
-            f = M[r][col]
-            if f == 0:
-                continue
-            scale = ctx.mul_v(f, inv)
-            Mr, Mc = M[r], M[col]
-            for c in range(col, k):
-                Mr[c] = ctx.sub_v(Mr[c], ctx.mul_v(scale, Mc[c]))
-    return True
+def _singular_minors(q1: int, zech2: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Singularity of each k x k log matrix of the batch M (B, k, k), by
+    eliminating all of them in lockstep.  The rule is that of `field_rank`:
+    the pivot is the first nonzero entry of the column, and each other row
+    with a nonzero factor f gets the logs f - piv + log(-1) + pivot row added
+    into it.  Only the trailing block is kept after each step, so M shrinks
+    to (B, k-1, k-1) and so on.  A minor with no pivot in some column is
+    singular; its later steps run on meaningless but in-range logs and
+    cannot clear that verdict."""
+    batch = np.arange(M.shape[0])
+    singular = np.zeros(M.shape[0], dtype=bool)
+    while M.shape[1]:
+        nz = M[:, :, 0] != q1
+        singular |= ~nz.any(axis=1)
+        piv = nz.argmax(axis=1)
+        top = M[batch, piv]
+        # row 0 moves into the pivot row's place, and the pivot row into top
+        M[batch, piv] = M[:, 0]
+        factors = M[:, 1:, 0]
+        f = factors - top[:, :1] + q1 // 2
+        f %= q1
+        f[factors == q1] = q1
+        M = M[:, 1:, 1:].copy()
+        _log_add(q1, zech2, M, _log_outer(q1, f, top[:, 1:]))
+    return singular
 
 
-def check_mds_minors(art: CodeArtifact) -> bool:
-    """Every k columns of G independent <=> the code is MDS.  Column subsets
-    are scanned lexicographically with early exit, so the first singular
-    witness is deterministic."""
+def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
+    """The lexicographically first k-subset of columns of G whose minor is
+    singular, or None when every k x k minor is nonzero.  The subsets go in
+    lexicographic blocks of at most _BLOCK_ENTRIES log entries, and the first
+    block holding a singular minor ends the scan.  Each minor is held
+    transposed, one chosen column of G per row, which keeps its
+    determinant."""
     n, k = art.n, art.k
     if n > MINORS_BUDGET_N:
         raise TooLarge(f"n = {n} > {MINORS_BUDGET_N} for exhaustive minors")
     ctx = art.ctx
-    cols = [[art.G[r][c] for r in range(k)] for c in range(n)]
-    for subset in combinations(range(n), k):
-        minor = [[cols[c][r] for c in subset] for r in range(k)]
-        if not _det_nonzero(ctx, minor):
-            return False
-    return True
+    q1 = ctx.q - 1
+    columns = _logs(ctx, np.array(art.G, dtype=np.int64).T)
+    zech2 = _zech_index(ctx)
+    subsets = combinations(range(n), k)
+    block = max(1, _BLOCK_ENTRIES // (k * k))
+    while chunk := list(islice(subsets, block)):
+        singular = _singular_minors(q1, zech2, columns[np.array(chunk, dtype=np.intp)])
+        if singular.any():
+            return chunk[int(singular.argmax())]
+    return None
+
+
+def check_mds_minors(art: CodeArtifact) -> bool:
+    """Every k columns of G independent <=> the code is MDS."""
+    return first_singular_minor(art) is None
 
 
 def min_distance(art: CodeArtifact) -> int:
-    """Minimum Hamming weight over all nonzero codewords, by enumeration."""
+    """Minimum Hamming weight over all nonzero codewords, by enumeration.
+    A word and its nonzero multiples have the same weight, so only the
+    coefficient vectors whose last nonzero entry is 1 are visited: for each
+    lead row, G[lead] + sum_{r < lead} c_r G[r] over all c in F_q^lead,
+    (q^k - 1)/(q - 1) words in all."""
     ctx, k, n = art.ctx, art.k, art.n
     q = ctx.q
     total = q**k
@@ -232,14 +260,16 @@ def min_distance(art: CodeArtifact) -> int:
     zech2 = _zech_index(ctx)
     best = n + 1
     chunk = 1 << 16
-    for start in range(1, total, chunk):
-        rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        words = np.full((rem.size, n), q1, dtype=np.int32)
-        for row in range(k):
-            _log_add(q1, zech2, words, _log_outer(q1, _logs(ctx, rem % q), LG[row]))
-            rem //= q
-        weights = (words != q1).sum(axis=1)
-        best = min(best, int(weights.min()))
+    for lead in range(k):
+        count = q**lead
+        for start in range(0, count, chunk):
+            rem = np.arange(start, min(start + chunk, count), dtype=np.int64)
+            words = np.repeat(LG[lead][None], rem.size, axis=0)
+            for row in range(lead):
+                _log_add(q1, zech2, words, _log_outer(q1, _logs(ctx, rem % q), LG[row]))
+                rem //= q
+            weights = (words != q1).sum(axis=1)
+            best = min(best, int(weights.min()))
     return best
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from mdssd.errors import (
@@ -242,15 +244,41 @@ def test_tables_match_scalar_recurrence(p, d):
 ZECH_FIELDS = [(3, 1), (5, 1), (1009, 1), (3, 2), (3, 4), (7, 3), (151, 2), (3, 10)]
 
 
+def _digitwise(ctx, a, b, sign):
+    """Oracle: a + sign * b on the base-p digits of the encodings."""
+    p = ctx.p
+    return sum(((a // p**i + sign * (b // p**i)) % p) * p**i for i in range(ctx.d))
+
+
 @pytest.mark.parametrize("p,d", ZECH_FIELDS)
 def test_zech_table_matches_digitwise_addition(p, d):
     ctx = make_field(p, d)
     zech = ctx.np_zech
     half = (ctx.q - 1) // 2
     assert zech.shape == (ctx.q - 1,)
-    expected = [ctx.log[ctx.add_v(1, ctx.exp[i])] for i in range(ctx.q - 1)]
+    expected = [ctx.log[_digitwise(ctx, 1, ctx.exp[i], 1)] for i in range(ctx.q - 1)]
     expected[half] = -1  # 1 + g^((q-1)/2) = 1 - 1 = 0 has no log
-    assert ctx.add_v(1, ctx.exp[half]) == 0
+    assert _digitwise(ctx, 1, ctx.exp[half], 1) == 0
     assert zech.tolist() == expected
     with pytest.raises(ValueError):
         zech[0] = 0
+
+
+@pytest.mark.parametrize("p,d", ZECH_FIELDS)
+def test_scalar_addition_matches_digitwise_oracle(p, d):
+    ctx = make_field(p, d)
+    q = ctx.q
+    rng = random.Random(p * 100 + d)
+    if q <= 81:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(20000)]
+        pairs += [(a, a) for a in rng.sample(range(q), 100)]
+        pairs += [(0, b) for b in rng.sample(range(q), 100)]
+        pairs += [(a, 0) for a in rng.sample(range(q), 100)]
+        pairs += [(0, 0), (q - 1, q - 1), (1, ctx.neg_v(1))]
+    for a, b in pairs:
+        assert ctx.add_v(a, b) == _digitwise(ctx, a, b, 1)
+        assert ctx.sub_v(a, b) == _digitwise(ctx, a, b, -1)
+    assert all(ctx.sub_v(a, a) == 0 for a, _ in pairs)
+    assert all(ctx.neg_v(b) == _digitwise(ctx, 0, b, -1) for _, b in pairs)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +20,7 @@ from mdssd.verify import (
     check_mds_minors,
     check_self_dual,
     field_rank,
+    first_singular_minor,
     gram_is_zero,
     min_distance,
     verify_artifact,
@@ -178,8 +180,8 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
 
 # --- vectorized kernels against scalar oracles ---
 
-# Oracles use only the digit-wise scalar add_v/sub_v and the exp/log lists,
-# never the Zech table or BLAS.
+# Oracles use only the scalar add_v/sub_v/mul_v/inv_v, never numpy or BLAS;
+# tests/test_field.py checks add_v/sub_v against digit-wise addition.
 
 def _oracle_rank(ctx, G):
     M = [list(row) for row in G]
@@ -364,6 +366,190 @@ def test_min_distance_matches_scalar_oracle(p, d):
         # a generator matrix alone: n may exceed q, so no evaluation vector
         art = SimpleNamespace(ctx=ctx, k=k, n=n, G=tuple(map(tuple, G)))
         assert min_distance(art) == _oracle_min_distance(ctx, G)
+
+
+def _det_nonzero(ctx, rows):
+    """Nonsingularity of a small square matrix by exact scalar elimination."""
+    k = len(rows)
+    M = [row[:] for row in rows]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if M[r][col] != 0), None)
+        if piv is None:
+            return False
+        M[col], M[piv] = M[piv], M[col]
+        inv = ctx.inv_v(M[col][col])
+        for r in range(col + 1, k):
+            if M[r][col]:
+                scale = ctx.mul_v(M[r][col], inv)
+                M[r] = [ctx.sub_v(x, ctx.mul_v(scale, y)) for x, y in zip(M[r], M[col])]
+    return True
+
+
+def _oracle_first_singular_minor(ctx, G):
+    k, n = len(G), len(G[0])
+    for subset in combinations(range(n), k):
+        if not _det_nonzero(ctx, [[row[c] for c in subset] for row in G]):
+            return subset
+    return None
+
+
+MINOR_FIELDS = [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3), (151, 2)]
+
+
+def _matrix_artifact(ctx, G):
+    # a generator matrix alone: n may exceed q, so no evaluation vector
+    return SimpleNamespace(ctx=ctx, k=len(G), n=len(G[0]), G=tuple(map(tuple, G)))
+
+
+def _random_minor_matrix(ctx, rng, k, n):
+    """Random k x n matrix with about half zero entries or none, then at
+    random: a column made proportional to another (a duplicate when the
+    factor is 1), a zero column, a repeated row."""
+    density = rng.choice([0.5, 1.0])
+    G = [[rng.randrange(1, ctx.q) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(k)]
+    if n > 1 and rng.random() < 0.3:
+        a, b = rng.sample(range(n), 2)
+        c = rng.choice([1, rng.randrange(1, ctx.q)])
+        for row in G:
+            row[b] = ctx.mul_v(c, row[a])
+    if rng.random() < 0.2:
+        c = rng.randrange(n)
+        for row in G:
+            row[c] = 0
+    if k > 1 and rng.random() < 0.2:
+        G[rng.randrange(1, k)] = G[0][:]
+    return G
+
+
+def _grs_matrices(ctx, rng, k, n):
+    """A GRS generator matrix (every minor nonzero) and one-column
+    corruptions: a random column, a multiple of another column, and a
+    combination with nonzero coefficients of k-1 other columns, which is
+    singular only through cancellation."""
+    points = rng.sample(range(ctx.q), n)
+    weights = [rng.randrange(1, ctx.q) for _ in range(n)]
+    G = [list(row) for row in _plain_artifact(ctx, points, weights, k).G]
+    out = [G]
+    for kind in ("random", "multiple", "combination"):
+        bad = [row[:] for row in G]
+        c = rng.randrange(n)
+        others = rng.sample([i for i in range(n) if i != c], k - 1)
+        coef = [rng.randrange(1, ctx.q) for _ in others]
+        for row in bad:
+            if kind == "random":
+                row[c] = rng.randrange(ctx.q)
+            elif kind == "multiple":
+                row[c] = ctx.mul_v(coef[0], row[others[0]]) if others else 0
+            else:
+                acc = 0
+                for i, x in zip(others, coef):
+                    acc = ctx.add_v(acc, ctx.mul_v(x, row[i]))
+                row[c] = acc
+        out.append(bad)
+    return out
+
+
+def _assert_minors_match_oracle(ctx, G):
+    art = _matrix_artifact(ctx, G)
+    expected = _oracle_first_singular_minor(ctx, G)
+    assert first_singular_minor(art) == expected
+    assert check_mds_minors(art) == (expected is None)
+
+
+@pytest.mark.parametrize("p,d", MINOR_FIELDS)
+def test_minors_match_scalar_oracle_on_random_matrices(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        _assert_minors_match_oracle(ctx, _random_minor_matrix(ctx, rng, k, rng.randint(k, 10)))
+
+
+@pytest.mark.parametrize("p,d", MINOR_FIELDS)
+def test_minors_match_scalar_oracle_on_grs_matrices(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(6):
+        n = rng.randint(2, min(ctx.q, 10))
+        for G in _grs_matrices(ctx, rng, rng.randint(1, n), n):
+            _assert_minors_match_oracle(ctx, G)
+
+
+@pytest.mark.parametrize("p,d", MINOR_FIELDS)
+def test_minors_edge_shapes_match_scalar_oracle(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(10):
+        n = rng.randint(1, 10)
+        _assert_minors_match_oracle(ctx, _random_minor_matrix(ctx, rng, 1, n))
+        k = rng.randint(1, 6)
+        _assert_minors_match_oracle(ctx, _random_minor_matrix(ctx, rng, k, k))
+    m = min(ctx.q, 6)
+    for k in (1, m):
+        for G in _grs_matrices(ctx, rng, k, m):
+            _assert_minors_match_oracle(ctx, G)
+
+
+@pytest.mark.parametrize("p,d", MINOR_FIELDS)
+def test_minors_in_small_blocks_match_scalar_oracle(p, d, monkeypatch):
+    # a few subsets per block: blocks are many, and the last one is partial
+    import mdssd.verify as verify
+
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 20)
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for _ in range(10):
+        k = rng.randint(1, 4)
+        _assert_minors_match_oracle(ctx, _random_minor_matrix(ctx, rng, k, rng.randint(k, 8)))
+    # GRS in k + 1 points with its last column a combination of the k - 1
+    # before it: only the last subset, in the last block, is singular
+    for k in range(2, min(ctx.q, 5)):
+        G = [list(row) for row in _plain_artifact(ctx, range(k + 1), [1] * (k + 1), k).G]
+        for row in G:
+            acc = 0
+            for x in row[1:k]:
+                acc = ctx.add_v(acc, ctx.mul_v(ctx.g_val, x))
+            row[k] = acc
+        assert _oracle_first_singular_minor(ctx, G) == tuple(range(1, k + 1))
+        _assert_minors_match_oracle(ctx, G)
+
+
+def test_first_singular_minor_names_the_witness():
+    ctx = make_field(7, 1)
+    vandermonde = [[1, 1, 1, 1], [1, 2, 3, 6]]  # distinct points: no singular minor
+    assert first_singular_minor(_matrix_artifact(ctx, vandermonde)) is None
+    proportional = [[1, 1, 1, 3], [1, 2, 3, 6]]  # column 3 = 3 * column 1
+    assert first_singular_minor(_matrix_artifact(ctx, proportional)) == (1, 3)
+    good, _ = build("T1ii", 3, 2, m=2, t=2)
+    assert first_singular_minor(good) is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_min_distance_projective_enumeration_at_q3(k):
+    ctx = make_field(3, 1)
+    rng = random.Random(k)
+    for _ in range(6):
+        G = _random_matrix(ctx, rng, k, rng.randint(k, 8))
+        assert min_distance(_matrix_artifact(ctx, G)) == _oracle_min_distance(ctx, G)
+    # rank-deficient: a zero row, a repeated row, a row that is a multiple
+    # of another, and a row that is the sum of two others
+    n = 6
+    for _ in range(4):
+        G = [[rng.randrange(3) for _ in range(n)] for _ in range(k)]
+        i = rng.randrange(k)
+        if k == 1:
+            G[i] = [0] * n
+        else:
+            j = rng.choice([r for r in range(k) if r != i])
+            c = rng.randrange(1, 3)
+            G[i] = [ctx.mul_v(c, x) for x in G[j]]
+        assert _oracle_min_distance(ctx, G) == 0
+        assert min_distance(_matrix_artifact(ctx, G)) == 0
+    if k >= 3:
+        G = [[rng.randrange(3) for _ in range(n)] for _ in range(k)]
+        G[2] = [ctx.add_v(x, y) for x, y in zip(G[0], G[1])]
+        assert min_distance(_matrix_artifact(ctx, G)) == 0
 
 
 # --- mutated artifacts through `mdssd verify` ---
