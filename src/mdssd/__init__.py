@@ -44,7 +44,6 @@ from .grs import (
     assemble_self_dual_xgrs,
     cyclotomic_locator,
     locator,
-    search_lambda,
     to_json,
 )
 from .verify import (
@@ -68,7 +67,7 @@ __all__ = [
     "quadratic_character", "root_of_unity", "sqrt", "subfield_generator",
     "CodeArtifact", "EvalVector", "ScalingVector", "artifact_from_dict",
     "artifact_to_dict", "assemble_self_dual_grs", "assemble_self_dual_xgrs",
-    "cyclotomic_locator", "locator", "search_lambda", "to_json",
+    "cyclotomic_locator", "locator", "to_json",
     "VerificationReport", "check_mds_minors", "check_self_dual",
     "min_distance", "verify_artifact",
 ]

@@ -14,7 +14,7 @@ from math import gcd
 
 import sympy
 
-from .constructions import construct_from_params, iter_valid_params
+from .constructions import THEOREMS, ConstructionParams, construct_from_params, iter_valid_params
 from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed
 from .field import make_field
 from .verify import check_self_dual
@@ -209,13 +209,14 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
 
 # --- this package's families ---
 
-def _new_rules(cx: CensusCtx) -> dict[str, set[int]]:
-    rules: dict[str, set[int]] = {f"new:{th}": set() for th in
-                                  ("T1i", "T1ii", "T2", "T3i", "T3ii", "T4", "T5")}
-    for pr in iter_valid_params(cx.p, cx.d, cx.q + 1):
+def _new_rules(cx: CensusCtx) -> tuple[dict[str, set[int]], list[ConstructionParams]]:
+    """Per-family length sets, and the enumerated tuples they come from."""
+    params = list(iter_valid_params(cx.p, cx.d, cx.q + 1))
+    rules: dict[str, set[int]] = {f"new:{th}": set() for th in THEOREMS}
+    for pr in params:
         if pr.n % 2 == 0:
             rules[f"new:{pr.theorem}"].add(pr.n)
-    return {rid: ns for rid, ns in rules.items() if ns}
+    return {rid: ns for rid, ns in rules.items() if ns}, params
 
 
 @dataclass
@@ -260,29 +261,19 @@ def _check_mod4(q: int, lengths) -> None:
 
 
 def prior_lengths(q: int) -> tuple[int, ...]:
-    cx = _field_ctx(q)
-    out: set[int] = set()
-    for ns in _prior_rules(cx).values():
-        out |= ns
-    out = {n for n in out if n <= q + 1}
-    _check_mod4(q, out)
-    return tuple(sorted(out))
+    return census_report(q).lengths_prior
 
 
 def new_lengths(q: int) -> tuple[int, ...]:
-    cx = _field_ctx(q)
-    out: set[int] = set()
-    for ns in _new_rules(cx).values():
-        out |= ns
-    out = {n for n in out if n <= q + 1}
-    _check_mod4(q, out)
-    return tuple(sorted(out))
+    return census_report(q).lengths_new
 
 
 def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
+    """Evaluate every rule once; with a bound, construct and check a witness
+    for every new length up to it, from the same enumeration."""
     cx = _field_ctx(q)
     prior_by_rule = _prior_rules(cx)
-    new_by_rule = _new_rules(cx)
+    new_by_rule, params = _new_rules(cx)
     per_rule = {rid: tuple(sorted(n for n in ns if n <= q + 1))
                 for rid, ns in {**prior_by_rule, **new_by_rule}.items()}
     prior = set().union(*prior_by_rule.values()) if prior_by_rule else set()
@@ -295,7 +286,7 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     if spot_check_bound:
         targets = sorted(n for n in new if n <= spot_check_bound)
         candidates: dict[int, list] = {n: [] for n in targets}
-        for pr in iter_valid_params(cx.p, cx.d, spot_check_bound):
+        for pr in params:
             if pr.n in candidates:
                 candidates[pr.n].append(pr)
         ctx = make_field(cx.p, cx.d)

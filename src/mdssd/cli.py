@@ -16,18 +16,14 @@ import sys
 
 import sympy
 
-from .census import CENSUS_BUDGET, census_report, new_lengths, prior_lengths
-from .constructions import THEOREMS, build
+from .census import CENSUS_BUDGET, census_report
+from .constructions import ODD_Q_CLAUSE, THEOREMS, build
 from .errors import (
     BudgetExceeded,
     EvenQ,
     HypothesisViolated,
     MdssdError,
-    NotEnoughCosets,
-    ParityInfeasible,
     SpotCheckFailed,
-    SquareConditionViolated,
-    TooLargeToMaterialize,
     UnsupportedTheorem,
 )
 from .field import make_field
@@ -58,11 +54,9 @@ def _fail(code: int, message: str, out_path: str | None = None) -> int:
 def _resolve_pd(args) -> tuple[int, int]:
     """Accept either --p/--deg or a (possibly composite) --q."""
     if args.q is not None:
-        if args.q < 3 or args.q % 2 == 0:
-            raise HypothesisViolated("q is a power of an odd prime")
-        factors = sympy.factorint(args.q)
+        factors = sympy.factorint(args.q) if args.q >= 3 and args.q % 2 else {}
         if len(factors) != 1:
-            raise HypothesisViolated("q is a power of an odd prime")
+            raise HypothesisViolated(ODD_Q_CLAUSE)
         (p, d), = factors.items()
         return p, d
     if args.p is None:
@@ -106,8 +100,7 @@ def cmd_construct(args) -> int:
         art, trace = build(args.theorem, p, d, **kw)
     except (HypothesisViolated, UnsupportedTheorem) as ex:
         return _fail(EXIT_INVALID, str(ex), args.out)
-    except (ParityInfeasible, TooLargeToMaterialize, NotEnoughCosets,
-            SquareConditionViolated) as ex:
+    except MdssdError as ex:  # valid parameters that cannot be built
         return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
     report = verify_artifact(art, mds=not args.no_mds)
     doc = artifact_to_dict(art, trace.to_dict(), report.to_dict())
@@ -138,17 +131,12 @@ def cmd_verify(args) -> int:
 
 def cmd_census(args) -> int:
     try:
-        if args.spot_check_bound:
-            rep = census_report(args.q, args.spot_check_bound)
-            prior, new = set(rep.lengths_prior), set(rep.lengths_new)
-            spot = {str(n): v for n, v in sorted(rep.spot_checks.items())}
-        else:
-            prior, new = set(prior_lengths(args.q)), set(new_lengths(args.q))
-            spot = {}
+        rep = census_report(args.q, args.spot_check_bound)
     except (EvenQ, BudgetExceeded) as ex:
         return _fail(EXIT_INVALID, str(ex), args.out)
     except SpotCheckFailed as ex:
         return _fail(EXIT_VERIFICATION, str(ex), args.out)
+    prior, new = set(rep.lengths_prior), set(rep.lengths_new)
     chosen = {"prior": prior, "new": new, "all": prior | new}[args.rows]
     doc = {
         "q": args.q,
@@ -158,8 +146,8 @@ def cmd_census(args) -> int:
         "new_count": len(new),
         "union_count": len(prior | new),
     }
-    if spot:
-        doc["spot_checks"] = spot
+    if rep.spot_checks:
+        doc["spot_checks"] = {str(n): v for n, v in sorted(rep.spot_checks.items())}
     if args.list:
         doc["lengths"] = sorted(chosen)
     _emit(doc, args.out)

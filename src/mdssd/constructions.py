@@ -1,16 +1,24 @@
 """The five families of self-dual GRS / extended-GRS constructions.
 
-Each family picks evaluation points structured by cyclotomic cosets (families
-1-3), by a translated subspace grid (family 4), or by subfield-subspace
-translates of roots of unity (family 5), then delegates to the assembly
-engines in `grs`.  Parameter validation is pure integer arithmetic so that
-astronomically large-but-valid parameter sets can be checked without ever
-materializing a field.
+Families 1-3 (T1i, T1ii, T2, T3i, T3ii) are one coset constructor: the points
+are t cosets of the order-m subgroup of F_q*, with representatives g^{stride*z}
+for a stride of r-1, or (r+1)/s in family 3.  The variants differ only in a
+parity rule for the indices z, in whether 0 and infinity are added, and in
+lambda.  Family 4 is a translated subspace grid, family 5 subfield-subspace
+translates of roots of unity.  All of them delegate to the assembly engines in
+`grs`.
+
+Each hypothesis is written once, in one clause function: `validate` raises
+the first clause that fails, and `iter_valid_params` keeps the tuples it
+accepts.  The clauses are pure integer arithmetic, so astronomically
+large-but-valid parameter sets are checked without materializing a field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
+from itertools import chain
 from math import gcd
 
 import sympy
@@ -30,7 +38,14 @@ from .grs import (
     assemble_self_dual_xgrs,
 )
 
-THEOREMS = ("T1i", "T1ii", "T2", "T3i", "T3ii", "T4", "T5")
+# each theorem's parameters, as ConstructionParams fields
+_PARAM_KEYS = {
+    "T1i": ("m", "t"), "T1ii": ("m", "t"), "T2": ("m", "t"),
+    "T3i": ("m", "t", "s"), "T3ii": ("m", "t", "s"),
+    "T4": ("e",), "T5": ("t", "e", "k_sub"),
+}
+THEOREMS = tuple(_PARAM_KEYS)
+ODD_Q_CLAUSE = "q is a power of an odd prime"
 
 # Construction is refused (validation still succeeds) beyond this length.
 MATERIALIZE_BUDGET = 1 << 16
@@ -117,88 +132,104 @@ class ConstructionTrace:
         return out
 
 
-# --- hypothesis validation (integer-only; works for arbitrarily large q) ---
-
-def _require(cond: bool, clause: str) -> None:
-    if not cond:
-        raise HypothesisViolated(clause)
+Built = tuple[CodeArtifact, ConstructionTrace]
 
 
-def _require_square_q(p: int, d: int) -> int:
-    _require(d % 2 == 0, "q = r^2 with r an odd prime power")
-    return p ** (d // 2)
+# --- hypotheses (integer-only; works for arbitrarily large q) ---
+
+_is_prime = lru_cache(maxsize=256)(sympy.isprime)
+
+
+def _t_max(r: int, m: int, s: int | None = None) -> int:
+    """Distinct cosets of the order-m subgroup the stride reaches:
+    (r+1)/gcd(r+1,m), or s(r-1)/gcd(s(r-1),m) with s."""
+    order = r + 1 if s is None else s * (r - 1)
+    return order // gcd(order, m)
+
+
+def _hypotheses(theorem: str, p: int, d: int, m: int | None = None, t: int | None = None,
+                s: int | None = None, e: int | None = None,
+                k_sub: int | None = None) -> int | str:
+    """The length n if the theorem's hypotheses hold, else the first clause
+    that fails.  Each clause is checked only after the ones before it hold."""
+    if p == 2:
+        return ODD_Q_CLAUSE
+    if not _is_prime(p):
+        return "p is prime"
+    if d < 1:
+        return "d >= 1"
+    q = p**d
+    if theorem == "T5":
+        if k_sub is None or t is None or e is None:
+            return "k, t and e are required"
+        if not (k_sub >= 1 and d % k_sub == 0):
+            return "k | (km) with q = p^{km}"
+        if t < 1:
+            return "t >= 1"
+        if (p**k_sub - 1) % (2 * t):
+            return "2t | (p^k - 1)"
+        if not 0 <= e <= d // k_sub - 1:
+            return "e <= m-1"
+        if (q - 1) % (4 * t):
+            return "(q-1)/(2t) is even"
+        return 2 * t * p ** (k_sub * e)
+    if d % 2:
+        return "q = r^2 with r an odd prime power"
+    r = p ** (d // 2)
+    if theorem == "T4":
+        if e is None:
+            return "e is required"
+        if not 1 <= e <= d // 2:
+            return "1 <= e <= s"
+        return p ** (2 * e) + 1
+    strided = theorem in ("T3i", "T3ii")
+    if m is None or t is None or (strided and s is None):
+        return "m, t and s are required" if strided else "m and t are required"
+    if not (m >= 1 and (q - 1) % m == 0):
+        return "m | (q-1)"
+    if strided:
+        if not (s % 2 == 0 and s >= 2):
+            return "s is even"
+        if m % s:
+            return "s | m"
+        if (r + 1) % s:
+            return "s | (r+1)"
+        if not 1 <= t <= _t_max(r, m, s):
+            return "1 <= t <= s(r-1)/gcd(s(r-1),m)"
+    elif theorem == "T2":
+        if t * m % 2 == 0:
+            return "tm is odd"
+        if not 2 <= t <= _t_max(r, m) // 2:
+            return "2 <= t <= (r+1)/(2 gcd(r+1,m))"
+        return t * m + 1
+    else:
+        if t * m % 2:
+            return "tm is even"
+        if not 1 <= t <= _t_max(r, m):
+            return "1 <= t <= (r+1)/gcd(r+1,m)"
+        if theorem == "T1ii" and t % 2 == 0 and m % 2 == 0 and r % 4 == 1:
+            return "t is even, m is even and r ≡ 1 (mod 4)"
+    if theorem.endswith("ii"):
+        return t * m + 2
+    if (q - 1) // m % 2:
+        return "(q-1)/m is even"
+    if strided and (r + 1) // s % 2:
+        return "(r+1)/s is even"
+    return t * m
 
 
 def validate(theorem: str, p: int, d: int, *, m: int | None = None, t: int | None = None,
              s: int | None = None, e: int | None = None, k_sub: int | None = None) -> ConstructionParams:
     """Check a theorem's hypotheses and return the normalized parameter set.
 
-    Raises HypothesisViolated naming the failed clause."""
+    Raises HypothesisViolated naming the first failed clause."""
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(theorem)
-    if p == 2:
-        raise HypothesisViolated("q is a power of an odd prime")
-    if not sympy.isprime(p):
-        raise HypothesisViolated("p is prime")
-    _require(d >= 1, "d >= 1")
-    q = p**d
-
-    if theorem in ("T1i", "T1ii", "T2"):
-        r = _require_square_q(p, d)
-        _require(m is not None and t is not None, "m and t are required")
-        _require(m >= 1 and (q - 1) % m == 0, "m | (q-1)")
-        bound = (r + 1) // gcd(r + 1, m)
-        if theorem == "T2":
-            _require(t * m % 2 == 1, "tm is odd")
-            _require(2 <= t <= bound // 2, "2 <= t <= (r+1)/(2 gcd(r+1,m))")
-            n = t * m + 1
-        else:
-            _require(t * m % 2 == 0, "tm is even")
-            _require(1 <= t <= bound, "1 <= t <= (r+1)/gcd(r+1,m)")
-            if theorem == "T1i":
-                _require((q - 1) // m % 2 == 0, "(q-1)/m is even")
-                n = t * m
-            else:
-                _require(
-                    not (t % 2 == 0 and m % 2 == 0 and r % 4 == 1),
-                    "t is even, m is even and r ≡ 1 (mod 4)",
-                )
-                n = t * m + 2
-        return ConstructionParams(theorem, p, d, n, m=m, t=t)
-
-    if theorem in ("T3i", "T3ii"):
-        r = _require_square_q(p, d)
-        _require(m is not None and t is not None and s is not None, "m, t and s are required")
-        _require(m >= 1 and (q - 1) % m == 0, "m | (q-1)")
-        _require(s % 2 == 0 and s >= 2, "s is even")
-        _require(m % s == 0, "s | m")
-        _require((r + 1) % s == 0, "s | (r+1)")
-        bound = s * (r - 1) // gcd(s * (r - 1), m)
-        _require(1 <= t <= bound, "1 <= t <= s(r-1)/gcd(s(r-1),m)")
-        if theorem == "T3i":
-            _require((q - 1) // m % 2 == 0, "(q-1)/m is even")
-            _require((r + 1) // s % 2 == 0, "(r+1)/s is even")
-            n = t * m
-        else:
-            n = t * m + 2
-        return ConstructionParams(theorem, p, d, n, m=m, t=t, s=s)
-
-    if theorem == "T4":
-        _require_square_q(p, d)
-        s_prime = d // 2
-        _require(e is not None, "e is required")
-        _require(1 <= e <= s_prime, "1 <= e <= s")
-        return ConstructionParams(theorem, p, d, p ** (2 * e) + 1, e=e)
-
-    # T5
-    _require(k_sub is not None and t is not None and e is not None, "k, t and e are required")
-    _require(k_sub >= 1 and d % k_sub == 0, "k | (km) with q = p^{km}")
-    m_prime = d // k_sub
-    _require(t >= 1, "t >= 1")
-    _require((p**k_sub - 1) % (2 * t) == 0, "2t | (p^k - 1)")
-    _require(0 <= e <= m_prime - 1, "e <= m-1")
-    _require((q - 1) % (4 * t) == 0, "(q-1)/(2t) is even")
-    return ConstructionParams(theorem, p, d, 2 * t * p ** (k_sub * e), e=e, t=t, k_sub=k_sub)
+    n = _hypotheses(theorem, p, d, m, t, s, e, k_sub)
+    if isinstance(n, str):
+        raise HypothesisViolated(n)
+    given = {"m": m, "t": t, "s": s, "e": e, "k_sub": k_sub}
+    return ConstructionParams(theorem, p, d, n, **{k: given[k] for k in _PARAM_KEYS[theorem]})
 
 
 # --- coset-representative selection ---
@@ -221,22 +252,15 @@ def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
                 seen.add(key)
                 yield i
 
-    if parity == "all_even":
+    if parity in ("any", "all_even"):
         chosen = []
-        for i in fresh_indices(2):
+        for i in fresh_indices(2 if parity == "all_even" else 1):
             chosen.append(i)
             if len(chosen) == t:
                 return tuple(chosen), sum(chosen)
+        if parity == "any":
+            raise NotEnoughCosets(t, len(chosen))
         raise ParityInfeasible(f"only {len(chosen)} even-index cosets available, needed {t}")
-
-    candidates = fresh_indices(1)
-    if parity == "any":
-        chosen = []
-        for i in candidates:
-            chosen.append(i)
-            if len(chosen) == t:
-                return tuple(chosen), sum(chosen)
-        raise NotEnoughCosets(t, len(chosen))
 
     if parity not in ("A_even", "A_odd"):
         raise ValueError(f"unknown parity mode {parity!r}")
@@ -263,7 +287,12 @@ def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
     return tuple(chosen), sum(chosen)
 
 
-# --- families 1-3: cyclotomic coset unions ---
+# --- families 1-3: unions of t cosets of the order-m subgroup ---
+
+def _stride(params: ConstructionParams) -> int:
+    """Exponent step between coset representatives: r-1, or (r+1)/s."""
+    return params.r - 1 if params.s is None else (params.r + 1) // params.s
+
 
 def _coset_points(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> list[int]:
     """Points g^{k(q-1)/m + stride*z}, z over I (outer), 0 <= k < m (inner)."""
@@ -295,90 +324,40 @@ def _check_budget(params: ConstructionParams) -> None:
         raise TooLargeToMaterialize(params.n, MATERIALIZE_BUDGET)
 
 
-def construct_T1i(ctx: FieldCtx, m: int, t: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T1i", ctx.p, ctx.d, m=m, t=t)
-    _check_budget(params)
-    r, q1 = params.r, ctx.q - 1
-    I, A = select_coset_reps(ctx, r - 1, m, t, "any")
-    points = _coset_points(ctx, r - 1, m, I)
-    lam = ctx.exp[((r + 1) * (t - 1) // 2 - m * A) % q1]
-    a = EvalVector(ctx, tuple(points), extended=False)
-    art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, I=I, A=A, lam=lam, locators=locs,
-                              u=_u_products(ctx, r - 1, m, I))
-    return art, trace
-
-
-def construct_T1ii(ctx: FieldCtx, m: int, t: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T1ii", ctx.p, ctx.d, m=m, t=t)
-    _check_budget(params)
-    r = params.r
-    # the square condition needs (r+1)/2*(t-1) - (A + (t-2)z)m even for all z;
-    # with m even the A-term vanishes mod 2, so only m odd constrains A
-    if t % 2 == 1 or m % 2 == 0:
-        parity = "any"
-    elif r % 4 == 3:
-        parity = "A_even"
-    else:  # t even, m odd, r = 1 (mod 4); t/m both even with r = 1 is excluded
-        parity = "A_odd"
-    I, A = select_coset_reps(ctx, r - 1, m, t, parity)
-    points = [0] + _coset_points(ctx, r - 1, m, I)
-    a = EvalVector(ctx, tuple(points), extended=True)
-    art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, I=I, A=A, locators=locs,
-                              u=_u_products(ctx, r - 1, m, I))
-    return art, trace
-
-
-def construct_T2(ctx: FieldCtx, m: int, t: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T2", ctx.p, ctx.d, m=m, t=t)
-    _check_budget(params)
-    r = params.r
-    I, A = select_coset_reps(ctx, r - 1, m, t, "all_even")
-    points = _coset_points(ctx, r - 1, m, I)
-    a = EvalVector(ctx, tuple(points), extended=True)
-    art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, I=I, A=A, locators=locs,
-                              u=_u_products(ctx, r - 1, m, I))
-    return art, trace
-
-
-def construct_T3i(ctx: FieldCtx, m: int, t: int, s: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T3i", ctx.p, ctx.d, m=m, t=t, s=s)
-    _check_budget(params)
-    r = params.r
-    stride = (r + 1) // s
-    I, A = select_coset_reps(ctx, stride, m, t, "any")
+def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> Built:
+    """T1i, T1ii, T2, T3i and T3ii.  The "ii" variants put 0 first; T1ii, T2
+    and T3ii assemble the extended code."""
+    th, m, t, r = params.theorem, params.m, params.t, params.r
+    stride = _stride(params)
+    parity = "any"
+    if th == "T2":
+        parity = "all_even"
+    elif th == "T1ii" and t % 2 == 0 and m % 2 == 1:
+        # the square condition needs (r+1)/2*(t-1) - (A + (t-2)z)m even for
+        # all z; with t odd or m even it holds for any A (t and m both even
+        # with r = 1 (mod 4) is excluded by the hypotheses)
+        parity = "A_even" if r % 4 == 3 else "A_odd"
+    I, A = select_coset_reps(ctx, stride, m, t, parity)
     points = _coset_points(ctx, stride, m, I)
-    a = EvalVector(ctx, tuple(points), extended=False)
-    art, locs = assemble_self_dual_grs(a, 1, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, I=I, A=A, lam=1, locators=locs,
+    if th.endswith("ii"):
+        points = [0] + points
+    a = EvalVector(ctx, tuple(points), extended=th in ("T1ii", "T2", "T3ii"))
+    lam = None
+    if a.extended:
+        art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
+    else:
+        lam = 1 if th == "T3i" else ctx.exp[((r + 1) * (t - 1) // 2 - m * A) % (ctx.q - 1)]
+        art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict())
+    trace = ConstructionTrace(ctx, params, I=I, A=A, lam=lam, locators=locs,
                               u=_u_products(ctx, stride, m, I),
-                              xi_s=ctx.root_of_unity_v(s))
-    return art, trace
-
-
-def construct_T3ii(ctx: FieldCtx, m: int, t: int, s: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T3ii", ctx.p, ctx.d, m=m, t=t, s=s)
-    _check_budget(params)
-    r = params.r
-    stride = (r + 1) // s
-    I, A = select_coset_reps(ctx, stride, m, t, "any")
-    points = [0] + _coset_points(ctx, stride, m, I)
-    a = EvalVector(ctx, tuple(points), extended=True)
-    art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, I=I, A=A, locators=locs,
-                              u=_u_products(ctx, stride, m, I),
-                              xi_s=ctx.root_of_unity_v(s))
+                              xi_s=None if params.s is None else ctx.root_of_unity_v(params.s))
     return art, trace
 
 
 # --- family 4: subspace grid alpha_k * beta + alpha_j ---
 
-def construct_T4(ctx: FieldCtx, e: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T4", ctx.p, ctx.d, e=e)
-    _check_budget(params)
-    p, r = ctx.p, params.r
+def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
+    p, r, e = ctx.p, params.r, params.e
     gamma = ctx.subfield_generator_v(r)
     basis = tuple(ctx.pow_v(gamma, i) for i in range(e))
     # all F_p-combinations of the basis, mixed-radix order
@@ -404,9 +383,8 @@ def construct_T4(ctx: FieldCtx, e: int) -> tuple[CodeArtifact, ConstructionTrace
 
 # --- family 5: subfield-subspace translates of 2t-th roots of unity ---
 
-def construct_T5(ctx: FieldCtx, k_sub: int, t: int, e: int) -> tuple[CodeArtifact, ConstructionTrace]:
-    params = validate("T5", ctx.p, ctx.d, t=t, e=e, k_sub=k_sub)
-    _check_budget(params)
+def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> Built:
+    k_sub, t, e = params.k_sub, params.t, params.e
     sub_q = ctx.p**k_sub
     sub_elems = ctx.subfield_elements_v(sub_q)
     gamma = ctx.subfield_generator_v(sub_q)
@@ -443,27 +421,24 @@ def construct_T5(ctx: FieldCtx, k_sub: int, t: int, e: int) -> tuple[CodeArtifac
     return art, trace
 
 
-_CONSTRUCTORS = {
-    "T1i": lambda ctx, pr: construct_T1i(ctx, pr.m, pr.t),
-    "T1ii": lambda ctx, pr: construct_T1ii(ctx, pr.m, pr.t),
-    "T2": lambda ctx, pr: construct_T2(ctx, pr.m, pr.t),
-    "T3i": lambda ctx, pr: construct_T3i(ctx, pr.m, pr.t, pr.s),
-    "T3ii": lambda ctx, pr: construct_T3ii(ctx, pr.m, pr.t, pr.s),
-    "T4": lambda ctx, pr: construct_T4(ctx, pr.e),
-    "T5": lambda ctx, pr: construct_T5(ctx, pr.k_sub, pr.t, pr.e),
-}
+_FAMILIES = {"T4": _subspace_grid, "T5": _root_translates}
 
 
-def build(theorem: str, p: int, d: int, **kw) -> tuple[CodeArtifact, ConstructionTrace]:
+def _construct(ctx: FieldCtx, params: ConstructionParams) -> Built:
+    return _FAMILIES.get(params.theorem, _coset_union)(ctx, params)
+
+
+def build(theorem: str, p: int, d: int, **kw) -> Built:
     """Validate (integer-only), enforce the build budget, then construct."""
     params = validate(theorem, p, d, **kw)
     _check_budget(params)
-    ctx = make_field(p, d)
-    return _CONSTRUCTORS[theorem](ctx, params)
+    return _construct(make_field(p, d), params)
 
 
-def construct_from_params(ctx: FieldCtx, params: ConstructionParams):
-    return _CONSTRUCTORS[params.theorem](ctx, params)
+def construct_from_params(ctx: FieldCtx, params: ConstructionParams) -> Built:
+    """Construct from parameters that `validate` or `iter_valid_params` made."""
+    _check_budget(params)
+    return _construct(ctx, params)
 
 
 # --- closed-form locators (tested point-by-point against brute force) ---
@@ -473,9 +448,9 @@ def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i:
     ctx = trace.ctx
     th = params.theorem
     q1 = ctx.q - 1
+    if th not in _FAMILIES:
+        m, stride = params.m, _stride(params)
     if th in ("T1i", "T2", "T3i"):
-        m = params.m
-        stride = params.r - 1 if th in ("T1i", "T2") else (params.r + 1) // params.s
         zi, k = divmod(i, m)
         z = trace.I[zi]
         alpha = ctx.exp[(k * (q1 // m) + stride * z) % q1]
@@ -483,8 +458,6 @@ def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i:
             ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, m - 1)), trace.u[z]
         )
     if th in ("T1ii", "T3ii"):
-        m = params.m
-        stride = params.r - 1 if th == "T1ii" else (params.r + 1) // params.s
         if i == 0:
             acc = 1
             for l in trace.I:
@@ -531,69 +504,23 @@ def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i:
 
 def iter_valid_params(p: int, d: int, n_max: int):
     """Yield every ConstructionParams with n <= n_max, deterministically
-    ordered by (theorem, parameters)."""
+    ordered by (theorem, parameters).  The loops only bound the search;
+    `_hypotheses` decides which tuples are valid."""
     q = p**d
     n_max = min(n_max, q + 1)
-    q1 = q - 1
-    divisors = sorted(sympy.divisors(q1))
-    if d % 2 == 0:
-        r = p ** (d // 2)
-        for m in divisors:
-            bound = (r + 1) // gcd(r + 1, m)
-            # T1i
-            if (q1 // m) % 2 == 0:
-                for t in range(1, bound + 1):
-                    if t * m > n_max:
-                        break
-                    if t * m % 2 == 0:
-                        yield ConstructionParams("T1i", p, d, t * m, m=m, t=t)
-        for m in divisors:
-            bound = (r + 1) // gcd(r + 1, m)
-            for t in range(1, bound + 1):
-                if t * m + 2 > n_max:
-                    break
-                if t * m % 2 == 0 and not (t % 2 == 0 and m % 2 == 0 and r % 4 == 1):
-                    yield ConstructionParams("T1ii", p, d, t * m + 2, m=m, t=t)
-        for m in divisors:
-            if m % 2 == 0:
-                continue
-            bound = (r + 1) // (2 * gcd(r + 1, m))
-            for t in range(2, bound + 1):
-                if t * m + 1 > n_max:
-                    break
-                if t % 2 == 1:
-                    yield ConstructionParams("T2", p, d, t * m + 1, m=m, t=t)
-        s_candidates = [s for s in sorted(sympy.divisors(r + 1)) if s % 2 == 0]
-        for m in divisors:
-            for s in s_candidates:
-                if m % s != 0:
-                    continue
-                bound = s * (r - 1) // gcd(s * (r - 1), m)
-                if (q1 // m) % 2 == 0 and ((r + 1) // s) % 2 == 0:
-                    for t in range(1, bound + 1):
-                        if t * m > n_max:
-                            break
-                        yield ConstructionParams("T3i", p, d, t * m, m=m, t=t, s=s)
-        for m in divisors:
-            for s in s_candidates:
-                if m % s != 0:
-                    continue
-                bound = s * (r - 1) // gcd(s * (r - 1), m)
-                for t in range(1, bound + 1):
-                    if t * m + 2 > n_max:
-                        break
-                    yield ConstructionParams("T3ii", p, d, t * m + 2, m=m, t=t, s=s)
-        for e in range(1, d // 2 + 1):
-            if p ** (2 * e) + 1 <= n_max:
-                yield ConstructionParams("T4", p, d, p ** (2 * e) + 1, e=e)
-    for k_sub in sorted(sympy.divisors(d)):
-        m_prime = d // k_sub
-        sub_q = p**k_sub
-        for t in range(1, (sub_q - 1) // 2 + 1):
-            if (sub_q - 1) % (2 * t) != 0 or q1 % (4 * t) != 0:
-                continue
-            for e in range(0, m_prime):
-                n = 2 * t * sub_q**e
-                if n > n_max:
-                    break
-                yield ConstructionParams("T5", p, d, n, e=e, t=t, k_sub=k_sub)
+    r = p ** (d // 2)
+    divisors = sorted(sympy.divisors(q - 1))
+    candidates = chain(
+        ((th, m, t, None, None, None) for th in ("T1i", "T1ii", "T2") for m in divisors
+         for t in range(1, min(_t_max(r, m), n_max // m) + 1)),
+        ((th, m, t, s, None, None) for th in ("T3i", "T3ii") for m in divisors
+         for s in sympy.divisors(gcd(m, r + 1))
+         for t in range(1, min(_t_max(r, m, s), n_max // m) + 1)),
+        (("T4", None, None, None, e, None) for e in range(1, d // 2 + 1)),
+        (("T5", None, t, None, e, k) for k in sympy.divisors(d)
+         for t in sympy.divisors((p**k - 1) // 2) for e in range(d // k)),
+    )
+    for th, m, t, s, e, k_sub in candidates:
+        n = _hypotheses(th, p, d, m, t, s, e, k_sub)
+        if isinstance(n, int) and n <= n_max:
+            yield ConstructionParams(th, p, d, n, m, t, s, e, k_sub)

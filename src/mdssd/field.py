@@ -243,33 +243,6 @@ class FieldCtx:
             g_step = self._raw_mul(g_step, g_step)
         return exp
 
-    # -- element handles --
-
-    @property
-    def g(self) -> "FieldElement":
-        return FieldElement(self, self.g_val)
-
-    @property
-    def r(self) -> int:
-        """p^{d/2} for even-degree fields (the square-root of q)."""
-        if self.d % 2 != 0:
-            raise ValueError(f"q = {self.q} is not a square")
-        return self.p ** (self.d // 2)
-
-    def elem(self, value: int) -> "FieldElement":
-        if not 0 <= value < self.q:
-            raise ValueError(f"encoding {value} out of range [0, {self.q})")
-        return FieldElement(self, value)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.q))
-
     # -- raw arithmetic on canonical encodings (hot paths use these) --
 
     def add_v(self, a: int, b: int) -> int:

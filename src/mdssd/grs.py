@@ -22,7 +22,7 @@ from .errors import (
     OddLength,
     SquareConditionViolated,
 )
-from .field import FieldCtx, FieldElement, make_field
+from .field import FieldCtx, make_field
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,6 @@ class EvalVector:
     def require_distinct(self) -> None:
         if not self.is_distinct():
             raise DuplicatePoint()
-
-    @property
-    def elements(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.ctx, v) for v in self.points)
 
 
 @dataclass(frozen=True)
@@ -191,17 +187,6 @@ def assemble_self_dual_xgrs(
     k = n // 2
     G = xgrs_generator_matrix(a, v, k)
     return CodeArtifact(ctx, a, v, k, G, label, params or {}), locs
-
-
-def search_lambda(a: EvalVector) -> int | None:
-    """Scan lambda in {1, g}: only the square class of lambda matters, so two
-    candidates cover every possibility.  Returns None if neither works."""
-    ctx = a.ctx
-    locs = all_locators(a)
-    for lam in (1, ctx.g_val):
-        if all(ctx.chi_v(ctx.mul_v(lam, L)) == 1 for L in locs):
-            return lam
-    return None
 
 
 # --- JSON artifact form (bit-exact across platforms) ---

@@ -56,6 +56,34 @@ def test_construct_over_budget_exit_3(capsys):
     assert "budget" in doc["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("--p", "3", "--deg", "14", "--theorem", "T4", "--e", "1"),
+    ("--p", "3", "--deg", "40", "--theorem", "T5", "--k", "1", "--t", "1", "--e", "0"),
+])
+def test_construct_field_too_large_exit_3(argv, capsys):
+    # valid parameters whose field exceeds the table budget
+    code, doc, err = run(capsys, "construct", *argv)
+    assert code == 3
+    assert "exceeds the field materialization budget" in doc["error"]
+    assert "Traceback" not in err
+
+
+def test_construct_validates_once(monkeypatch, capsys):
+    import mdssd.constructions as constructions
+
+    calls = []
+    validate = constructions.validate
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return validate(*args, **kw)
+
+    monkeypatch.setattr(constructions, "validate", counting)
+    code, _, _ = run(capsys, "construct", "--q", "49", "--theorem", "T3ii",
+                     "--m", "4", "--t", "2", "--s", "4")
+    assert code == 0 and len(calls) == 1
+
+
 def test_construct_verify_roundtrip(tmp_path, capsys):
     out = tmp_path / "art.json"
     code, _, _ = run(capsys, "construct", "--q", "9", "--theorem", "T4",
@@ -104,6 +132,23 @@ def test_census_spot_checks(capsys):
     code, doc, _ = run(capsys, "census", "--q", "25", "--spot-check-bound", "12")
     assert code == 0
     assert all(v.startswith("ok:") for v in doc["spot_checks"].values())
+
+
+@pytest.mark.parametrize("extra", [(), ("--spot-check-bound", "12")])
+def test_census_enumerates_once(extra, monkeypatch, capsys):
+    import mdssd.census as census
+
+    calls = []
+    enumerate_params = census.iter_valid_params
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_params(*args)
+
+    monkeypatch.setattr(census, "iter_valid_params", counting)
+    code, doc, _ = run(capsys, "census", "--q", "25", *extra)
+    assert code == 0 and calls == [(5, 2, 26)]
+    assert ("spot_checks" in doc) == bool(extra)
 
 
 def test_census_invalid_q_exit_2(capsys):

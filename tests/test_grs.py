@@ -23,7 +23,6 @@ from mdssd.grs import (
     cyclotomic_locator,
     grs_generator_matrix,
     locator,
-    search_lambda,
     to_json,
     xgrs_generator_matrix,
 )
@@ -126,15 +125,6 @@ def test_assemble_xgrs_produces_self_dual_code():
     art, locs = assemble_self_dual_xgrs(a)
     assert art.n == 6 and art.k == 3
     assert locs == all_locators(a)
-    assert check_self_dual(art)
-
-
-def test_search_lambda_square_class_only():
-    ctx = make_field(3, 2)
-    a = EvalVector(ctx, (1, 6, 2, 3))
-    lam = search_lambda(a)
-    assert lam is not None
-    art, _ = assemble_self_dual_grs(a, lam)
     assert check_self_dual(art)
 
 

@@ -130,3 +130,10 @@ def test_enumeration_is_complete_and_clause_texts_are_locked():
     assert sorted({clause for _, clause in rejections}) == LOCKED["clauses"]
     lines = "\n".join(f"{call}: {clause}" for call, clause in rejections)
     assert _sha(lines) == LOCKED["rejections_sha256"]
+
+
+def test_each_clause_is_written_once():
+    src = Path(__file__).resolve().parent.parent / "src" / "mdssd"
+    text = "".join(path.read_text() for path in sorted(src.glob("*.py")))
+    assert {clause: text.count(f'"{clause}"') for clause in LOCKED["clauses"]} \
+        == dict.fromkeys(LOCKED["clauses"], 1)
