@@ -209,14 +209,18 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
 
 # --- this package's families ---
 
-def _new_rules(cx: CensusCtx) -> tuple[dict[str, set[int]], list[ConstructionParams]]:
-    """Per-family length sets, and the enumerated tuples they come from."""
-    params = list(iter_valid_params(cx.p, cx.d, cx.q + 1))
+def _new_rules(cx: CensusCtx, spot_check_bound: int = 0
+               ) -> tuple[dict[str, set[int]], dict[int, list[ConstructionParams]]]:
+    """Per-family length sets, and for each even length up to the bound the
+    tuples that give it, in enumeration order."""
     rules: dict[str, set[int]] = {f"new:{th}": set() for th in THEOREMS}
-    for pr in params:
+    by_length: dict[int, list[ConstructionParams]] = {}
+    for pr in iter_valid_params(cx.p, cx.d, cx.q + 1):
         if pr.n % 2 == 0:
             rules[f"new:{pr.theorem}"].add(pr.n)
-    return {rid: ns for rid, ns in rules.items() if ns}, params
+            if pr.n <= spot_check_bound:
+                by_length.setdefault(pr.n, []).append(pr)
+    return {rid: ns for rid, ns in rules.items() if ns}, by_length
 
 
 @dataclass
@@ -273,7 +277,7 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     for every new length up to it, from the same enumeration."""
     cx = _field_ctx(q)
     prior_by_rule = _prior_rules(cx)
-    new_by_rule, params = _new_rules(cx)
+    new_by_rule, candidates = _new_rules(cx, spot_check_bound)
     per_rule = {rid: tuple(sorted(n for n in ns if n <= q + 1))
                 for rid, ns in {**prior_by_rule, **new_by_rule}.items()}
     prior = set().union(*prior_by_rule.values()) if prior_by_rule else set()
@@ -284,13 +288,8 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
 
     spot_checks: dict[int, str] = {}
     if spot_check_bound:
-        targets = sorted(n for n in new if n <= spot_check_bound)
-        candidates: dict[int, list] = {n: [] for n in targets}
-        for pr in params:
-            if pr.n in candidates:
-                candidates[pr.n].append(pr)
         ctx = make_field(cx.p, cx.d)
-        for n in targets:
+        for n in sorted(candidates):
             witnessed = None
             failure = "no parameter tuple yields this length"
             for pr in candidates[n]:
