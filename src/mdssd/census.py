@@ -209,7 +209,7 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
 
 # --- this package's families ---
 
-def _new_rules(cx: CensusCtx, spot_check_bound: int = 0
+def _new_rules(cx: CensusCtx, spot_check_bound: int
                ) -> tuple[dict[str, set[int]], dict[int, list[ConstructionParams]]]:
     """Per-family length sets, and for each even length up to the bound the
     tuples that give it, in enumeration order."""
