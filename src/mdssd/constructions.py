@@ -509,7 +509,7 @@ def iter_valid_params(p: int, d: int, n_max: int):
     q = p**d
     n_max = min(n_max, q + 1)
     r = p ** (d // 2)
-    divisors = sorted(sympy.divisors(q - 1))
+    divisors = [m for m in sympy.divisors(q - 1) if m <= n_max]  # n >= m
     candidates = chain(
         ((th, m, t, None, None, None) for th in ("T1i", "T1ii", "T2") for m in divisors
          for t in range(1, min(_t_max(r, m), n_max // m) + 1)),
