@@ -1,11 +1,16 @@
 """Byte-level locks on the construction pipeline and the census.
 
-`locked_digests.json` holds sha256 digests recorded from the code before the
-coset constructors and the hypothesis checks were merged:
+`locked_digests.json` holds sha256 digests, each recorded from the code
+before the refactor it guards: `large` before assembly moved onto
+logarithms, the others before the coset constructors and the hypothesis
+checks were merged.
 
 - `sweep`: every artifact of the acceptance sweep (q <= 289, n <= 128), each
   serialized with its trace, in `iter_valid_params` order;
 - `census`: `census_report(q, bound).to_dict()` for four (q, bound) pairs;
+- `large`: the output file of `mdssd construct --no-mds` for six codes
+  over q = 151^2 and q = 3^10, with n up to 1006, where n^2 exceeds the
+  2^19-entry blocks in which vectorized kernels split their work;
 - `clauses` and `rejections_sha256`: the distinct clause texts, and a digest
   of the clause with which `validate` rejects each call of a brute-force grid
   plus a few fixed invalid calls.  These texts reach the CLI's error JSON.
@@ -24,6 +29,7 @@ import pytest
 import sympy
 
 from mdssd.census import census_report
+from mdssd.cli import main
 from mdssd.constructions import THEOREMS, construct_from_params, iter_valid_params, validate
 from mdssd.errors import HypothesisViolated
 from mdssd.field import make_field
@@ -34,6 +40,16 @@ LOCKED = json.loads((Path(__file__).parent / "locked_digests.json").read_text())
 SWEEP_Q = (9, 25, 49, 81, 121, 169, 289)
 SWEEP_N_MAX = 128
 CENSUS_CASES = ((9, 16), (25, 16), (6889, 128), (22801, 128))
+# (q, theorem, parameters): T2 n = 1006, T4 n = 730 and the benchmark's
+# construct-large codes
+LARGE_CODES = (
+    (22801, "T2", {"m": 15, "t": 67}),
+    (59049, "T4", {"e": 3}),
+    (22801, "T1i", {"m": 6, "t": 71}),
+    (22801, "T2", {"m": 15, "t": 25}),
+    (59049, "T4", {"e": 2}),
+    (59049, "T1i", {"m": 44, "t": 4}),
+)
 GRID_FIELDS = ((3, 2), (5, 2), (7, 2), (3, 4), (13, 2), (3, 3), (13, 1))
 # calls outside the grid that reach the remaining clauses
 FIXED_INVALID = (
@@ -66,6 +82,17 @@ def sweep_digests() -> list[list[str]]:
 def census_digests() -> dict[str, str]:
     return {f"{q},{bound}": _sha(to_json(census_report(q, bound).to_dict()))
             for q, bound in CENSUS_CASES}
+
+
+def large_digest(q: int, theorem: str, params: dict, path: Path) -> str:
+    flags = [arg for key, val in params.items() for arg in (f"--{key}", str(val))]
+    assert main(["construct", "--q", str(q), "--theorem", theorem, *flags,
+                 "--no-mds", "--out", str(path)]) == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _large_key(q: int, theorem: str, params: dict) -> str:
+    return f"q={q} {theorem} " + ",".join(f"{k}={v}" for k, v in params.items())
 
 
 def _grid(p: int, d: int, n_max: int):
@@ -121,6 +148,13 @@ def test_sweep_artifacts_match_locked_digests():
 def test_census_report_matches_locked_digest(q, bound):
     digest = _sha(to_json(census_report(q, bound).to_dict()))
     assert digest == LOCKED["census"][f"{q},{bound}"]
+
+
+@pytest.mark.parametrize("q,theorem,params", LARGE_CODES,
+                         ids=[_large_key(*case) for case in LARGE_CODES])
+def test_large_construct_output_matches_locked_digest(q, theorem, params, tmp_path):
+    digest = large_digest(q, theorem, params, tmp_path / "out.json")
+    assert digest == LOCKED["large"][_large_key(q, theorem, params)]
 
 
 def test_enumeration_is_complete_and_clause_texts_are_locked():
