@@ -21,6 +21,7 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd
 
+import numpy as np
 import sympy
 
 from .errors import (
@@ -36,6 +37,7 @@ from .grs import (
     EvalVector,
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
+    locator_logs,
 )
 
 # each theorem's parameters, as ConstructionParams fields
@@ -306,17 +308,11 @@ def _coset_points(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> lis
 
 
 def _u_products(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> dict[int, int]:
-    """u_z = prod_{l in I, l != z} (g^{stride*z*m} - g^{stride*l*m})."""
-    q1 = ctx.q - 1
-    powers = {z: ctx.exp[stride * z * m % q1] for z in I}
-    out = {}
-    for z in I:
-        acc = 1
-        for l in I:
-            if l != z:
-                acc = ctx.mul_v(acc, ctx.sub_v(powers[z], powers[l]))
-        out[z] = acc
-    return out
+    """u_z = prod_{l in I, l != z} (g^{stride*z*m} - g^{stride*l*m}), the
+    locators of these points, which lie in distinct cosets and so are
+    distinct and nonzero."""
+    logs = np.array([stride * z * m % (ctx.q - 1) for z in I], dtype=np.int64)
+    return dict(zip(I, ctx.np_tables[0][locator_logs(ctx, logs)].tolist()))
 
 
 def _check_budget(params: ConstructionParams) -> None:

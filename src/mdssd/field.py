@@ -182,9 +182,10 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         q1 = self.q - 1
-        # generator: smallest encoding whose order is exactly q-1
+        # generator: smallest encoding whose order is exactly q-1.  For d >= 2
+        # the encodings below p are constants, of order dividing p-1 < q-1.
         g_val = None
-        for cand in range(2, self.q):
+        for cand in range(2 if self.d == 1 else self.p, self.q):
             if all(self._raw_pow(cand, q1 // ell) != 1 for ell in self.q1_factors):
                 g_val = cand
                 break

@@ -6,6 +6,15 @@ variant appends the coefficient of x^{k-1} as an extra coordinate.  The
 assembly engines turn an evaluation vector into a self-dual [n, n/2] code by
 solving v_i^2 = 1/(lambda L(a_i)) (plain) or v_i^2 = -1/L(a_i) (extended),
 where L(a_i) is the product of differences with the other points.
+
+Assembly runs in numpy on logarithms to the base g.  For nonzero points,
+log(a_i - a_j) = log a_i + zech[log a_j - log a_i + (q-1)/2], so every
+locator is one row sum of Zech lookups mod q-1; `locator` stays the scalar
+brute-force oracle.  A target g^l is a square exactly when l is even, and
+the roots of 1/g^l are g^h and g^(h + (q-1)/2) with h = (-l mod (q-1))/2;
+the weight is the smaller encoding of the two, the canonical root of
+`FieldCtx.sqrt_v`.  Row i of G has logs log v_j + i log a_j, and G is one
+read-only int64 array of shape (k, n), converted to lists only for JSON.
 """
 
 from __future__ import annotations
@@ -13,12 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     DuplicatePoint,
     IndexOutOfRange,
     MalformedArtifact,
-    NotASquare,
     OddLength,
     SquareConditionViolated,
 )
@@ -63,7 +73,7 @@ class CodeArtifact:
     a: EvalVector
     v: ScalingVector
     k: int
-    G: tuple[tuple[int, ...], ...]
+    G: np.ndarray  # (k, n) encodings
     label: str
     params: dict = dc_field(default_factory=dict, compare=False)
 
@@ -86,8 +96,50 @@ def locator(a: EvalVector, i: int) -> int:
     return out
 
 
+# Entries per row block of the locator kernel (4 MB as 8-byte values), so
+# that its memory does not grow with n^2.
+_BLOCK_ENTRIES = 1 << 19
+
+
+def locator_logs(ctx: FieldCtx, logs: np.ndarray) -> np.ndarray:
+    """Logs of L(a_i) = prod_{j != i} (a_i - a_j) for distinct nonzero points
+    a_i = g^logs[i]: (n-1) log a_i plus the sum of zech[log a_j - log a_i +
+    (q-1)/2] over j != i, mod q-1.  The term j = i is zech[(q-1)/2] = -1,
+    so each full row sum is corrected by +1."""
+    q1 = ctx.q - 1
+    logs = np.asarray(logs, dtype=np.int64)
+    n = logs.size
+    out = (n - 1) * logs + 1
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, rows):
+        idx = logs[None, :] - logs[lo:lo + rows, None]
+        idx += q1 // 2
+        idx %= q1
+        out[lo:lo + rows] += ctx.np_zech[idx].sum(axis=1, dtype=np.int64)
+    out %= q1
+    return out
+
+
+def _log_locators(a: EvalVector) -> np.ndarray:
+    """Logs of every L(a_i).  A zero point adds a factor a_i to every other
+    locator, and its own locator is prod_j (-a_j)."""
+    ctx = a.ctx
+    q1 = ctx.q - 1
+    points = np.array(a.points, dtype=np.int64)
+    nonzero = points != 0
+    logs = ctx.np_tables[1][points[nonzero]]
+    out = np.zeros(points.size, dtype=np.int64)
+    out[nonzero] = locator_logs(ctx, logs)
+    if not nonzero.all():
+        out[nonzero] += logs
+        out[~nonzero] = logs.sum() + logs.size * (q1 // 2)
+        out %= q1
+    return out
+
+
 def all_locators(a: EvalVector) -> list[int]:
-    return [locator(a, i) for i in range(len(a.points))]
+    """Every L(a_i), for distinct points."""
+    return a.ctx.np_tables[0][_log_locators(a)].tolist()
 
 
 def cyclotomic_locator(m: int, i: int, ctx: FieldCtx) -> int:
@@ -96,23 +148,39 @@ def cyclotomic_locator(m: int, i: int, ctx: FieldCtx) -> int:
     return ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, -i))
 
 
-def grs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> tuple[tuple[int, ...], ...]:
-    """Row i holds v_j * a_j^i, 0 <= i < k."""
+def _generator_rows(a: EvalVector, v: ScalingVector, k: int, n: int) -> np.ndarray:
+    """(k, n) array whose row i is v_j a_j^i on the finite points, from logs:
+    row i has logs log v_j + i log a_j, in row blocks of about _BLOCK_ENTRIES
+    entries.  Columns with a_j = 0 hold v_j in row 0 and zero below; columns
+    past the finite points are zero."""
+    ctx = a.ctx
+    exp, log = ctx.np_tables
+    points = np.array(a.points, dtype=np.int64)
+    log_a, log_v = log[points], log[np.array(v.weights, dtype=np.int64)]
+    G = np.zeros((k, n), dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, k, rows):
+        L = np.arange(lo, min(lo + rows, k), dtype=np.int64)[:, None] * log_a
+        L += log_v
+        L %= ctx.q - 1
+        G[lo:lo + rows, :points.size] = exp[L]
+    G[1:, np.flatnonzero(points == 0)] = 0
+    return G
+
+
+def grs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
+    """Row i holds v_j * a_j^i, 0 <= i < k, as a read-only (k, n) array."""
     if a.extended:
         raise DimensionMismatch("use xgrs_generator_matrix for extended codes")
     n = len(a.points)
     if len(v.weights) != n or not 1 <= k <= n:
         raise DimensionMismatch(f"need len(v) = n and 1 <= k <= n, got n={n}, k={k}")
-    ctx = a.ctx
-    rows = []
-    current = list(v.weights)
-    for _ in range(k):
-        rows.append(tuple(current))
-        current = [ctx.mul_v(c, p) for c, p in zip(current, a.points)]
-    return tuple(rows)
+    G = _generator_rows(a, v, k, n)
+    G.flags.writeable = False
+    return G
 
 
-def xgrs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> tuple[tuple[int, ...], ...]:
+def xgrs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     """As grs_generator_matrix on the finite points, with a final column that
     is zero except for a 1 in row k-1 (the x^{k-1} coefficient)."""
     if not a.extended:
@@ -120,14 +188,23 @@ def xgrs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> tuple[tupl
     n = a.n
     if len(v.weights) != n - 1 or not 1 <= k <= n:
         raise DimensionMismatch(f"need len(v) = n-1 and 1 <= k <= n, got n={n}, k={k}")
-    ctx = a.ctx
-    rows = []
-    current = list(v.weights)
-    for i in range(k):
-        last = 1 if i == k - 1 else 0
-        rows.append(tuple(current) + (last,))
-        current = [ctx.mul_v(c, p) for c, p in zip(current, a.points)]
-    return tuple(rows)
+    G = _generator_rows(a, v, k, n)
+    G[k - 1, -1] = 1
+    G.flags.writeable = False
+    return G
+
+
+def _square_root_weights(ctx: FieldCtx, target_logs: np.ndarray) -> tuple[int, ...]:
+    """v_i = sqrt(1 / g^l_i) for target logs l_i, the smaller encoding of
+    g^h and g^(h + (q-1)/2) with h = (-l_i mod (q-1)) / 2.  Raises
+    SquareConditionViolated at the first odd l_i, a non-square target."""
+    odd = np.flatnonzero(target_logs % 2)
+    if odd.size:
+        raise SquareConditionViolated(int(odd[0]))
+    q1 = ctx.q - 1
+    exp = ctx.np_tables[0]
+    h = (-target_logs % q1) // 2
+    return tuple(np.minimum(exp[h], exp[h + q1 // 2]).tolist())
 
 
 def assemble_self_dual_grs(
@@ -148,16 +225,8 @@ def assemble_self_dual_grs(
         raise ValueError("lambda must be nonzero")
     a.require_distinct()
     locs = all_locators(a)
-    weights = []
-    for i, L in enumerate(locs):
-        target = ctx.mul_v(lam, L)
-        if ctx.chi_v(target) != 1:
-            raise SquareConditionViolated(i)
-        try:
-            weights.append(ctx.sqrt_v(ctx.inv_v(target)))
-        except NotASquare:  # cannot happen after the character check
-            raise SquareConditionViolated(i)
-    v = ScalingVector(ctx, tuple(weights))
+    target_logs = ctx.np_tables[1][locs] + ctx.log[lam]
+    v = ScalingVector(ctx, _square_root_weights(ctx, target_logs))
     k = n // 2
     G = grs_generator_matrix(a, v, k)
     return CodeArtifact(ctx, a, v, k, G, label, params or {}), locs
@@ -177,13 +246,9 @@ def assemble_self_dual_xgrs(
         raise OddLength(n)
     a.require_distinct()
     locs = all_locators(a)
-    weights = []
-    for i, L in enumerate(locs):
-        target = ctx.neg_v(L)
-        if ctx.chi_v(target) != 1:
-            raise SquareConditionViolated(i)
-        weights.append(ctx.sqrt_v(ctx.inv_v(target)))
-    v = ScalingVector(ctx, tuple(weights))
+    # -L = g^(log L + (q-1)/2)
+    target_logs = ctx.np_tables[1][locs] + (ctx.q - 1) // 2
+    v = ScalingVector(ctx, _square_root_weights(ctx, target_logs))
     k = n // 2
     G = xgrs_generator_matrix(a, v, k)
     return CodeArtifact(ctx, a, v, k, G, label, params or {}), locs
@@ -203,7 +268,7 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
         "construction": {"label": art.label, "extended": art.a.extended, **art.params},
         "a": list(art.a.points),
         "v": list(art.v.weights),
-        "G": [list(row) for row in art.G],
+        "G": art.G.tolist(),
     }
     if trace_dict is not None:
         out["trace"] = trace_dict
@@ -255,6 +320,8 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
     rows = doc["G"]
     if not isinstance(rows, list) or len(rows) != k:
         raise MalformedArtifact(f"G must be a list of k = {k} rows")
-    G = tuple(_encodings(row, q, n, f"G row {i}") for i, row in enumerate(rows))
+    G = np.array([_encodings(row, q, n, f"G row {i}") for i, row in enumerate(rows)],
+                 dtype=np.int64)
+    G.flags.writeable = False
     params = {key: val for key, val in cons.items() if key not in ("label", "extended")}
     return CodeArtifact(ctx, a, v, k, G, cons.get("label", "unknown"), params)

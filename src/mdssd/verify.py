@@ -1,7 +1,8 @@
 """Independent certification of code artifacts: self-duality (Gram matrix and
 rank), MDS-ness by exhaustive minors, and minimum distance by full codeword
 enumeration.  Nothing here reuses construction-side shortcuts; everything is
-recomputed from the generator matrix.
+recomputed from the generator matrix, which the kernels take as any
+array-like of encodings (an artifact holds it as one int64 array).
 
 The vectorized kernels are exact.  The Gram matrix G G^T is computed over
 the integers from the base-p digit planes of G by float64 BLAS products,
@@ -9,7 +10,9 @@ with the columns taken in chunks small enough that every float64 sum stays
 below 2^53 (see `gram_is_zero`), then reduced mod p and mod the field
 modulus.  Rank, minors and codeword enumeration work on int32 logarithms to
 the base g, with q-1 standing for zero: multiplication adds logs, and
-addition is one lookup in the field's Zech table, log(1 + g^i).
+addition is one lookup in the field's Zech table, log(1 + g^i).  Rank k of
+a k x n matrix is certified by the leading k x k block when that block is
+nonsingular, and by the full matrix only otherwise.
 
 The C(n, k) minors are eliminated in lockstep, as one (B, k, k) log array
 per block of column subsets taken in lexicographic order, so the first
@@ -92,7 +95,7 @@ def field_rank(ctx: FieldCtx, G) -> int:
     (deterministic).  Each step adds -(f/piv) * pivot row, whose logs are
     f - piv + log(-1) + row, to the rows below with a nonzero factor f,
     right of the pivot column."""
-    L = _logs(ctx, np.array(G, dtype=np.int64))
+    L = _logs(ctx, np.asarray(G, dtype=np.int64))
     zech2 = _zech_index(ctx)
     q1 = ctx.q - 1
     rows, cols = L.shape
@@ -131,7 +134,7 @@ def gram_is_zero(ctx: FieldCtx, G) -> bool:
     computed from its diagonal rightwards, and the first nonzero block ends
     the check."""
     p, d = ctx.p, ctx.d
-    Gn = np.array(G, dtype=np.int64)
+    Gn = np.asarray(G, dtype=np.int64)
     k, n = Gn.shape
     chunk = min((_EXACT_FLOAT - 1) // (p - 1) ** 2, max(1, _BLOCK_ENTRIES // (d * k)))
     rows = max(1, _BLOCK_ENTRIES // ((2 * d - 1) * k))
@@ -181,12 +184,23 @@ class VerificationReport:
         return out
 
 
-def check_self_dual(art: CodeArtifact) -> bool:
+def _require_self_dual_shape(art: CodeArtifact) -> None:
     if art.n != 2 * art.k:
         raise DimensionMismatch(f"self-dual codes need n = 2k, got n={art.n}, k={art.k}")
     if len(art.G) != art.k or any(len(row) != art.n for row in art.G):
         raise DimensionMismatch("generator matrix shape does not match (k, n)")
-    return gram_is_zero(art.ctx, art.G) and field_rank(art.ctx, art.G) == art.k
+
+
+def _rank_is_k(art: CodeArtifact) -> bool:
+    """rank G = k for the k x n matrix G.  A leading k x k block of rank k
+    proves it after k columns; otherwise the full matrix decides."""
+    G, k = np.asarray(art.G), art.k
+    return field_rank(art.ctx, G[:, :k]) == k or field_rank(art.ctx, G) == k
+
+
+def check_self_dual(art: CodeArtifact) -> bool:
+    _require_self_dual_shape(art)
+    return gram_is_zero(art.ctx, art.G) and _rank_is_k(art)
 
 
 def _singular_minors(q1: int, zech2: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -228,7 +242,7 @@ def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
         raise TooLarge(f"n = {n} > {MINORS_BUDGET_N} for exhaustive minors")
     ctx = art.ctx
     q1 = ctx.q - 1
-    columns = _logs(ctx, np.array(art.G, dtype=np.int64).T)
+    columns = _logs(ctx, np.asarray(art.G, dtype=np.int64).T)
     zech2 = _zech_index(ctx)
     subsets = combinations(range(n), k)
     block = max(1, _BLOCK_ENTRIES // (k * k))
@@ -256,7 +270,7 @@ def min_distance(art: CodeArtifact) -> int:
     if total > DISTANCE_BUDGET:
         raise TooLarge(f"q^k = {total} > {DISTANCE_BUDGET} for codeword enumeration")
     q1 = q - 1
-    LG = _logs(ctx, np.array(art.G, dtype=np.int64))
+    LG = _logs(ctx, np.asarray(art.G, dtype=np.int64))
     zech2 = _zech_index(ctx)
     best = n + 1
     chunk = 1 << 16
@@ -275,9 +289,9 @@ def min_distance(art: CodeArtifact) -> int:
 
 def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
     start = time.monotonic()
-    sd = check_self_dual(art)
-    # self-duality already implies rank k, so only a failed check needs the rank
-    rank_ok = sd or field_rank(art.ctx, art.G) == art.k
+    _require_self_dual_shape(art)
+    rank_ok = _rank_is_k(art)
+    sd = rank_ok and gram_is_zero(art.ctx, art.G)
     mds_checked = "skipped_too_large"
     mds_ok: bool | None = None
     dist: int | None = None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
 
 from mdssd.errors import (
     DivisionByZero,
@@ -239,6 +240,17 @@ def test_tables_match_scalar_recurrence(p, d):
     np_exp, np_log = ctx.np_tables
     assert np_exp.dtype == np_log.dtype == "int64"
     assert np_exp.tolist() == exp and np_log.tolist() == log
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 3), (3, 4), (83, 2), (151, 2), (3, 10)])
+def test_generator_search_matches_full_scan(p, d):
+    # the search starts at p when d >= 2, past the constants 2..p-1
+    ctx = make_field(p, d)
+    q1 = ctx.q - 1
+    factors = sympy.primefactors(q1)
+    first = next(c for c in range(2, ctx.q)
+                 if all(ctx._raw_pow(c, q1 // ell) != 1 for ell in factors))
+    assert ctx.g_val == first
 
 
 ZECH_FIELDS = [(3, 1), (5, 1), (1009, 1), (3, 2), (3, 4), (7, 3), (151, 2), (3, 10)]

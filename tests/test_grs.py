@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
+import mdssd.grs as grs
 from mdssd.errors import (
     DimensionMismatch,
     DuplicatePoint,
@@ -51,9 +55,10 @@ def test_generator_matrix_rows_are_point_powers():
     a = EvalVector(ctx, (1, 2, 3, 4))
     v = ScalingVector(ctx, (1, 1, 1, 1))
     G = grs_generator_matrix(a, v, 3)
-    assert G[0] == (1, 1, 1, 1)
-    assert G[1] == (1, 2, 3, 4)
-    assert G[2] == tuple(ctx.mul_v(x, x) for x in (1, 2, 3, 4))
+    assert G.shape == (3, 4) and not G.flags.writeable
+    assert G[0].tolist() == [1, 1, 1, 1]
+    assert G[1].tolist() == [1, 2, 3, 4]
+    assert G[2].tolist() == [ctx.mul_v(x, x) for x in (1, 2, 3, 4)]
 
 
 def test_extended_matrix_final_column():
@@ -145,7 +150,8 @@ def test_artifact_json_roundtrip_and_determinism():
     text = to_json(doc)
     assert text == to_json(artifact_to_dict(art))  # byte-identical
     back = artifact_from_dict(doc)
-    assert back.G == art.G and back.a.points == art.a.points
+    assert back.G.tolist() == art.G.tolist() and back.a.points == art.a.points
+    assert not back.G.flags.writeable
     assert back.v.weights == art.v.weights and back.label == "demo"
 
 
@@ -157,3 +163,95 @@ def test_artifact_from_dict_rejects_foreign_modulus():
     doc["modulus"] = [2, 0, 1]
     with pytest.raises(ValueError):
         artifact_from_dict(doc)
+
+
+# --- log kernels against the scalar oracles ---
+
+KERNEL_FIELDS = [(3, 1), (5, 1), (3, 2), (7, 3), (151, 2), (3, 10)]
+
+
+def _point_sets(ctx, rng):
+    """Random distinct point sets of a few lengths, n = 1 and 2 among them,
+    each with and without the point 0, then the prime subfield in random
+    order.  Every locator of the prime subfield is -1, so its extended code
+    meets the square condition."""
+    for n in (1, 2, 3, 5, 8, 13):
+        n = min(n, ctx.q - 1)
+        points = rng.sample(range(1, ctx.q), n)
+        yield points
+        yield points[:-1] + [0] if n > 1 else [0]
+        if n > 2:
+            yield points[:n // 2] + [0] + points[n // 2:-1]
+    yield rng.sample(range(ctx.p), ctx.p)
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_log_locators_match_brute_force(p, d, monkeypatch):
+    # blocks of a few entries split each point set into many row blocks
+    monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 5)
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for points in _point_sets(ctx, rng):
+        a = EvalVector(ctx, tuple(points))
+        assert all_locators(a) == [locator(a, i) for i in range(len(points))]
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_assembly_matches_scalar_square_roots_and_failing_index(p, d, monkeypatch):
+    """The weights equal sqrt_v(inv_v(target)) on every point, and a set that
+    violates the square condition names the first point where chi(target)
+    is not 1, for the plain and the extended engine."""
+    monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 5)
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    seen = {"ok": 0, "violated": 0}
+    for points in _point_sets(ctx, rng):
+        for extended in (False, True):
+            a = EvalVector(ctx, tuple(points), extended)
+            if a.n % 2:
+                continue
+            lam = rng.randrange(1, ctx.q)
+            targets = [ctx.neg_v(locator(a, i)) if extended else ctx.mul_v(lam, locator(a, i))
+                       for i in range(len(points))]
+            bad = next((i for i, t in enumerate(targets) if ctx.chi_v(t) != 1), None)
+            if bad is not None:
+                seen["violated"] += 1
+                with pytest.raises(SquareConditionViolated) as err:
+                    assemble_self_dual_xgrs(a) if extended else assemble_self_dual_grs(a, lam)
+                assert err.value.index == bad
+                continue
+            seen["ok"] += 1
+            art, _ = assemble_self_dual_xgrs(a) if extended else assemble_self_dual_grs(a, lam)
+            assert art.v.weights == tuple(ctx.sqrt_v(ctx.inv_v(t)) for t in targets)
+            assert check_self_dual(art)
+    assert seen["ok"] and seen["violated"]
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_square_root_weights_match_scalar_sqrt(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    q1 = ctx.q - 1
+    logs = list(range(0, q1, 2)) if q1 <= 1000 else [2 * rng.randrange(q1 // 2) for _ in range(500)]
+    # logs of the target may exceed q-1, as log lambda + log L does
+    logs += [log + q1 for log in logs[:50]]
+    weights = grs._square_root_weights(ctx, np.array(logs, dtype=np.int64))
+    assert list(weights) == [ctx.sqrt_v(ctx.inv_v(ctx.exp[log % q1])) for log in logs]
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_generator_matrices_match_scalar_products(p, d, monkeypatch):
+    monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 5)
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    for points in _point_sets(ctx, rng):
+        n = len(points)
+        weights = tuple(rng.randrange(1, ctx.q) for _ in points)
+        v = ScalingVector(ctx, weights)
+        for k in sorted({1, (n + 1) // 2, n}):
+            rows = [[ctx.mul_v(w, ctx.pow_v(x, i)) for w, x in zip(weights, points)]
+                    for i in range(k)]
+            G = grs_generator_matrix(EvalVector(ctx, tuple(points)), v, k)
+            assert G.tolist() == rows
+            X = xgrs_generator_matrix(EvalVector(ctx, tuple(points), True), v, k)
+            assert X.tolist() == [row + [int(i == k - 1)] for i, row in enumerate(rows)]

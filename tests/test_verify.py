@@ -7,6 +7,7 @@ import random
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -144,7 +145,7 @@ def _count_rank_calls(monkeypatch):
     real = verify.field_rank
 
     def counted(ctx, G):
-        calls.append(len(G))
+        calls.append(np.shape(G))
         return real(ctx, G)
 
     monkeypatch.setattr(verify, "field_rank", counted)
@@ -162,11 +163,12 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
     corrupted[1][1] = good.ctx.add_v(corrupted[1][1], 3)
     zero = [[0] * good.n for _ in range(good.k)]
     repeated = [[1] + [0] * (good.n - 1)] * good.k
-    # (G, Gram = 0, expected report, field_rank calls)
+    # (G, Gram = 0, expected report, field_rank calls); the corrupted G has
+    # a singular leading 3 x 3 block
     cases = [
         (G, True, {"self_dual": True, "rank_ok": True}, 1),
-        (corrupted, False, {"self_dual": False, "rank_ok": True}, 1),
-        (repeated, False, {"self_dual": False, "rank_ok": False}, 1),
+        (corrupted, False, {"self_dual": False, "rank_ok": True}, 2),
+        (repeated, False, {"self_dual": False, "rank_ok": False}, 2),
         (zero, True, {"self_dual": False, "rank_ok": False}, 2),
     ]
     calls = _count_rank_calls(monkeypatch)
@@ -175,7 +177,8 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
         calls.clear()
         rep = verify_artifact(_with_G(good, matrix), mds=False)
         assert rep.to_dict() == {**report, "mds_checked": "skipped_too_large"}
-        assert len(calls) == n_calls
+        # at most one k x k and one full-width elimination, in that order
+        assert calls == [(good.k, good.k), (good.k, good.n)][:n_calls]
 
 
 # --- vectorized kernels against scalar oracles ---
@@ -307,6 +310,49 @@ def test_kernels_match_scalar_oracle_on_self_dual_matrices(p, d):
             bad = _corrupt(ctx, rng, G)
             assert gram_is_zero(ctx, bad) == _oracle_gram_is_zero(ctx, bad)
             assert field_rank(ctx, bad) == _oracle_rank(ctx, bad)
+
+
+def _rank_cases(ctx, rng, k):
+    """k x 2k matrices: a random one (rank-deficient at random), one with a
+    nonsingular leading k x k block mixed by row operations, two whose
+    leading block is singular through a zero or a repeated column while
+    later columns give rank k, and one with rank k - 1."""
+    yield _random_matrix(ctx, rng, k, 2 * k)
+    G = [[int(i == j) for j in range(k)] + [rng.randrange(ctx.q) for _ in range(k)]
+         for i in range(k)]
+    for _ in range(2 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        G[i] = [ctx.add_v(x, ctx.mul_v(rng.randrange(ctx.q), y)) for x, y in zip(G[i], G[j])]
+    yield G
+    for kind in ("zero", "repeated"):
+        G = [[rng.randrange(ctx.q) for _ in range(2 * k)] for _ in range(k)]
+        for i, row in enumerate(G):
+            row[0] = 0 if kind == "zero" or k == 1 else row[k - 1]
+            row[k:] = [int(i == j) for j in range(k)]
+        yield G
+    G = [[rng.randrange(1, ctx.q) for _ in range(2 * k)] for _ in range(k)]
+    if k > 1:
+        c = rng.randrange(1, ctx.q)
+        G[-1] = [ctx.mul_v(c, x) for x in G[0]]
+    else:
+        G[0] = [0] * 2 * k
+    yield G
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2), (7, 3), (151, 2), (3, 10)])
+def test_rank_is_k_matches_scalar_oracle(p, d):
+    from mdssd.verify import _rank_is_k
+
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d)
+    outcomes = set()
+    for k in (1, 1, 2, 3, 5, 8):
+        for G in _rank_cases(ctx, rng, k):
+            expected = _oracle_rank(ctx, G) == k
+            outcomes.add((_oracle_rank(ctx, [row[:k] for row in G]) == k, expected))
+            assert _rank_is_k(_matrix_artifact(ctx, G)) == expected
+    # the leading block decides, falls back to rank k, and to rank < k
+    assert {(True, True), (False, True), (False, False)} <= outcomes
 
 
 @pytest.mark.parametrize("p,d", KERNEL_FIELDS)
