@@ -38,11 +38,14 @@ EXIT_VERIFICATION = 4
 
 def _emit(doc: dict, out_path: str | None) -> None:
     text = to_json(doc)
+    # two writes: text + "\n" would copy an artifact's text once more
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _fail(code: int, message: str, out_path: str | None = None) -> int:

@@ -268,13 +268,23 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
         "construction": {"label": art.label, "extended": art.a.extended, **art.params},
         "a": list(art.a.points),
         "v": list(art.v.weights),
-        "G": art.G.tolist(),
+        "G": _json_rows(art.ctx, art.G),
     }
     if trace_dict is not None:
         out["trace"] = trace_dict
     if verification is not None:
         out["verification"] = verification
     return out
+
+
+def _json_rows(ctx: FieldCtx, G: np.ndarray) -> list[list[int]]:
+    """G.tolist(), with each entry the int object that the field's exp table
+    already holds: the k*n entries then cost a list pointer each, not a new
+    int each, which would double the peak memory of a large artifact."""
+    ints = np.empty(ctx.q, dtype=object)
+    ints[0] = 0
+    ints[ctx.np_tables[0]] = ctx.exp
+    return ints[G].tolist()
 
 
 def to_json(obj: dict) -> str:
