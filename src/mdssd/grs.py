@@ -103,11 +103,10 @@ _BLOCK_ENTRIES = 1 << 19
 
 def locator_logs(ctx: FieldCtx, logs: np.ndarray) -> np.ndarray:
     """Logs of L(a_i) = prod_{j != i} (a_i - a_j) for distinct nonzero points
-    a_i = g^logs[i]: (n-1) log a_i plus the sum of zech[log a_j - log a_i +
-    (q-1)/2] over j != i, mod q-1.  The term j = i is zech[(q-1)/2] = -1,
-    so each full row sum is corrected by +1."""
+    a_i = g^logs[i], from an int64 array of logs: (n-1) log a_i plus the sum
+    of zech[log a_j - log a_i + (q-1)/2] over j != i, mod q-1.  The term
+    j = i is zech[(q-1)/2] = -1, so each full row sum is corrected by +1."""
     q1 = ctx.q - 1
-    logs = np.asarray(logs, dtype=np.int64)
     n = logs.size
     out = (n - 1) * logs + 1
     rows = max(1, _BLOCK_ENTRIES // max(n, 1))
@@ -279,8 +278,9 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
 
 def _json_rows(ctx: FieldCtx, G: np.ndarray) -> list[list[int]]:
     """G.tolist(), with each entry the int object that the field's exp table
-    already holds: the k*n entries then cost a list pointer each, not a new
-    int each, which would double the peak memory of a large artifact."""
+    already holds, so that the k*n entries cost a list pointer each and not
+    a new int object each (32 bytes more per entry at the peak of a large
+    artifact's serialization)."""
     ints = np.empty(ctx.q, dtype=object)
     ints[0] = 0
     ints[ctx.np_tables[0]] = ctx.exp
