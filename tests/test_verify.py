@@ -18,6 +18,7 @@ from mdssd.field import make_field
 from mdssd.grs import CodeArtifact, EvalVector, ScalingVector, grs_generator_matrix
 from mdssd.verify import (
     VerificationReport,
+    _rank_is_k,
     check_mds_minors,
     check_self_dual,
     field_rank,
@@ -341,8 +342,6 @@ def _rank_cases(ctx, rng, k):
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2), (7, 3), (151, 2), (3, 10)])
 def test_rank_is_k_matches_scalar_oracle(p, d):
-    from mdssd.verify import _rank_is_k
-
     ctx = make_field(p, d)
     rng = random.Random(p * 100 + d)
     outcomes = set()
