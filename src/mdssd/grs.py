@@ -73,9 +73,18 @@ class CodeArtifact:
     a: EvalVector
     v: ScalingVector
     k: int
-    G: np.ndarray  # (k, n) encodings
+    G: np.ndarray = dc_field(compare=False)  # (k, n) encodings
     label: str
     params: dict = dc_field(default_factory=dict, compare=False)
+
+    def __eq__(self, other):
+        # Written out because == on arrays is elementwise; the generated
+        # hash leaves G out, which stays consistent with this.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ctx, self.a, self.v, self.k, self.label)
+                == (other.ctx, other.a, other.v, other.k, other.label)
+                and np.array_equal(self.G, other.G))
 
     @property
     def n(self) -> int:

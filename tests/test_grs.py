@@ -153,6 +153,9 @@ def test_artifact_json_roundtrip_and_determinism():
     assert back.G.tolist() == art.G.tolist() and back.a.points == art.a.points
     assert not back.G.flags.writeable
     assert back.v.weights == art.v.weights and back.label == "demo"
+    assert back == art and hash(back) == hash(art)
+    tampered = dict(doc, G=[[(x + 1) % ctx.q for x in row] for row in doc["G"]])
+    assert artifact_from_dict(tampered) != art
 
 
 def test_artifact_from_dict_rejects_foreign_modulus():
