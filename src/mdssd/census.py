@@ -15,7 +15,7 @@ from math import gcd
 import sympy
 
 from .constructions import THEOREMS, ConstructionParams, construct_from_params, iter_valid_params
-from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed
+from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed, TooLargeToMaterialize
 from .field import make_field
 from .verify import check_self_dual
 
@@ -49,7 +49,7 @@ class CensusCtx:
 
 
 def _field_ctx(q: int) -> CensusCtx:
-    if q % 2 == 0:
+    if q < 3 or q % 2 == 0:
         raise EvenQ(q)
     if q > CENSUS_BUDGET:
         raise BudgetExceeded(q, CENSUS_BUDGET)
@@ -274,7 +274,8 @@ def new_lengths(q: int) -> tuple[int, ...]:
 
 def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     """Evaluate every rule once; with a bound, construct and check a witness
-    for every new length up to it, from the same enumeration."""
+    for every new length up to it, from the same enumeration.  A length
+    beyond the build budget raises TooLargeToMaterialize."""
     cx = _field_ctx(q)
     prior_by_rule = _prior_rules(cx)
     new_by_rule, candidates = _new_rules(cx, spot_check_bound)
@@ -295,6 +296,8 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
             for pr in candidates[n]:
                 try:
                     art, _ = construct_from_params(ctx, pr)
+                except TooLargeToMaterialize:  # every tuple for n is too long
+                    raise
                 except MdssdError as ex:  # try the next tuple
                     failure = f"{pr.label()}: {ex}"
                     continue

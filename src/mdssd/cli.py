@@ -24,6 +24,7 @@ from .errors import (
     HypothesisViolated,
     MdssdError,
     SpotCheckFailed,
+    TooLargeToMaterialize,
     UnsupportedTheorem,
 )
 from .field import make_field
@@ -54,14 +55,27 @@ def _fail(code: int, message: str, out_path: str | None = None) -> int:
     return code
 
 
+def _report_failure(report) -> None:
+    """Name the singular minor, if the minors found one, then fail."""
+    if report.singular_minor is not None:
+        columns = ", ".join(map(str, report.singular_minor))
+        print(f"singular minor at columns ({columns})", file=sys.stderr)
+    print("verification failed", file=sys.stderr)
+
+
 def _resolve_pd(args) -> tuple[int, int]:
-    """Accept either --p/--deg or a (possibly composite) --q."""
+    """Accept either --p/--deg or a (possibly composite) --q.  A prime power
+    is recognized by its largest perfect-power root, so a large composite q
+    is never factored."""
     if args.q is not None:
-        factors = sympy.factorint(args.q) if args.q >= 3 and args.q % 2 else {}
-        if len(factors) != 1:
-            raise HypothesisViolated(ODD_Q_CLAUSE)
-        (p, d), = factors.items()
-        return p, d
+        q = args.q
+        if q >= 3 and q % 2:
+            if sympy.isprime(q):
+                return q, 1
+            root = sympy.perfect_power(q)
+            if root and sympy.isprime(root[0]):
+                return root
+        raise HypothesisViolated(ODD_Q_CLAUSE)
     if args.p is None:
         raise HypothesisViolated("either --q or --p/--deg is required")
     return args.p, args.deg
@@ -109,7 +123,7 @@ def cmd_construct(args) -> int:
     doc = artifact_to_dict(art, trace.to_dict(), report.to_dict())
     _emit(doc, args.out)
     if not report.self_dual or report.mds_ok is False:
-        print("verification failed", file=sys.stderr)
+        _report_failure(report)
         return EXIT_VERIFICATION
     return EXIT_OK
 
@@ -127,16 +141,20 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_VERIFICATION, str(ex), args.out)
     _emit(report.to_dict(), args.out)
     if not (report.self_dual and report.rank_ok) or report.mds_ok is False:
-        print("verification failed", file=sys.stderr)
+        _report_failure(report)
         return EXIT_VERIFICATION
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
+    if args.spot_check_bound < 0:
+        return _fail(EXIT_INVALID, "the spot-check bound is at least 0", args.out)
     try:
         rep = census_report(args.q, args.spot_check_bound)
     except (EvenQ, BudgetExceeded) as ex:
         return _fail(EXIT_INVALID, str(ex), args.out)
+    except TooLargeToMaterialize as ex:
+        return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
     except SpotCheckFailed as ex:
         return _fail(EXIT_VERIFICATION, str(ex), args.out)
     prior, new = set(rep.lengths_prior), set(rep.lengths_new)

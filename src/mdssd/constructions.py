@@ -29,6 +29,7 @@ from .errors import (
     NotEnoughCosets,
     ParityInfeasible,
     TooLargeToMaterialize,
+    TooLargeToValidate,
     UnsupportedTheorem,
 )
 from .field import FieldCtx, make_field
@@ -51,6 +52,10 @@ ODD_Q_CLAUSE = "q is a power of an odd prime"
 
 # Construction is refused (validation still succeeds) beyond this length.
 MATERIALIZE_BUDGET = 1 << 16
+
+# Validation is refused when q = p^d may have more bits than this, so that
+# the integer arithmetic on q stays fast.
+VALIDATION_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,8 @@ def _hypotheses(theorem: str, p: int, d: int, m: int | None = None, t: int | Non
         return "p is prime"
     if d < 1:
         return "d >= 1"
+    if d * p.bit_length() > VALIDATION_BITS:
+        raise TooLargeToValidate(p, d, VALIDATION_BITS)
     q = p**d
     if theorem == "T5":
         if k_sub is None or t is None or e is None:
@@ -224,7 +231,8 @@ def validate(theorem: str, p: int, d: int, *, m: int | None = None, t: int | Non
              s: int | None = None, e: int | None = None, k_sub: int | None = None) -> ConstructionParams:
     """Check a theorem's hypotheses and return the normalized parameter set.
 
-    Raises HypothesisViolated naming the first failed clause."""
+    Raises HypothesisViolated naming the first failed clause, and
+    TooLargeToValidate when q may have more than VALIDATION_BITS bits."""
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(theorem)
     n = _hypotheses(theorem, p, d, m, t, s, e, k_sub)

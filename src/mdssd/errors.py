@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 
+def _quantity(n: int) -> str:
+    """n in decimal, or its size in bits when the decimal form would be long
+    (Python refuses to convert integers of more than 4300 digits)."""
+    return str(n) if n.bit_length() <= 1024 else f"a {n.bit_length()}-bit number"
+
+
 class MdssdError(Exception):
     """Base class for all package errors."""
 
@@ -27,9 +33,10 @@ class DegreeZero(MdssdError):
 
 
 class FieldTooLarge(MdssdError):
-    def __init__(self, q: int, budget: int):
-        super().__init__(f"q = {q} exceeds the field materialization budget {budget}")
-        self.q = q
+    def __init__(self, p: int, d: int, budget: int):
+        super().__init__(f"q = {p}^{d} exceeds the field materialization budget {budget}")
+        self.p = p
+        self.d = d
         self.budget = budget
 
 
@@ -123,9 +130,19 @@ class ParityInfeasible(MdssdError):
 
 class TooLargeToMaterialize(MdssdError):
     def __init__(self, n: int, budget: int):
-        super().__init__(f"parameters are valid but n = {n} exceeds the build budget {budget}")
+        super().__init__(f"parameters are valid but n = {_quantity(n)} exceeds the build "
+                         f"budget {budget}")
         self.n = n
         self.budget = budget
+
+
+class TooLargeToValidate(MdssdError):
+    def __init__(self, p: int, d: int, bits: int):
+        super().__init__(f"q = {p}^{d} may have more than {bits} bits, beyond the "
+                         f"validation budget")
+        self.p = p
+        self.d = d
+        self.bits = bits
 
 
 class UnsupportedTheorem(MdssdError):

@@ -18,6 +18,9 @@ inverse permutation, filled by one scatter.  The Zech table holds
 zech[i] = log(1 + g^i), so that vectorized code adds two nonzero elements
 as g^a + g^b = g^(a + zech[b - a]); zech[(q-1)/2] = -1 marks 1 + g^((q-1)/2)
 = 0.  Adding 1 changes only the constant digit, so it takes O(q) numpy.
+`log_muladd` folds the Zech lookup, zero handling and reduction of
+A <- A + F (x) R on int32 logs into two gathers from tables built on first
+use.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ TABLE_BUDGET = 1 << 20
 # Rows of the exp table multiplied per numpy call while doubling; bounds the
 # temporary digit arrays independently of q.
 _TABLE_CHUNK = 4096
+
+# Primitive-element candidates tested per numpy call.
+_CANDIDATES = 16
 
 
 # --- dense polynomial arithmetic over F_p (coefficient lists, constant first) ---
@@ -140,7 +146,9 @@ class FieldCtx:
     """Immutable description of F_q = F_p[x]/(modulus) with a fixed primitive
     element g and full exp/log tables, as lists (`exp`, `log`) and as the
     same read-only int64 arrays (`np_tables`), plus the read-only int32 Zech
-    table `np_zech`.  Safe to share across threads."""
+    table `np_zech` and the fused log update `log_muladd`, with zero's log
+    `log_zero`.  Safe to share across threads: two threads may both build
+    the update's tables on first use, with the same result."""
 
     def __init__(self, p: int, d: int):
         if d < 1:
@@ -149,9 +157,11 @@ class FieldCtx:
             raise EvenCharacteristic()
         if not sympy.isprime(p):
             raise NonPrime(p)
+        # p >= 3, so a degree beyond the budget's bit length is over budget
+        # and p^d need not be computed
+        if d > TABLE_BUDGET.bit_length() or p**d > TABLE_BUDGET:
+            raise FieldTooLarge(p, d, TABLE_BUDGET)
         q = p**d
-        if q > TABLE_BUDGET:
-            raise FieldTooLarge(q, TABLE_BUDGET)
         self.p = p
         self.d = d
         self.q = q
@@ -171,27 +181,39 @@ class FieldCtx:
         prod = _pmul(self._poly_of(a), self._poly_of(b), self.p)
         return self._value_of(_pmod(prod, list(self.modulus), self.p))
 
-    def _raw_pow(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+    def _primitive_element(self) -> int:
+        """Smallest encoding whose order is exactly q-1.  For d >= 2 the
+        encodings below p are constants, of order dividing p-1 < q-1.
+        Candidates are tested _CANDIDATES at a time: multiplication by c is
+        the d x d matrix sum_i c_i X_i over F_p, with X_i that of x^i, and c
+        is primitive iff no power (q-1)/l, for the primes l | q-1, of its
+        matrix is the identity.  The (C, d, d) stack is raised by repeated
+        squaring, reduced mod p after each product."""
+        p, d, q = self.p, self.d, self.q
+        # digit products summed over d terms stay exact in int64
+        assert d * (p - 1) ** 2 < 1 << 63
+        weights = np.array([p**i for i in range(d)], dtype=np.int64)
+        basis = np.stack([self._mul_matrix(p**i) for i in range(d)]).reshape(d, d * d)
+        identity = np.eye(d, dtype=np.int64)
+        for lo in range(2 if d == 1 else p, q, _CANDIDATES):
+            cands = np.arange(lo, min(lo + _CANDIDATES, q), dtype=np.int64)
+            mats = (cands[:, None] // weights % p @ basis % p).reshape(-1, d, d)
+            primitive = np.ones(cands.size, dtype=bool)
+            for ell in self.q1_factors:
+                e, power, base = (q - 1) // ell, identity, mats
+                while e:
+                    if e & 1:
+                        power = power @ base % p
+                    base = base @ base % p
+                    e >>= 1
+                primitive &= (power != identity).any(axis=(1, 2))
+            if primitive.any():
+                return int(cands[primitive.argmax()])
+        raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self) -> None:
         q1 = self.q - 1
-        # generator: smallest encoding whose order is exactly q-1.  For d >= 2
-        # the encodings below p are constants, of order dividing p-1 < q-1.
-        g_val = None
-        for cand in range(2 if self.d == 1 else self.p, self.q):
-            if all(self._raw_pow(cand, q1 // ell) != 1 for ell in self.q1_factors):
-                g_val = cand
-                break
-        if g_val is None:  # only q = 3 has no candidate >= 2 ... but 2 works there
-            raise AssertionError("no primitive element found")
-        self.g_val = g_val
+        g_val = self.g_val = self._primitive_element()
         exp = self._exp_table(g_val)
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
@@ -203,6 +225,7 @@ class FieldCtx:
         self.log = log.tolist()
         self.np_tables = (exp, log)
         self.np_zech = zech
+        self.log_zero = 5 * q1
 
     def _zech_table(self, exp: np.ndarray, log: np.ndarray) -> np.ndarray:
         """zech[i] = log(1 + g^i) as int32, with -1 at i = (q-1)/2, where
@@ -215,6 +238,48 @@ class FieldCtx:
         zech = log[one_plus].astype(np.int32)
         zech[(self.q - 1) // 2] = -1
         return zech
+
+    @functools.cached_property
+    def _muladd_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only int32 tables (ext, norm) of `log_muladd`, built on
+        first use; see there for their index ranges."""
+        q1, zero = self.q - 1, self.log_zero
+        ext = np.zeros(9 * q1 + 1, dtype=np.int32)
+        ext[:3 * q1] = np.arange(-zero, 3 * q1 - zero, dtype=np.int32)
+        ext[4 * q1:8 * q1] = np.tile(np.where(self.np_zech < 0, 3 * q1, self.np_zech), 4)
+        ext[4 * q1] = 0
+        norm = np.concatenate((np.tile(np.arange(q1, dtype=np.int32), 3),
+                               np.full(2 * q1 + 1, zero, dtype=np.int32)))
+        for table in (ext, norm):
+            table.flags.writeable = False
+        return ext, norm
+
+    def log_muladd(self, A: np.ndarray, F: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Logs of A + F (x) R, i.e. a_ij + f_i r_j, for int32 log arrays A
+        (..., m, n), F (..., m) and R (..., n); leading axes are batch axes.
+        Zero's log is the sentinel Z = `log_zero` = 5(q-1).  A and R hold
+        reduced logs in [0, q-1) or Z; F may hold any log in [0, 2(q-1)),
+        and any value in [4(q-1), 6(q-1)) for zero.  The result is reduced.
+
+        With q1 = q-1, T = min(F + R, 4 q1) is a product's log in
+        [0, 3 q1 - 1), or 4 q1 when it is zero.  Then i = T - A + Z falls
+        into one of four disjoint ranges of the table ext:
+          [0, 3 q1)        A zero:          ext = i - Z, so A + ext = T;
+          4 q1             both zero:       ext = 0;
+          (4 q1, 8 q1)     both nonzero:    ext = zech[(T - A) mod q1], as
+                           a + t = a (1 + t/a), or 3 q1 where t = -a;
+          (8 q1, 9 q1]     zero product:    ext = 0.
+        The table norm maps A + ext to the result: i mod q1 below 3 q1, and
+        Z from there up to Z itself, which takes the cancelled sums."""
+        ext, norm = self._muladd_tables
+        zero = self.log_zero
+        T = (F + zero)[..., :, None] + R[..., None, :]
+        np.minimum(T, zero + 4 * (self.q - 1), out=T)
+        T -= A
+        # take gathers with int32 indices about twice as fast as T = ext[T]
+        T = ext.take(T)
+        T += A
+        return norm.take(T)
 
     def _mul_matrix(self, c: int) -> np.ndarray:
         """Multiplication by c as a d x d matrix over F_p acting on digit

@@ -9,10 +9,19 @@ the integers from the base-p digit planes of G by float64 BLAS products,
 with the columns taken in chunks small enough that every float64 sum stays
 below 2^53 (see `gram_is_zero`), then reduced mod p and mod the field
 modulus.  Rank, minors and codeword enumeration work on int32 logarithms to
-the base g, with q-1 standing for zero: multiplication adds logs, and
-addition is one lookup in the field's Zech table, log(1 + g^i).  Rank k of
-a k x n matrix is certified by the leading k x k block when that block is
-nonsingular, and by the full matrix only otherwise.
+the base g, with the sentinel Z = 5(q-1), well away from [0, q-1), standing
+for zero.  Every update they make is one call of the fused kernel
+`FieldCtx.log_muladd`, A <- A + F (x) R, which allows leading batch axes.
+T = min(F + R, 4(q-1)) sends every zero product to one value, and the index
+T - A + Z then falls into one of four disjoint ranges: both nonzero, zero
+product, A zero, and both zero.  One gather from the table ext (the Zech
+value log(1 + g^i) in the first range, or a code for cancellation) and one
+from the table norm (reduction mod q-1, with cancelled sums and Z mapped to
+Z) finish the update.  Both integer tables are built once per field, on
+first use.  A rank step updates the whole trailing block: a row whose
+factor is zero gets a factor log of at least Z, which leaves it unchanged.
+Rank k of a k x n matrix is certified by the leading k x k block when that
+block is nonsingular, and by the full matrix only otherwise.
 
 The C(n, k) minors are eliminated in lockstep, as one (B, k, k) log array
 per block of column subsets taken in lexicographic order, so the first
@@ -50,70 +59,31 @@ _BLOCK_ENTRIES = 1 << 19
 
 
 def _logs(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
-    """int32 logs of an encoding array, with q-1 standing for zero."""
-    return np.where(M != 0, ctx.np_tables[1][M], ctx.q - 1).astype(np.int32)
-
-
-def _log_outer(q1: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Logs of the products a_i * b_j, for int32 log arrays with q-1
-    standing for zero; leading axes of a and b are batch axes.  Zero logs
-    are moved to 2(q-1) first, so a sum with a zero factor stays at least
-    q-1 after one reduction and is clipped to q-1."""
-    a = np.where(a == q1, 2 * q1, a)
-    b = np.where(b == q1, 2 * q1, b)
-    T = a[..., :, None] + b[..., None, :]
-    T -= (T >= q1) * np.int32(q1)
-    np.minimum(T, q1, out=T)
-    return T
-
-
-def _zech_index(ctx: FieldCtx) -> np.ndarray:
-    """zech[i mod (q-1)] for 0 <= i <= 2(q-1): a difference of two logs (or
-    q-1 for zero) plus q-1 indexes it without a mod."""
-    zech = ctx.np_zech
-    return np.concatenate((zech, zech, zech[:1]))
-
-
-def _log_add(q1: int, zech2: np.ndarray, A: np.ndarray, T: np.ndarray) -> None:
-    """A <- A + T in place, for int32 log arrays with q-1 standing for zero
-    and `zech2 = _zech_index(ctx)`: a + t = a (1 + t/a), so
-    log(a + t) = log a + zech[log t - log a], and t = -a gives zero."""
-    a_zero = A == q1
-    z = T - A
-    z += q1
-    z = zech2[z]
-    z[T == q1] = 0
-    cancel = z < 0
-    A += z
-    np.subtract(A, q1, out=A, where=A >= q1)
-    A[cancel] = q1
-    np.copyto(A, T, where=a_zero)
+    """int32 logs of an encoding array, with `ctx.log_zero` standing for
+    zero."""
+    return np.where(M != 0, ctx.np_tables[1][M], ctx.log_zero).astype(np.int32)
 
 
 def field_rank(ctx: FieldCtx, G) -> int:
     """Rank by Gaussian elimination on logs; pivot = first nonzero
-    (deterministic).  Each step adds -(f/piv) * pivot row, whose logs are
-    f - piv + log(-1) + row, to the rows below with a nonzero factor f,
-    right of the pivot column."""
+    (deterministic).  Each step adds -(f/piv) * pivot row to the rows below,
+    right of the pivot column, as one `log_muladd` on the trailing block:
+    the factor's log is f + (log(-1) - piv mod q-1), and a zero f stays at
+    least log_zero, which leaves its row unchanged."""
     L = _logs(ctx, np.asarray(G, dtype=np.int64))
-    zech2 = _zech_index(ctx)
-    q1 = ctx.q - 1
+    zero, q1 = ctx.log_zero, ctx.q - 1
     rows, cols = L.shape
     rank = 0
     for col in range(cols):
         if rank == rows:
             break
-        nz = np.flatnonzero(L[rank:, col] != q1)
+        nz = np.flatnonzero(L[rank:, col] != zero)
         if nz.size == 0:
             continue
         if nz[0]:
             L[[rank, rank + nz[0]]] = L[[rank + nz[0], rank]]
-        below = rank + nz[1:]
-        f = L[below, col] - L[rank, col] + q1 // 2
-        f %= q1
-        A = L[below, col + 1:]
-        _log_add(q1, zech2, A, _log_outer(q1, f, L[rank, col + 1:]))
-        L[below, col + 1:] = A
+        f = L[rank + 1:, col] + (q1 // 2 - int(L[rank, col])) % q1
+        L[rank + 1:, col + 1:] = ctx.log_muladd(L[rank + 1:, col + 1:], f, L[rank, col + 1:])
         rank += 1
     return rank
 
@@ -169,9 +139,13 @@ class VerificationReport:
     min_distance: int | None
     elapsed: float
     mds_ok: bool | None = None
+    # the lexicographically first singular column subset, when the
+    # exhaustive minors found one
+    singular_minor: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        # elapsed is intentionally excluded: artifact JSON must be bit-exact
+        # elapsed and singular_minor are intentionally excluded: artifact
+        # JSON must be bit-exact
         out = {
             "self_dual": self.self_dual,
             "rank_ok": self.rank_ok,
@@ -203,30 +177,27 @@ def check_self_dual(art: CodeArtifact) -> bool:
     return gram_is_zero(art.ctx, art.G) and _rank_is_k(art)
 
 
-def _singular_minors(q1: int, zech2: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _singular_minors(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
     """Singularity of each k x k log matrix of the batch M (B, k, k), by
     eliminating all of them in lockstep.  The rule is that of `field_rank`:
-    the pivot is the first nonzero entry of the column, and each other row
-    with a nonzero factor f gets the logs f - piv + log(-1) + pivot row added
-    into it.  Only the trailing block is kept after each step, so M shrinks
-    to (B, k-1, k-1) and so on.  A minor with no pivot in some column is
-    singular; its later steps run on meaningless but in-range logs and
-    cannot clear that verdict."""
+    the pivot is the first nonzero entry of the column, and -(f/piv) * pivot
+    row is added into each other row by one batched `log_muladd`.  Only the
+    trailing block is kept after each step, so M shrinks to (B, k-1, k-1)
+    and so on.  A minor with no pivot in some column is singular; its later
+    steps run on meaningless but in-range logs and cannot clear that
+    verdict."""
+    zero, q1 = ctx.log_zero, ctx.q - 1
     batch = np.arange(M.shape[0])
     singular = np.zeros(M.shape[0], dtype=bool)
     while M.shape[1]:
-        nz = M[:, :, 0] != q1
+        nz = M[:, :, 0] != zero
         singular |= ~nz.any(axis=1)
         piv = nz.argmax(axis=1)
         top = M[batch, piv]
         # row 0 moves into the pivot row's place, and the pivot row into top
         M[batch, piv] = M[:, 0]
-        factors = M[:, 1:, 0]
-        f = factors - top[:, :1] + q1 // 2
-        f %= q1
-        f[factors == q1] = q1
-        M = M[:, 1:, 1:].copy()
-        _log_add(q1, zech2, M, _log_outer(q1, f, top[:, 1:]))
+        f = M[:, 1:, 0] + (q1 // 2 - top[:, :1]) % q1
+        M = ctx.log_muladd(M[:, 1:, 1:], f, top[:, 1:])
     return singular
 
 
@@ -241,13 +212,11 @@ def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
     if n > MINORS_BUDGET_N:
         raise TooLarge(f"n = {n} > {MINORS_BUDGET_N} for exhaustive minors")
     ctx = art.ctx
-    q1 = ctx.q - 1
     columns = _logs(ctx, np.asarray(art.G, dtype=np.int64).T)
-    zech2 = _zech_index(ctx)
     subsets = combinations(range(n), k)
     block = max(1, _BLOCK_ENTRIES // (k * k))
     while chunk := list(islice(subsets, block)):
-        singular = _singular_minors(q1, zech2, columns[np.array(chunk, dtype=np.intp)])
+        singular = _singular_minors(ctx, columns[np.array(chunk, dtype=np.intp)])
         if singular.any():
             return chunk[int(singular.argmax())]
     return None
@@ -269,9 +238,7 @@ def min_distance(art: CodeArtifact) -> int:
     total = q**k
     if total > DISTANCE_BUDGET:
         raise TooLarge(f"q^k = {total} > {DISTANCE_BUDGET} for codeword enumeration")
-    q1 = q - 1
     LG = _logs(ctx, np.asarray(art.G, dtype=np.int64))
-    zech2 = _zech_index(ctx)
     best = n + 1
     chunk = 1 << 16
     for lead in range(k):
@@ -280,9 +247,9 @@ def min_distance(art: CodeArtifact) -> int:
             rem = np.arange(start, min(start + chunk, count), dtype=np.int64)
             words = np.repeat(LG[lead][None], rem.size, axis=0)
             for row in range(lead):
-                _log_add(q1, zech2, words, _log_outer(q1, _logs(ctx, rem % q), LG[row]))
+                words = ctx.log_muladd(words, _logs(ctx, rem % q), LG[row])
                 rem //= q
-            weights = (words != q1).sum(axis=1)
+            weights = (words != ctx.log_zero).sum(axis=1)
             best = min(best, int(weights.min()))
     return best
 
@@ -295,13 +262,17 @@ def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
     mds_checked = "skipped_too_large"
     mds_ok: bool | None = None
     dist: int | None = None
+    singular: tuple[int, ...] | None = None
     if mds:
         if art.n <= MINORS_BUDGET_N:
             mds_checked = "exhaustive_minors"
             mds_ok = check_mds_minors(art)
+            if not mds_ok:
+                singular = first_singular_minor(art)
         if art.ctx.q**art.k <= DISTANCE_BUDGET:
             dist = min_distance(art)
             if mds_checked == "skipped_too_large":
                 mds_checked = "min_weight"
                 mds_ok = dist == art.n - art.k + 1
-    return VerificationReport(sd, rank_ok, mds_checked, dist, time.monotonic() - start, mds_ok)
+    return VerificationReport(sd, rank_ok, mds_checked, dist, time.monotonic() - start, mds_ok,
+                              singular)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mdssd.cli import main
+from mdssd.constructions import THEOREMS
 
 
 def run(capsys, *argv):
@@ -222,3 +227,176 @@ def test_verify_malformed_artifact_exit_2(name, artifact_doc, tmp_path, capsys):
     code, rep, err = run(capsys, "verify", "--in", str(path))
     assert code == 2 and "cannot load artifact: malformed artifact" in rep["error"]
     assert "Traceback" not in err
+
+
+def _proportional_columns(G):
+    """G with column 1 replaced by column 0, so every minor on columns
+    0 and 1 is singular."""
+    return [[row[0], row[0], *row[2:]] for row in G]
+
+
+def _assert_names_minor(err, columns):
+    named = f"singular minor at columns {columns}"
+    assert named in err
+    assert err.index(named) < err.index("verification failed")
+
+
+def test_verify_names_singular_minor(artifact_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(artifact_doc))
+    doc["G"] = _proportional_columns(doc["G"])
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert code == 4 and rep["mds_ok"] is False
+    assert "singular" not in json.dumps(rep)  # the report's bytes keep their form
+    _assert_names_minor(err, "(0, 1, 2)")
+    code, _, err = run(capsys, "verify", "--in", str(path), "--no-mds")
+    assert code == 4 and "singular minor" not in err
+
+
+def test_construct_names_singular_minor(monkeypatch, capsys):
+    import dataclasses
+
+    import mdssd.cli as cli
+
+    build = cli.build
+
+    def tampered(*args, **kw):
+        art, trace = build(*args, **kw)
+        G = np.array(_proportional_columns(art.G.tolist()))
+        return dataclasses.replace(art, G=G), trace
+
+    monkeypatch.setattr(cli, "build", tampered)
+    code, doc, err = run(capsys, "construct", "--q", "9", "--theorem", "T1ii",
+                         "--m", "2", "--t", "2")
+    assert code == 4 and doc["verification"]["mds_ok"] is False
+    assert "singular" not in json.dumps(doc)
+    _assert_names_minor(err, "(0, 1, 2)")
+
+
+def test_census_negative_spot_check_bound_exit_2(capsys):
+    code, doc, _ = run(capsys, "census", "--q", "9", "--spot-check-bound", "-5")
+    assert code == 2 and "spot-check bound" in doc["error"]
+    assert run(capsys, "census", "--q", "9", "--spot-check-bound", "0")[0] == 0
+
+
+def test_census_q_minus_one_exit_2(capsys):
+    # -1 factors as (-1)^1 and was taken for a prime power
+    for extra in ((), ("--spot-check-bound", "1")):
+        code, doc, _ = run(capsys, "census", "--q", "-1", *extra)
+        assert code == 2 and "odd prime power" in doc["error"]
+
+
+def test_census_spot_check_beyond_build_budget_exit_3(monkeypatch, capsys):
+    # a length that cannot be built is not a length that failed to verify
+    import mdssd.constructions as constructions
+
+    monkeypatch.setattr(constructions, "MATERIALIZE_BUDGET", 64)
+    code, doc, _ = run(capsys, "census", "--q", "81", "--spot-check-bound", "100")
+    assert code == 3 and "exceeds the build budget 64" in doc["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    # q = 3^10000 has over 4300 digits, too many for an error message
+    ("construct", "--p", "3", "--deg", "10000", "--theorem", "T4", "--e", "1"),
+    # n = 3^10000 + 1 is named by its bit length
+    ("construct", "--p", "3", "--deg", "10000", "--theorem", "T4", "--e", "5000"),
+    # q = 3^(10^9) is never computed
+    ("construct", "--p", "3", "--deg", str(10**9), "--theorem", "T4", "--e", "1"),
+    ("field-info", "--p", "3", "--deg", str(10**9)),
+])
+def test_huge_fields_exit_without_traceback(argv, capsys):
+    code, doc, _ = run(capsys, *argv)
+    assert code == (2 if argv[0] == "field-info" else 3)
+    assert "budget" in doc["error"] and len(doc["error"]) < 200
+
+
+def test_composite_q_is_not_factored(capsys):
+    # a product of two 30-digit primes
+    q = (10**29 + 129) * (10**29 + 151)
+    code, doc, _ = run(capsys, "construct", "--q", str(q), "--theorem", "T4", "--e", "1")
+    assert code == 2 and "power of an odd prime" in doc["error"]
+
+
+# --- every argument combination ends in a documented exit code ---
+
+_SMALL = st.integers(-2, 12)
+_INTS = st.one_of(
+    _SMALL, _SMALL, _SMALL,
+    st.sampled_from([0, -1, -(10**6), 2**31 - 1, 10**18, 2**64 + 1, 10**40]),
+)
+_OPTIONAL = st.one_of(st.none(), _INTS)
+# odd prime powers, so that many drawn tuples are valid
+_Q = st.one_of(st.sampled_from([3, 5, 7, 9, 13, 25, 27, 49, 81, 121, 125, 169, 243, 729]), _INTS)
+
+
+@functools.cache
+def _valid_tuples():
+    from mdssd.constructions import iter_valid_params
+
+    return [pr for p, d in ((3, 2), (5, 2), (7, 2), (3, 4), (13, 1))
+            for pr in iter_valid_params(p, d, 64)]
+
+
+def _flags(pr):
+    args = {"--p": pr.p, "--deg": pr.d}
+    for key, value in pr.to_dict().items():
+        if key != "theorem":
+            args["--k" if key == "k_sub" else f"--{key}"] = value
+    return args
+
+
+@st.composite
+def _arguments(draw):
+    kind = draw(st.sampled_from(["census", "construct", "perturbed"]))
+    if kind == "census":
+        argv = ["census", "--q", str(draw(_Q))]
+        bound = draw(_OPTIONAL)
+        if bound is not None:
+            argv += ["--spot-check-bound", str(bound)]
+        return argv
+    if kind == "perturbed":
+        # a valid tuple with at most one argument replaced
+        pr = draw(st.sampled_from(_valid_tuples()))
+        args = _flags(pr)
+        if draw(st.booleans()):
+            args[draw(st.sampled_from(sorted(args)))] = draw(_INTS)
+        argv = ["construct", "--theorem", pr.theorem, "--no-mds"]
+        for flag, value in args.items():
+            argv += [flag, str(value)]
+        return argv
+    argv = ["construct", "--theorem", draw(st.sampled_from(THEOREMS)), "--no-mds"]
+    if draw(st.booleans()):
+        argv += ["--q", str(draw(_Q))]
+    else:
+        for flag, values in (("--p", st.sampled_from([3, 5, 7, 13])), ("--deg", st.integers(1, 6))):
+            value = draw(st.one_of(st.none(), values, _INTS))
+            if value is not None:
+                argv += [flag, str(value)]
+    for flag in ("--m", "--t", "--s", "--e", "--k"):
+        value = draw(_OPTIONAL)
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_arguments())
+def test_arguments_end_in_documented_exit_code(argv, capsys):
+    """Valid, invalid, zero, negative and huge arguments all end in exit 0,
+    2, 3 or 4, never in an exception.  Small budgets keep every field,
+    length and census small."""
+    import mdssd.census as census
+    import mdssd.constructions as constructions
+    import mdssd.field as field
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "TABLE_BUDGET", 1 << 10)
+        mp.setattr(constructions, "MATERIALIZE_BUDGET", 64)
+        mp.setattr(census, "CENSUS_BUDGET", 200)
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert json.loads(captured.out)["error"]

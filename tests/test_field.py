@@ -242,14 +242,27 @@ def test_tables_match_scalar_recurrence(p, d):
     assert np_exp.tolist() == exp and np_log.tolist() == log
 
 
-@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 3), (3, 4), (83, 2), (151, 2), (3, 10)])
+def _scalar_pow(ctx, a, e):
+    """Oracle: a^e by square-and-multiply on the polynomial product."""
+    result = 1
+    while e:
+        if e & 1:
+            result = ctx._raw_mul(result, a)
+        a = ctx._raw_mul(a, a)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (1009, 1), (3, 2), (5, 2), (3, 4), (7, 3),
+                                 (83, 2), (151, 2), (3, 10), (3, 12)])
 def test_generator_search_matches_full_scan(p, d):
-    # the search starts at p when d >= 2, past the constants 2..p-1
+    # the search starts at p when d >= 2, past the constants 2..p-1, and
+    # tests its candidates in batches
     ctx = make_field(p, d)
     q1 = ctx.q - 1
     factors = sympy.primefactors(q1)
     first = next(c for c in range(2, ctx.q)
-                 if all(ctx._raw_pow(c, q1 // ell) != 1 for ell in factors))
+                 if all(_scalar_pow(ctx, c, q1 // ell) != 1 for ell in factors))
     assert ctx.g_val == first
 
 

@@ -230,6 +230,57 @@ def _oracle_min_distance(ctx, G):
 KERNEL_FIELDS = [(3, 1), (5, 1), (1009, 1), (3, 2), (3, 4), (7, 3), (151, 2), (3, 10)]
 
 
+def _decode(ctx, L):
+    """Encodings of a reduced log array, with log_zero standing for zero."""
+    nonzero = L != ctx.log_zero
+    assert ((L[nonzero] >= 0) & (L[nonzero] < ctx.q - 1)).all()
+    out = np.zeros(L.shape, dtype=np.int64)
+    out[nonzero] = ctx.np_tables[0][L[nonzero]]
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)])
+def test_log_muladd_exhaustive(p, d):
+    """a + f r for every (a, f, r) in F_q^3, zeros included, against the
+    scalar add_v/mul_v; f goes in as every representative the kernel
+    accepts: log f and log f + q - 1, and 4(q-1), 5(q-1), 6(q-1) - 1 for
+    zero.  Once per a, and once with a leading batch axis over a."""
+    ctx = make_field(p, d)
+    q, q1 = ctx.q, ctx.q - 1
+    log = [ctx.log_zero] + [ctx.log[x] for x in range(1, q)]
+    f_values, f_logs = [], []
+    for f in range(q):
+        reps = [4 * q1, 5 * q1, 6 * q1 - 1] if f == 0 else [log[f], log[f] + q1]
+        f_values += [f] * len(reps)
+        f_logs += reps
+    F = np.array(f_logs, dtype=np.int32)
+    R = np.array(log, dtype=np.int32)
+    expected = [[[ctx.add_v(a, ctx.mul_v(f, r)) for r in range(q)] for f in f_values]
+                for a in range(q)]
+    for a in range(q):
+        A = np.full((F.size, q), log[a], dtype=np.int32)
+        assert _decode(ctx, ctx.log_muladd(A, F, R)).tolist() == expected[a]
+    A = np.repeat(np.array(log, dtype=np.int32), F.size * q).reshape(q, F.size, q)
+    batched = ctx.log_muladd(A, np.tile(F, (q, 1)), np.tile(R, (q, 1)))
+    assert batched.shape == (q, F.size, q)
+    assert _decode(ctx, batched).tolist() == expected
+
+
+def _zero_heavy_matrix(ctx, rng, k, n):
+    """20-50 % zero entries, plus a zero row, a zero column or both."""
+    share = rng.uniform(0.2, 0.5)
+    G = [[0 if rng.random() < share else rng.randrange(1, ctx.q) for _ in range(n)]
+         for _ in range(k)]
+    kind = rng.choice(["row", "column", "both"])
+    if kind != "column":
+        G[rng.randrange(k)] = [0] * n
+    if kind != "row":
+        c = rng.randrange(n)
+        for row in G:
+            row[c] = 0
+    return G
+
+
 def _random_matrix(ctx, rng, k, n):
     """About half zero entries, with repeated rows, zero rows, zero columns
     and rows that are combinations of others, each at random."""
@@ -292,6 +343,19 @@ def test_kernels_match_scalar_oracle_on_random_matrices(p, d):
         G = _random_matrix(ctx, rng, rng.randint(1, 7), rng.randint(1, 12))
         assert field_rank(ctx, G) == _oracle_rank(ctx, G)
         assert gram_is_zero(ctx, G) == _oracle_gram_is_zero(ctx, G)
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+def test_rank_matches_scalar_oracle_on_zero_heavy_matrices(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d + 1)
+    for _ in range(30):
+        k = rng.randint(1, 8)
+        G = _zero_heavy_matrix(ctx, rng, k, rng.randint(1, 14))
+        assert field_rank(ctx, G) == _oracle_rank(ctx, G)
+        # the leading block of a k x 2k matrix, as _rank_is_k takes it
+        G = _zero_heavy_matrix(ctx, rng, k, 2 * k)
+        assert _rank_is_k(_matrix_artifact(ctx, G)) == (_oracle_rank(ctx, G) == k)
 
 
 @pytest.mark.parametrize("p,d", KERNEL_FIELDS)
@@ -509,6 +573,15 @@ def test_minors_match_scalar_oracle_on_random_matrices(p, d):
     for _ in range(40):
         k = rng.randint(1, 5)
         _assert_minors_match_oracle(ctx, _random_minor_matrix(ctx, rng, k, rng.randint(k, 10)))
+
+
+@pytest.mark.parametrize("p,d", MINOR_FIELDS)
+def test_minors_match_scalar_oracle_on_zero_heavy_matrices(p, d):
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d + 1)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        _assert_minors_match_oracle(ctx, _zero_heavy_matrix(ctx, rng, k, rng.randint(k, 10)))
 
 
 @pytest.mark.parametrize("p,d", MINOR_FIELDS)
