@@ -1,9 +1,12 @@
 """Byte-level locks on the construction pipeline and the census.
 
 `locked_digests.json` holds sha256 digests, each recorded from the code
-before the refactor it guards: `large` before assembly moved onto
-logarithms, the others before the coset constructors and the hypothesis
-checks were merged.
+before the refactor it guards: `fields` before the table set-up moved onto
+digit arrays, `large` before assembly moved onto logarithms, the others
+before the coset constructors and the hypothesis checks were merged.
+
+- `fields`: the modulus, primitive element and exp, log and Zech tables of
+  fourteen fields, degree 1 to 12, from q = 3 to q = 3^12;
 
 - `sweep`: every artifact of the acceptance sweep (q <= 289, n <= 128), each
   serialized with its trace, in `iter_valid_params` order;
@@ -25,6 +28,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 
@@ -50,6 +54,8 @@ LARGE_CODES = (
     (59049, "T4", {"e": 2}),
     (59049, "T1i", {"m": 44, "t": 4}),
 )
+FIELD_CASES = ((3, 1), (1009, 1), (3, 2), (5, 2), (7, 3), (3, 4), (5, 4), (17, 2),
+               (83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (1021, 2))
 GRID_FIELDS = ((3, 2), (5, 2), (7, 2), (3, 4), (13, 2), (3, 3), (13, 1))
 # calls outside the grid that reach the remaining clauses
 FIXED_INVALID = (
@@ -65,6 +71,16 @@ FIXED_INVALID = (
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def field_digest(ctx) -> str:
+    """sha256 of the modulus, g and the bytes, dtype and shape of the exp,
+    log and Zech arrays."""
+    h = hashlib.sha256(repr((ctx.modulus, ctx.g_val)).encode())
+    for table in (*ctx.np_tables, ctx.np_zech):
+        h.update(f"{table.dtype} {table.shape}".encode())
+        h.update(np.ascontiguousarray(table).tobytes())
+    return h.hexdigest()
 
 
 def sweep_digests() -> list[list[str]]:
@@ -135,6 +151,11 @@ def brute_force():
             validate(th, p, d, **kw)
         rejections.append((_key(th, p, d, kw), info.value.clause))
     return accepted, rejections
+
+
+@pytest.mark.parametrize("p,d", FIELD_CASES, ids=[f"{p}^{d}" for p, d in FIELD_CASES])
+def test_field_tables_match_locked_digest(p, d):
+    assert field_digest(make_field(p, d)) == LOCKED["fields"][f"{p},{d}"]
 
 
 def test_sweep_artifacts_match_locked_digests():
