@@ -21,6 +21,7 @@ from .constructions import ODD_Q_CLAUSE, THEOREMS, build
 from .errors import (
     BudgetExceeded,
     EvenQ,
+    FieldTooLarge,
     HypothesisViolated,
     MdssdError,
     SpotCheckFailed,
@@ -87,6 +88,8 @@ def cmd_field_info(args) -> int:
         if not sympy.isprime(p) or p == 2:
             raise HypothesisViolated("p is an odd prime")
         ctx = make_field(p, d)
+    except FieldTooLarge as ex:  # a valid field beyond the table budget
+        return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
     except MdssdError as ex:
         return _fail(EXIT_INVALID, str(ex), args.out)
     doc = {

@@ -10,14 +10,23 @@ a + b = a (1 + b/a), and the encoding of 1 + b/a differs from that of b/a
 only in the constant digit, so addition costs a few table lookups and no
 digit loop; a - b adds -b = g^(log b + (q-1)/2).
 
-The exp table is filled by doubling: once g^0..g^{L-1} are known, the next L
-entries are g^L times them.  Multiplication by a fixed element is F_p-linear,
-so each doubling step is one d x d matrix product over F_p applied to the
-base-p digits of a block of known entries, in numpy.  The log table is the
-inverse permutation, filled by one scatter.  The Zech table holds
-zech[i] = log(1 + g^i), so that vectorized code adds two nonzero elements
-as g^a + g^b = g^(a + zech[b - a]); zech[(q-1)/2] = -1 marks 1 + g^((q-1)/2)
-= 0.  Adding 1 changes only the constant digit, so it takes O(q) numpy.
+Set-up runs in a few numpy passes.  The modulus search evaluates blocks of
+candidate polynomials at every point of F_p and drops those with a root; of
+degree at most 3 a rootless one is irreducible, and beyond that the rootless
+ones go, in order, to Ben-Or's test.  The primitive-element search raises
+stacks of multiplication matrices over F_p, with the squarings shared by the
+primes of q-1.  The exp table is filled by doubling: once g^0..g^{L-1} are
+known, the next L entries are g^L times them.  Multiplication by a fixed
+element is F_p-linear, so each step multiplies a block of the base-p digit
+table, kept as small integers throughout, by the d x d matrix of g^L, and
+squares that matrix for the next step; the digits are encoded once at the
+end.  The log table is the inverse permutation, filled by one scatter.  The
+Python lists `exp` and `log`, which scalar paths index, are built on first
+use, so a job that reads only the arrays never builds them.  The Zech table
+holds zech[i] = log(1 + g^i), so that vectorized code adds two nonzero
+elements as g^a + g^b = g^(a + zech[b - a]); zech[(q-1)/2] = -1 marks
+1 + g^((q-1)/2) = 0.  Adding 1 changes only the constant digit, so it is the
+log table with each run of p entries rotated by one, gathered at exp.
 `log_muladd` folds the Zech lookup, zero handling and reduction of
 A <- A + F (x) R on int32 logs into two gathers from tables built on first
 use.
@@ -26,6 +35,7 @@ use.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +58,13 @@ from .errors import (
 # handled by validation-only integer arithmetic and never construct a field.
 TABLE_BUDGET = 1 << 20
 
-# Rows of the exp table multiplied per numpy call while doubling; bounds the
-# temporary digit arrays independently of q.
+# Columns of the digit table multiplied per BLAS call while doubling; bounds
+# the float64 temporaries independently of q.
 _TABLE_CHUNK = 4096
+
+# Candidate polynomials times points of F_p evaluated per numpy call by the
+# modulus sieve.
+_SIEVE_ENTRIES = 1 << 8
 
 # Primitive-element candidates tested per numpy call.
 _CANDIDATES = 16
@@ -105,50 +119,104 @@ def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def _frobenius(h: list[int], times: int, f: list[int], p: int) -> list[int]:
-    for _ in range(times):
-        h = _ppowmod(h, p, f, p)
-    return h
-
-
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f of degree d is irreducible over F_p iff x^{p^d} = x (mod f)
-    and gcd(x^{p^{d/l}} - x, f) is constant for every prime l | d."""
-    d = len(f) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    h = _frobenius(x, d, f, p)
-    if _ptrim(h[:]) != x:
-        return False
-    for ell in sympy.primefactors(d):
-        h = _frobenius(x, d // ell, f, p)
-        diff = h[:] + [0] * (2 - len(h))
+    """Ben-Or: monic f of degree d is irreducible over F_p iff
+    gcd(x^(p^i) - x, f) = 1 for 1 <= i <= d/2.  A reducible f with a factor
+    of small degree fails at a small i."""
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = _ppowmod(h, p, f, p)
+        diff = h + [0] * (2 - len(h))
         diff[1] = (diff[1] - 1) % p
-        g = _pgcd(f[:], _ptrim(diff), p)
-        if len(g) > 1:
+        if len(_pgcd(f[:], _ptrim(diff), p)) > 1:
             return False
     return True
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Smallest-encoding monic irreducible polynomial of degree d over F_p."""
+    """Smallest-encoding monic irreducible polynomial of degree d over F_p.
+    Blocks of candidates are evaluated at every point of F_p and those with a
+    root are dropped.  Without a root, a polynomial of degree d <= 3 is
+    irreducible; for d >= 4 the rootless candidates go to `_is_irreducible`
+    in order."""
     if d == 1:
         return (0, 1)  # x itself; reduction mod x plays no role for d=1
-    for low in range(p**d):
-        f = [(low // p**i) % p for i in range(d)] + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+    points = np.arange(p, dtype=np.int64)
+    block = max(1, _SIEVE_ENTRIES // p)
+    for lo in range(0, p**d, block):
+        lows = np.arange(lo, min(lo + block, p**d), dtype=np.int64)
+        values = np.ones((lows.size, p), dtype=np.int64)  # Horner, from x^d
+        for i in reversed(range(d)):
+            values *= points
+            values += (lows // p**i % p)[:, None]
+            values %= p
+        for low in lows[values.all(axis=1)].tolist():
+            f = [low // p**i % p for i in range(d)] + [1]
+            if d <= 3 or _is_irreducible(f, p):
+                return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
+
+
+def _digits(values: np.ndarray, p: int, d: int) -> np.ndarray:
+    """(n, d) base-p digits of n encodings, constant digit first."""
+    return values[:, None] // np.array([p**i for i in range(d)], dtype=np.int64) % p
+
+
+def _mul_matrices(values: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
+    """(n, d, d) float64 matrices over F_p of multiplication by n encodings
+    c: sum_i c_i X_i, with X_i = basis[i] that of x^i."""
+    d = len(basis)
+    mats = _digits(values, p, d) @ basis.reshape(d, d * d) % p
+    return mats.reshape(-1, d, d).astype(np.float64)
+
+
+def _power_matrices(modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """(d, d, d) int64 stack of the matrices over F_p of multiplication by
+    x^i, i < d, acting on digit column vectors: column j of the i-th holds
+    the digits of x^(i+j)."""
+    d = len(modulus) - 1
+    x = np.zeros((d, d), dtype=np.int64)
+    x[1:, :-1] = np.eye(d - 1, dtype=np.int64)
+    x[:, -1] = [-c % p for c in modulus[:-1]]  # x * x^(d-1) = x^d mod the modulus
+    mats = [np.eye(d, dtype=np.int64)]
+    for _ in range(d - 1):
+        mats.append(x @ mats[-1] % p)
+    return np.stack(mats)
+
+
+def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:
+    """mats^e over F_p for a stack of float64 matrices and e >= 1."""
+    power = None
+    while True:
+        if e & 1:
+            power = mats if power is None else _reduce(power @ mats, p)
+        e >>= 1
+        if not e:
+            return power
+        mats = _reduce(mats @ mats, p)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float64 array of integers in [0, 2^52).  The
+    floor of x / p is exact: the division is correctly rounded, so a
+    multiple of p gives its integer quotient, and otherwise the quotient
+    k + r/p, 0 < r < p, lies at least 1/p below k + 1 while its rounding
+    error is below 2^-53 * 2^52 / p."""
+    t = x / p
+    np.floor(t, out=t)
+    t *= p
+    x -= t
+    return x
 
 
 class FieldCtx:
     """Immutable description of F_q = F_p[x]/(modulus) with a fixed primitive
-    element g and full exp/log tables, as lists (`exp`, `log`) and as the
-    same read-only int64 arrays (`np_tables`), plus the read-only int32 Zech
-    table `np_zech` and the fused log update `log_muladd`, with zero's log
-    `log_zero`.  Safe to share across threads: two threads may both build
-    the update's tables on first use, with the same result."""
+    element g and full exp/log tables, as read-only int64 arrays
+    (`np_tables`) and as the same lists (`exp`, `log`) built on first use,
+    plus the read-only int32 Zech table `np_zech` and the fused log update
+    `log_muladd`, with zero's log `log_zero`.  Safe to share across threads:
+    two threads may both build a table that is made on first use, with the
+    same result."""
 
     def __init__(self, p: int, d: int):
         if d < 1:
@@ -165,77 +233,99 @@ class FieldCtx:
         self.p = p
         self.d = d
         self.q = q
+        # digit products summed over d terms stay exact in float64
+        assert d * (p - 1) ** 2 < 1 << 52
         self.modulus = _find_modulus(p, d)
         self.q1_factors = tuple(sorted(sympy.factorint(q - 1)))
         self._build_tables()
 
     # -- construction helpers --
 
-    def _poly_of(self, value: int) -> list[int]:
-        return _ptrim([(value // self.p**i) % self.p for i in range(self.d)])
-
-    def _value_of(self, poly: list[int]) -> int:
-        return sum(c * self.p**i for i, c in enumerate(poly))
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _pmul(self._poly_of(a), self._poly_of(b), self.p)
-        return self._value_of(_pmod(prod, list(self.modulus), self.p))
-
-    def _primitive_element(self) -> int:
+    def _primitive_element(self, basis: np.ndarray) -> int:
         """Smallest encoding whose order is exactly q-1.  For d >= 2 the
         encodings below p are constants, of order dividing p-1 < q-1.
-        Candidates are tested _CANDIDATES at a time: multiplication by c is
-        the d x d matrix sum_i c_i X_i over F_p, with X_i that of x^i, and c
-        is primitive iff no power (q-1)/l, for the primes l | q-1, of its
-        matrix is the identity.  The (C, d, d) stack is raised by repeated
-        squaring, reduced mod p after each product."""
+        Candidates are tested _CANDIDATES at a time: c is primitive iff no
+        power (q-1)/l, for the primes l | q-1, of its multiplication matrix
+        is the identity.  The primes share their squarings: the (C, d, d)
+        stack is raised to (q-1)/rad(q-1) once, and that to rad/l for each
+        l."""
         p, d, q = self.p, self.d, self.q
-        # digit products summed over d terms stay exact in int64
-        assert d * (p - 1) ** 2 < 1 << 63
-        weights = np.array([p**i for i in range(d)], dtype=np.int64)
-        basis = np.stack([self._mul_matrix(p**i) for i in range(d)]).reshape(d, d * d)
-        identity = np.eye(d, dtype=np.int64)
+        identity = np.eye(d)
+        rad = math.prod(self.q1_factors)
         for lo in range(2 if d == 1 else p, q, _CANDIDATES):
             cands = np.arange(lo, min(lo + _CANDIDATES, q), dtype=np.int64)
-            mats = (cands[:, None] // weights % p @ basis % p).reshape(-1, d, d)
+            base = _mat_pow(_mul_matrices(cands, basis, p), (q - 1) // rad, p)
             primitive = np.ones(cands.size, dtype=bool)
             for ell in self.q1_factors:
-                e, power, base = (q - 1) // ell, identity, mats
-                while e:
-                    if e & 1:
-                        power = power @ base % p
-                    base = base @ base % p
-                    e >>= 1
-                primitive &= (power != identity).any(axis=(1, 2))
+                primitive &= (_mat_pow(base, rad // ell, p) != identity).any(axis=(1, 2))
             if primitive.any():
                 return int(cands[primitive.argmax()])
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self) -> None:
         q1 = self.q - 1
-        g_val = self.g_val = self._primitive_element()
-        exp = self._exp_table(g_val)
+        basis = _power_matrices(self.modulus, self.p)
+        g_val = self.g_val = self._primitive_element(basis)
+        exp = self._exp_table(g_val, basis)
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
         zech = self._zech_table(exp, log)
         for table in (exp, log, zech):
             table.flags.writeable = False
-        # scalar paths index Python lists; vectorized paths share the arrays
-        self.exp = exp.tolist()
-        self.log = log.tolist()
         self.np_tables = (exp, log)
         self.np_zech = zech
         self.log_zero = 5 * q1
 
+    # scalar paths index Python lists, built on first use; vectorized paths
+    # share the arrays
+
+    @functools.cached_property
+    def exp(self) -> list[int]:
+        """exp[i] = g^i for 0 <= i < q-1, as a list of ints."""
+        return self.np_tables[0].tolist()
+
+    @functools.cached_property
+    def log(self) -> list[int]:
+        """log[g^i] = i, and log[0] = 0, as a list of ints."""
+        return self.np_tables[1].tolist()
+
+    def _exp_table(self, g_val: int, basis: np.ndarray) -> np.ndarray:
+        """exp[i] = g^i for 0 <= i < q-1, by doubling: exp[L:2L] = g^L exp[0:L].
+        Multiplication by g^L is F_p-linear, so each step multiplies a block
+        of the (d, q-1) base-p digit table by the d x d matrix M_L of g^L over
+        F_p, and M_2L = M_L^2.  The products run in float64, exact below
+        2^52.  The digits stay small integers through the doubling and are
+        encoded once at the end."""
+        p, d, q1 = self.p, self.d, self.q - 1
+        digits = np.zeros((d, q1), dtype=np.min_scalar_type(p - 1))
+        digits[0, 0] = 1
+        mat = _mul_matrices(np.array([g_val]), basis, p)[0]
+        step = 1
+        while step < q1:
+            count = min(step, q1 - step)
+            for lo in range(0, count, _TABLE_CHUNK):
+                hi = min(lo + _TABLE_CHUNK, count)
+                block = mat @ digits[:, lo:hi].astype(np.float64)
+                digits[:, step + lo:step + hi] = _reduce(block, p)
+            step *= 2
+            mat = _reduce(mat @ mat, p)
+        exp = np.zeros(q1, dtype=np.int64)
+        for row in digits[::-1]:
+            exp *= p
+            exp += row
+        return exp
+
     def _zech_table(self, exp: np.ndarray, log: np.ndarray) -> np.ndarray:
         """zech[i] = log(1 + g^i) as int32, with -1 at i = (q-1)/2, where
-        1 + g^i = 0.  Adding 1 changes only the constant digit."""
-        low = exp % self.p
-        one_plus = exp - low
-        low += 1
-        low %= self.p
-        one_plus += low
-        zech = log[one_plus].astype(np.int32)
+        1 + g^i = 0.  Adding 1 changes only the constant digit, which steps
+        up by one or wraps from p-1 to 0, so log(1 + v) over all encodings v
+        is the log table with each run of p entries rotated by one."""
+        p = self.p
+        runs = log.reshape(-1, p)
+        log_one_plus = np.empty(runs.shape, dtype=np.int32)
+        log_one_plus[:, :-1] = runs[:, 1:]
+        log_one_plus[:, -1] = runs[:, 0]
+        zech = log_one_plus.reshape(-1).take(exp)
         zech[(self.q - 1) // 2] = -1
         return zech
 
@@ -280,34 +370,6 @@ class FieldCtx:
         T = ext.take(T)
         T += A
         return norm.take(T)
-
-    def _mul_matrix(self, c: int) -> np.ndarray:
-        """Multiplication by c as a d x d matrix over F_p acting on digit
-        column vectors: column j holds the digits of c * x^j."""
-        p, d = self.p, self.d
-        cols = [self._raw_mul(c, p**j) for j in range(d)]
-        return np.array([[(col // p**i) % p for col in cols] for i in range(d)],
-                        dtype=np.int64)
-
-    def _exp_table(self, g_val: int) -> np.ndarray:
-        """exp[i] = g^i for 0 <= i < q-1, by doubling: exp[L:2L] = g^L exp[0:L]."""
-        p, d, q1 = self.p, self.d, self.q - 1
-        # digit products summed over d terms stay exact in int64
-        assert d * (p - 1) ** 2 < 1 << 63
-        weights = np.array([p**i for i in range(d)], dtype=np.int64)
-        exp = np.empty(q1, dtype=np.int64)
-        exp[0] = 1
-        step, g_step = 1, g_val  # g_step = g^step
-        while step < q1:
-            mat_t = self._mul_matrix(g_step).T
-            count = min(step, q1 - step)
-            for lo in range(0, count, _TABLE_CHUNK):
-                hi = min(lo + _TABLE_CHUNK, count)
-                digits = exp[lo:hi, None] // weights % p
-                exp[step + lo:step + hi] = (digits @ mat_t) % p @ weights
-            step *= 2
-            g_step = self._raw_mul(g_step, g_step)
-        return exp
 
     # -- raw arithmetic on canonical encodings (hot paths use these) --
 

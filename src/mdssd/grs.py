@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 import numpy as np
 
@@ -233,7 +234,8 @@ def assemble_self_dual_grs(
         raise ValueError("lambda must be nonzero")
     a.require_distinct()
     locs = all_locators(a)
-    target_logs = ctx.np_tables[1][locs] + ctx.log[lam]
+    log = ctx.np_tables[1]
+    target_logs = log[locs] + log[lam]
     v = ScalingVector(ctx, _square_root_weights(ctx, target_logs))
     k = n // 2
     G = grs_generator_matrix(a, v, k)
@@ -318,6 +320,31 @@ def _encodings(values, q: int, length: int, what: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _matrix(rows, q: int, k: int, n: int) -> np.ndarray:
+    """G as a read-only (k, n) int64 array, from a list of k lists of n ints
+    (bools excluded) in [0, q).  The entries are checked by one type pass
+    over all of them and one range check on the array; an error names the
+    first offending row."""
+    if not isinstance(rows, list) or len(rows) != k:
+        raise MalformedArtifact(f"G must be a list of k = {k} rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise MalformedArtifact(f"G row {i} must be a list of {n} entries")
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        i = next(i for i, row in enumerate(rows) if not set(map(type, row)) <= {int})
+        raise MalformedArtifact(f"G row {i} has an entry that is not an integer")
+    try:
+        G = np.array(rows, dtype=np.int64).reshape(k, n)
+    except OverflowError:  # clamped, an entry beyond int64 stays out of range
+        G = np.array([[min(max(x, -1), q) for x in row] for row in rows],
+                     dtype=np.int64).reshape(k, n)
+    if G.size and (G.min() < 0 or G.max() >= q):
+        i = int(((G < 0) | (G >= q)).any(axis=1).argmax())
+        raise MalformedArtifact(f"G row {i} has an entry outside [0, {q})")
+    G.flags.writeable = False
+    return G
+
+
 def artifact_from_dict(doc: dict) -> CodeArtifact:
     """Strict inverse of artifact_to_dict: every field element must be an
     encoding in [0, q), and the shapes must agree with n, k and the
@@ -336,11 +363,6 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
     points = _encodings(doc["a"], q, n - extended, f"a (n = {n}, extended = {extended})")
     a = EvalVector(ctx, points, extended)
     v = ScalingVector(ctx, _encodings(doc["v"], q, len(points), "v (len(a) entries)"))
-    rows = doc["G"]
-    if not isinstance(rows, list) or len(rows) != k:
-        raise MalformedArtifact(f"G must be a list of k = {k} rows")
-    G = np.array([_encodings(row, q, n, f"G row {i}") for i, row in enumerate(rows)],
-                 dtype=np.int64)
-    G.flags.writeable = False
+    G = _matrix(doc["G"], q, k, n)
     params = {key: val for key, val in cons.items() if key not in ("label", "extended")}
     return CodeArtifact(ctx, a, v, k, G, cons.get("label", "unknown"), params)

@@ -161,7 +161,7 @@ class VerificationReport:
 def _require_self_dual_shape(art: CodeArtifact) -> None:
     if art.n != 2 * art.k:
         raise DimensionMismatch(f"self-dual codes need n = 2k, got n={art.n}, k={art.k}")
-    if len(art.G) != art.k or any(len(row) != art.n for row in art.G):
+    if np.shape(art.G) != (art.k, art.n):
         raise DimensionMismatch("generator matrix shape does not match (k, n)")
 
 

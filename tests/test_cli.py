@@ -98,6 +98,21 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and doc["self_dual"] is True
 
 
+@pytest.mark.parametrize("mds", ["--mds", "--no-mds"])
+def test_verify_builds_no_table_lists(mds, tmp_path, capsys):
+    # verify reads the field's arrays only; the Python lists are built on
+    # first use, so a verify job never pays for them
+    from mdssd.field import make_field
+
+    out = tmp_path / "art.json"
+    run(capsys, "construct", "--q", "22801", "--theorem", "T1i", "--m", "6", "--t", "71",
+        "--no-mds", "--out", str(out))
+    make_field.cache_clear()
+    code, doc, _ = run(capsys, "verify", "--in", str(out), mds)
+    assert code == 0 and doc["self_dual"] is True
+    assert not {"exp", "log"} & set(vars(make_field(151, 2)))
+
+
 def test_verify_corrupted_artifact_exit_4(tmp_path, capsys):
     out = tmp_path / "art.json"
     run(capsys, "construct", "--q", "9", "--theorem", "T1ii",
@@ -191,6 +206,8 @@ MALFORMED = {
     "v-bool": _set(("v", 0), True),
     "G-minus-q": _set(("G", 1, 2), lambda x: x - 9),
     "G-plus-q": _set(("G", 1, 2), lambda x: x + 9),
+    "G-beyond-int64": _set(("G", 1, 2), 2**70),
+    "G-row-not-list": _set(("G", 1), 5),
     "a-out-of-range": _set(("a", 0), 9),
     "v-negative": _set(("v", 1), -1),
     "G-missing-row": _drop("G"),
@@ -303,11 +320,13 @@ def test_census_spot_check_beyond_build_budget_exit_3(monkeypatch, capsys):
     ("construct", "--p", "3", "--deg", "10000", "--theorem", "T4", "--e", "5000"),
     # q = 3^(10^9) is never computed
     ("construct", "--p", "3", "--deg", str(10**9), "--theorem", "T4", "--e", "1"),
+    # a valid field beyond the table budget exits 3 in every command
     ("field-info", "--p", "3", "--deg", str(10**9)),
+    ("field-info", "--p", "3", "--deg", "14"),
 ])
 def test_huge_fields_exit_without_traceback(argv, capsys):
     code, doc, _ = run(capsys, *argv)
-    assert code == (2 if argv[0] == "field-info" else 3)
+    assert code == 3
     assert "budget" in doc["error"] and len(doc["error"]) < 200
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -18,7 +19,12 @@ from mdssd.errors import (
     ZeroElement,
 )
 from mdssd.field import (
+    FieldCtx,
     FieldElement,
+    _find_modulus,
+    _is_irreducible,
+    _pmod,
+    _pmul,
     element_order,
     make_field,
     quadratic_character,
@@ -211,11 +217,24 @@ REFERENCE_FIELDS = {
     (5, 1): ((0, 1), 2),
     (1009, 1): ((0, 1), 11),
     (3, 2): ((1, 0, 1), 4),
+    (13, 2): ((2, 0, 1), 15),
     (7, 3): ((2, 0, 0, 1), 22),
+    (5, 4): ((2, 0, 0, 0, 1), 6),
     (3, 5): ((1, 2, 0, 0, 0, 1), 3),
     (151, 2): ((1, 0, 1), 160),
     (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34),
 }
+
+
+def _raw_mul(ctx, a, b):
+    """Oracle: a * b by the polynomial product of the digits mod the modulus."""
+    p = ctx.p
+    prod = _pmul(_coeffs(a, p, ctx.d), _coeffs(b, p, ctx.d), p)
+    return sum(c * p**i for i, c in enumerate(_pmod(prod, list(ctx.modulus), p)))
+
+
+def _coeffs(value, p, d):
+    return [value // p**i % p for i in range(d)]
 
 
 def _scalar_tables(ctx):
@@ -224,7 +243,7 @@ def _scalar_tables(ctx):
     acc = 1
     for i in range(ctx.q - 1):
         exp[i] = acc
-        acc = ctx._raw_mul(acc, ctx.g_val)
+        acc = _raw_mul(ctx, acc, ctx.g_val)
     log = [0] * ctx.q
     for i, v in enumerate(exp):
         log[v] = i
@@ -247,8 +266,8 @@ def _scalar_pow(ctx, a, e):
     result = 1
     while e:
         if e & 1:
-            result = ctx._raw_mul(result, a)
-        a = ctx._raw_mul(a, a)
+            result = _raw_mul(ctx, result, a)
+        a = _raw_mul(ctx, a, a)
         e >>= 1
     return result
 
@@ -307,3 +326,65 @@ def test_scalar_addition_matches_digitwise_oracle(p, d):
         assert ctx.sub_v(a, b) == _digitwise(ctx, a, b, -1)
     assert all(ctx.sub_v(a, a) == 0 for a, _ in pairs)
     assert all(ctx.neg_v(b) == _digitwise(ctx, 0, b, -1) for _, b in pairs)
+
+
+def _trial_irreducible(f, p):
+    """Oracle: monic f of degree d is irreducible iff no monic polynomial of
+    degree 1 <= e <= d/2 divides it."""
+    d = len(f) - 1
+    for e in range(1, d // 2 + 1):
+        for low in range(p**e):
+            if not _pmod(f, _coeffs(low, p, e) + [1], p):
+                return False
+    return True
+
+
+def _first_irreducible(p, d):
+    return next(tuple(f) for f in (_coeffs(low, p, d) + [1] for low in range(p**d))
+                if _trial_irreducible(f, p))
+
+
+# degree 2 to 12; for d <= 3 the root sieve decides alone
+MODULUS_FIELDS = [(3, 2), (5, 2), (151, 2), (1021, 2), (3, 3), (7, 3), (3, 4), (5, 4), (3, 5),
+                  (3, 6), (5, 6), (3, 7), (3, 8), (5, 8), (3, 9), (3, 10), (3, 11), (3, 12)]
+
+
+@pytest.mark.parametrize("p,d", MODULUS_FIELDS)
+def test_modulus_is_first_candidate_passing_trial_division(p, d):
+    assert _find_modulus(p, d) == _first_irreducible(p, d)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (3, 4), (3, 5), (3, 6), (5, 3), (5, 4), (7, 4)])
+def test_irreducibility_test_matches_trial_division(p, d):
+    for low in range(p**d):
+        f = _coeffs(low, p, d) + [1]
+        assert _is_irreducible(f, p) == _trial_irreducible(f, p), f
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (1009, 1), (3, 2), (7, 3), (151, 2), (3, 10)])
+def test_lists_are_built_on_first_use_from_the_arrays(p, d):
+    ctx = FieldCtx(p, d)
+    assert "exp" not in vars(ctx) and "log" not in vars(ctx)
+    for table, array in zip((ctx.exp, ctx.log), ctx.np_tables):
+        assert type(table) is list and set(map(type, table)) == {int}
+        assert table == array.tolist()
+    assert ctx.exp is ctx.exp and ctx.log is ctx.log
+
+
+# tracemalloc peak in bytes of FieldCtx(p, d) plus both lists, measured in a
+# fresh process on the code before the tables were built on digit arrays;
+# the arrays and the lists then made up the whole peak
+PEAK_BYTES = {(3, 10): 5_890_808, (151, 2): 2_265_720, (3, 12): 53_130_008}
+
+
+@pytest.mark.parametrize("p,d", sorted(PEAK_BYTES))
+def test_table_set_up_peak_memory(p, d):
+    FieldCtx(3, 2).log  # one-time allocations of numpy are not the field's
+    tracemalloc.start()
+    try:
+        ctx = FieldCtx(p, d)
+        ctx.exp, ctx.log
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BYTES[(p, d)]

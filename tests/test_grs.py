@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 import mdssd.grs as grs
+from mdssd.constructions import build
 from mdssd.errors import (
     DimensionMismatch,
     DuplicatePoint,
@@ -166,6 +168,31 @@ def test_artifact_from_dict_rejects_foreign_modulus():
     doc["modulus"] = [2, 0, 1]
     with pytest.raises(ValueError):
         artifact_from_dict(doc)
+
+
+@pytest.mark.parametrize("bad,error", [
+    ("6", "that is not an integer"), (6.0, "that is not an integer"),
+    (True, "that is not an integer"), (None, "that is not an integer"),
+    (-1, "outside [0, 9)"), (9, "outside [0, 9)"),
+    (2**70, "outside [0, 9)"), (-2**70, "outside [0, 9)"),
+])
+def test_artifact_from_dict_names_first_offending_row(bad, error):
+    art, _ = build("T1ii", 3, 2, m=2, t=2)  # an extended [6, 3] code
+    doc = artifact_to_dict(art)
+    G = doc["G"]
+    G[1][2] = G[2][0] = bad
+    with pytest.raises(ValueError, match=rf"G row 1 has an entry {re.escape(error)}"):
+        artifact_from_dict(doc)
+    G[1] = G[1][:-1]
+    with pytest.raises(ValueError, match="G row 1 must be a list of 6 entries"):
+        artifact_from_dict(doc)
+
+
+def test_artifact_from_dict_g_is_a_read_only_k_by_n_array():
+    art, _ = build("T1ii", 3, 2, m=2, t=2)
+    back = artifact_from_dict(artifact_to_dict(art))
+    assert back.G.shape == (3, 6) and back.G.dtype == np.int64
+    assert not back.G.flags.writeable and back.G.tolist() == art.G.tolist()
 
 
 # --- log kernels against the scalar oracles ---
