@@ -157,17 +157,13 @@ def _find_modulus(p: int, d: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def _digits(values: np.ndarray, p: int, d: int) -> np.ndarray:
-    """(n, d) base-p digits of n encodings, constant digit first."""
-    return values[:, None] // np.array([p**i for i in range(d)], dtype=np.int64) % p
-
-
 def _mul_matrices(values: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
     """(n, d, d) float64 matrices over F_p of multiplication by n encodings
-    c: sum_i c_i X_i, with X_i = basis[i] that of x^i."""
+    c: sum_i c_i X_i, with c_i the base-p digits of c and X_i = basis[i]
+    that of x^i."""
     d = len(basis)
-    mats = _digits(values, p, d) @ basis.reshape(d, d * d) % p
-    return mats.reshape(-1, d, d).astype(np.float64)
+    digits = values[:, None] // np.array([p**i for i in range(d)], dtype=np.int64) % p
+    return (digits @ basis.reshape(d, d * d) % p).reshape(-1, d, d).astype(np.float64)
 
 
 def _power_matrices(modulus: tuple[int, ...], p: int) -> np.ndarray:

@@ -98,19 +98,22 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and doc["self_dual"] is True
 
 
-@pytest.mark.parametrize("mds", ["--mds", "--no-mds"])
-def test_verify_builds_no_table_lists(mds, tmp_path, capsys):
-    # verify reads the field's arrays only; the Python lists are built on
-    # first use, so a verify job never pays for them
+@pytest.mark.parametrize("q,theorem,params,p,d,mds", [
+    ("22801", "T1i", ["--m", "6", "--t", "71"], 151, 2, "--no-mds"),
+    ("81", "T4", ["--e", "1"], 3, 4, "--mds"),
+])
+def test_verify_builds_no_table_lists(q, theorem, params, p, d, mds, tmp_path, capsys):
+    # verify reads the field's arrays only, the MDS oracles included; the
+    # Python lists are built on first use, so a verify job never pays for them
     from mdssd.field import make_field
 
     out = tmp_path / "art.json"
-    run(capsys, "construct", "--q", "22801", "--theorem", "T1i", "--m", "6", "--t", "71",
-        "--no-mds", "--out", str(out))
+    run(capsys, "construct", "--q", q, "--theorem", theorem, *params, "--no-mds",
+        "--out", str(out))
     make_field.cache_clear()
     code, doc, _ = run(capsys, "verify", "--in", str(out), mds)
     assert code == 0 and doc["self_dual"] is True
-    assert not {"exp", "log"} & set(vars(make_field(151, 2)))
+    assert not {"exp", "log"} & set(vars(make_field(p, d)))
 
 
 def test_verify_corrupted_artifact_exit_4(tmp_path, capsys):
