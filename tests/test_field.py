@@ -328,15 +328,22 @@ def test_scalar_addition_matches_digitwise_oracle(p, d):
     assert all(ctx.neg_v(b) == _digitwise(ctx, 0, b, -1) for _, b in pairs)
 
 
+def _divides(h, f, p):
+    """Whether monic h divides f over F_p, by schoolbook long division."""
+    rem = f[:]
+    for top in range(len(f) - 1, len(h) - 2, -1):
+        c = rem[top]
+        for i, hi in enumerate(h):
+            rem[top - len(h) + 1 + i] = (rem[top - len(h) + 1 + i] - c * hi) % p
+    return not any(rem)
+
+
 def _trial_irreducible(f, p):
     """Oracle: monic f of degree d is irreducible iff no monic polynomial of
     degree 1 <= e <= d/2 divides it."""
     d = len(f) - 1
-    for e in range(1, d // 2 + 1):
-        for low in range(p**e):
-            if not _pmod(f, _coeffs(low, p, e) + [1], p):
-                return False
-    return True
+    return not any(_divides(_coeffs(low, p, e) + [1], f, p)
+                   for e in range(1, d // 2 + 1) for low in range(p**e))
 
 
 def _first_irreducible(p, d):
