@@ -3,7 +3,8 @@
 `locked_digests.json` holds sha256 digests, each recorded from the code
 before the refactor it guards: `fields` before the table set-up moved onto
 digit arrays, `large` before assembly moved onto logarithms, the others
-before the coset constructors and the hypothesis checks were merged.
+before the coset constructors and the hypothesis checks were merged,
+`cli_census` before the census command read the report's counts.
 
 - `fields`: the modulus, primitive element and exp, log and Zech tables of
   fourteen fields, degree 1 to 12, from q = 3 to q = 3^12;
@@ -11,6 +12,9 @@ before the coset constructors and the hypothesis checks were merged.
 - `sweep`: every artifact of the acceptance sweep (q <= 289, n <= 128), each
   serialized with its trace, in `iter_valid_params` order;
 - `census`: `census_report(q, bound).to_dict()` for four (q, bound) pairs;
+- `cli_census`: the stdout of `mdssd census` for q = 25, 83^2 and 151^2
+  with each `--rows` choice, with and without `--list`, and for q = 25 with
+  a spot-check bound;
 - `large`: the output file of `mdssd construct --no-mds` for six codes
   over q = 151^2 and q = 3^10, with n up to 1006, where n^2 exceeds the
   2^19-entry blocks in which vectorized kernels split their work;
@@ -24,7 +28,9 @@ accepts with n <= n_max are exactly those `iter_valid_params` yields.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -44,6 +50,10 @@ LOCKED = json.loads((Path(__file__).parent / "locked_digests.json").read_text())
 SWEEP_Q = (9, 25, 49, 81, 121, 169, 289)
 SWEEP_N_MAX = 128
 CENSUS_CASES = ((9, 16), (25, 16), (6889, 128), (22801, 128))
+CLI_CENSUS_ARGS = tuple(
+    ("--q", str(q), "--rows", rows, *listing)
+    for q in (25, 6889, 22801) for rows in ("prior", "new", "all") for listing in ((), ("--list",))
+) + (("--q", "25", "--spot-check-bound", "16"),)
 # (q, theorem, parameters): T2 n = 1006, T4 n = 730 and the benchmark's
 # construct-large codes
 LARGE_CODES = (
@@ -98,6 +108,13 @@ def sweep_digests() -> list[list[str]]:
 def census_digests() -> dict[str, str]:
     return {f"{q},{bound}": _sha(to_json(census_report(q, bound).to_dict()))
             for q, bound in CENSUS_CASES}
+
+
+def cli_census_digest(args: tuple[str, ...]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["census", *args]) == 0
+    return _sha(out.getvalue())
 
 
 def large_digest(q: int, theorem: str, params: dict, path: Path) -> str:
@@ -169,6 +186,11 @@ def test_sweep_artifacts_match_locked_digests():
 def test_census_report_matches_locked_digest(q, bound):
     digest = _sha(to_json(census_report(q, bound).to_dict()))
     assert digest == LOCKED["census"][f"{q},{bound}"]
+
+
+@pytest.mark.parametrize("args", CLI_CENSUS_ARGS, ids=" ".join)
+def test_cli_census_output_matches_locked_digest(args):
+    assert cli_census_digest(args) == LOCKED["cli_census"][" ".join(args)]
 
 
 @pytest.mark.parametrize("q,theorem,params", LARGE_CODES,
