@@ -240,19 +240,17 @@ class CensusReport:
             "union": len(self.lengths_union),
         }
 
-    def to_dict(self, include_lengths: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "q": self.q,
             "prior_count": len(self.lengths_prior),
             "new_count": len(self.lengths_new),
             "union_count": len(self.lengths_union),
             "spot_checks": {str(n): v for n, v in sorted(self.spot_checks.items())},
+            "prior": list(self.lengths_prior),
+            "new": list(self.lengths_new),
+            "per_rule": {rid: list(ns) for rid, ns in sorted(self.per_rule.items())},
         }
-        if include_lengths:
-            out["prior"] = list(self.lengths_prior)
-            out["new"] = list(self.lengths_new)
-            out["per_rule"] = {rid: list(ns) for rid, ns in sorted(self.per_rule.items())}
-        return out
 
 
 def _check_mod4(q: int, lengths) -> None:

@@ -160,20 +160,21 @@ def cmd_census(args) -> int:
         return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
     except SpotCheckFailed as ex:
         return _fail(EXIT_VERIFICATION, str(ex), args.out)
-    prior, new = set(rep.lengths_prior), set(rep.lengths_new)
-    chosen = {"prior": prior, "new": new, "all": prior | new}[args.rows]
+    chosen = {"prior": rep.lengths_prior, "new": rep.lengths_new,
+              "all": rep.lengths_union}[args.rows]
+    counts = rep.counts
     doc = {
         "q": args.q,
         "rows": args.rows,
         "count": len(chosen),
-        "prior_count": len(prior),
-        "new_count": len(new),
-        "union_count": len(prior | new),
+        "prior_count": counts["prior"],
+        "new_count": counts["new"],
+        "union_count": counts["union"],
     }
     if rep.spot_checks:
         doc["spot_checks"] = {str(n): v for n, v in sorted(rep.spot_checks.items())}
     if args.list:
-        doc["lengths"] = sorted(chosen)
+        doc["lengths"] = list(chosen)
     _emit(doc, args.out)
     return EXIT_OK
 

@@ -307,12 +307,9 @@ def _stride(params: ConstructionParams) -> int:
 def _coset_points(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> list[int]:
     """Points g^{k(q-1)/m + stride*z}, z over I (outer), 0 <= k < m (inner)."""
     q1 = ctx.q - 1
-    step = q1 // m
-    return [
-        ctx.exp[(k * step + stride * z) % q1]
-        for z in I
-        for k in range(m)
-    ]
+    z = np.array(I, dtype=np.int64)[:, None]
+    logs = np.arange(m, dtype=np.int64) * (q1 // m) + stride * z
+    return ctx.np_tables[0][logs % q1].ravel().tolist()
 
 
 def _u_products(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> dict[int, int]:
@@ -350,7 +347,7 @@ def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> Built:
     if a.extended:
         art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
     else:
-        lam = 1 if th == "T3i" else ctx.exp[((r + 1) * (t - 1) // 2 - m * A) % (ctx.q - 1)]
+        lam = 1 if th == "T3i" else ctx.pow_v(ctx.g_val, (r + 1) * (t - 1) // 2 - m * A)
         art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict())
     trace = ConstructionTrace(ctx, params, I=I, A=A, lam=lam, locators=locs,
                               u=_u_products(ctx, stride, m, I),
@@ -457,7 +454,7 @@ def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i:
     if th in ("T1i", "T2", "T3i"):
         zi, k = divmod(i, m)
         z = trace.I[zi]
-        alpha = ctx.exp[(k * (q1 // m) + stride * z) % q1]
+        alpha = ctx.pow_v(ctx.g_val, k * (q1 // m) + stride * z)
         return ctx.mul_v(
             ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, m - 1)), trace.u[z]
         )
@@ -465,14 +462,14 @@ def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i:
         if i == 0:
             acc = 1
             for l in trace.I:
-                acc = ctx.mul_v(acc, ctx.exp[stride * l * m % q1])
+                acc = ctx.mul_v(acc, ctx.pow_v(ctx.g_val, stride * l * m))
             if (m + 1) * params.t % 2 == 1:
                 acc = ctx.neg_v(acc)
             return acc
         zi, k = divmod(i - 1, m)
         z = trace.I[zi]
         return ctx.mul_v(
-            ctx.mul_v(ctx.int_v(m), ctx.exp[stride * z * m % q1]), trace.u[z]
+            ctx.mul_v(ctx.int_v(m), ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
         )
     if th == "T4":
         pe = len(trace.S)

@@ -5,10 +5,11 @@ code constructions depend on.
 Elements are canonically encoded as integers value(x) = sum(coeffs[i] * p^i)
 with coefficients constant-term first.  Fields small enough to materialize
 carry full exp/log tables for the multiplicative group, making mul/div/pow
-O(1).  Addition is the integer sum mod p in a prime field.  Otherwise
-a + b = a (1 + b/a), and the encoding of 1 + b/a differs from that of b/a
-only in the constant digit, so addition costs a few table lookups and no
-digit loop; a - b adds -b = g^(log b + (q-1)/2).
+O(1).  Addition is written once, as the Zech table zech[i] = log(1 + g^i):
+g^a + g^b = g^(a + zech[b - a]), where zech[(q-1)/2] = -1 marks
+1 + g^((q-1)/2) = 0, and a - b adds -b = g^(log b + (q-1)/2).  Scalar
+methods index read-only memoryviews of the tables, which give Python ints
+without a copy; vectorized code gathers from the same arrays.
 
 Set-up runs in a few numpy passes.  The modulus search evaluates blocks of
 candidate polynomials at every point of F_p and drops those with a root; of
@@ -20,13 +21,9 @@ known, the next L entries are g^L times them.  Multiplication by a fixed
 element is F_p-linear, so each step multiplies a block of the base-p digit
 table, kept as small integers throughout, by the d x d matrix of g^L, and
 squares that matrix for the next step; the digits are encoded once at the
-end.  The log table is the inverse permutation, filled by one scatter.  The
-Python lists `exp` and `log`, which scalar paths index, are built on first
-use, so a job that reads only the arrays never builds them.  The Zech table
-holds zech[i] = log(1 + g^i), so that vectorized code adds two nonzero
-elements as g^a + g^b = g^(a + zech[b - a]); zech[(q-1)/2] = -1 marks
-1 + g^((q-1)/2) = 0.  Adding 1 changes only the constant digit, so it is the
-log table with each run of p entries rotated by one, gathered at exp.
+end.  The log table is the inverse permutation, filled by one scatter.
+Adding 1 changes only the constant digit, so the Zech table is the log
+table with each run of p entries rotated by one, gathered at exp.
 `log_muladd` folds the Zech lookup, zero handling and reduction of
 A <- A + F (x) R on int32 logs into two gathers from tables built on first
 use.
@@ -208,11 +205,11 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
 class FieldCtx:
     """Immutable description of F_q = F_p[x]/(modulus) with a fixed primitive
     element g and full exp/log tables, as read-only int64 arrays
-    (`np_tables`) and as the same lists (`exp`, `log`) built on first use,
-    plus the read-only int32 Zech table `np_zech` and the fused log update
-    `log_muladd`, with zero's log `log_zero`.  Safe to share across threads:
-    two threads may both build a table that is made on first use, with the
-    same result."""
+    (`np_tables`), plus the read-only int32 Zech table `np_zech` and the
+    fused log update `log_muladd`, with zero's log `log_zero`.  Each table is
+    held once; the scalar methods read it through a read-only memoryview.
+    Safe to share across threads: two threads may both build the tables of
+    `log_muladd`, which are made on first use, with the same result."""
 
     def __init__(self, p: int, d: int):
         if d < 1:
@@ -271,19 +268,8 @@ class FieldCtx:
         self.np_tables = (exp, log)
         self.np_zech = zech
         self.log_zero = 5 * q1
-
-    # scalar paths index Python lists, built on first use; vectorized paths
-    # share the arrays
-
-    @functools.cached_property
-    def exp(self) -> list[int]:
-        """exp[i] = g^i for 0 <= i < q-1, as a list of ints."""
-        return self.np_tables[0].tolist()
-
-    @functools.cached_property
-    def log(self) -> list[int]:
-        """log[g^i] = i, and log[0] = 0, as a list of ints."""
-        return self.np_tables[1].tolist()
+        # indexing a memoryview gives a Python int, faster than ndarray.item
+        self._exp, self._log, self._zech = map(memoryview, (exp, log, zech))
 
     def _exp_table(self, g_val: int, basis: np.ndarray) -> np.ndarray:
         """exp[i] = g^i for 0 <= i < q-1, by doubling: exp[L:2L] = g^L exp[0:L].
@@ -370,28 +356,21 @@ class FieldCtx:
     # -- raw arithmetic on canonical encodings (hot paths use these) --
 
     def add_v(self, a: int, b: int) -> int:
-        if self.d == 1:
-            return (a + b) % self.p
-        return a if b == 0 else self._add_power(a, self.log[b])
+        return a if b == 0 else self._add_power(a, self._log[b])
 
     def sub_v(self, a: int, b: int) -> int:
-        if self.d == 1:
-            return (a - b) % self.p
         # -b = g^(log b + (q-1)/2)
-        return a if b == 0 else self._add_power(a, self.log[b] + (self.q - 1) // 2)
+        return a if b == 0 else self._add_power(a, self._log[b] + (self.q - 1) // 2)
 
     def _add_power(self, a: int, e: int) -> int:
-        """a + g^e for an encoding a: a + g^e = a (1 + t) with t = g^e / a,
-        and the encoding of 1 + t differs from that of t only in the
-        constant digit."""
+        """a + g^e for an encoding a = g^la: g^(la + zech[e - la]), or 0
+        where zech is -1."""
         q1 = self.q - 1
         if a == 0:
-            return self.exp[e % q1]
-        la = self.log[a]
-        t = self.exp[(e - la) % q1]
-        low = t % self.p
-        one_plus = t - low + (low + 1) % self.p
-        return 0 if one_plus == 0 else self.exp[(la + self.log[one_plus]) % q1]
+            return self._exp[e % q1]
+        la = self._log[a]
+        z = self._zech[(e - la) % q1]
+        return 0 if z < 0 else self._exp[(la + z) % q1]
 
     def neg_v(self, a: int) -> int:
         return self.sub_v(0, a)
@@ -399,12 +378,12 @@ class FieldCtx:
     def mul_v(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv_v(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero()
-        return self.exp[-self.log[a] % (self.q - 1)]
+        return self._exp[-self._log[a] % (self.q - 1)]
 
     def div_v(self, a: int, b: int) -> int:
         return self.mul_v(a, self.inv_v(b))
@@ -414,7 +393,7 @@ class FieldCtx:
             if e < 0:
                 raise ZeroToNegativePower()
             return 1 if e == 0 else 0
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
+        return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def int_v(self, c: int) -> int:
         """Encoding of the integer c viewed in the prime subfield."""

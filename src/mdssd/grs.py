@@ -106,8 +106,9 @@ def locator(a: EvalVector, i: int) -> int:
     return out
 
 
-# Entries per row block of the locator kernel (4 MB as 8-byte values), so
-# that its memory does not grow with n^2.
+# Entries per row block (4 MB as 8-byte values) of the locator kernel and
+# of G here, and of the Gram, digit-plane and minors blocks in `verify`, so
+# that their memory does not grow with n^2, d * k * n or C(n, k).
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -224,22 +225,9 @@ def assemble_self_dual_grs(
 
     Returns the artifact together with the computed locators (callers cache
     them in the construction trace)."""
-    ctx = a.ctx
-    n = a.n
     if a.extended:
         raise DimensionMismatch("plain assembly got an extended evaluation vector")
-    if n % 2 != 0:
-        raise OddLength(n)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    a.require_distinct()
-    locs = all_locators(a)
-    log = ctx.np_tables[1]
-    target_logs = log[locs] + log[lam]
-    v = ScalingVector(ctx, _square_root_weights(ctx, target_logs))
-    k = n // 2
-    G = grs_generator_matrix(a, v, k)
-    return CodeArtifact(ctx, a, v, k, G, label, params or {}), locs
+    return _assemble(a, lam, label, params)
 
 
 def assemble_self_dual_xgrs(
@@ -248,19 +236,28 @@ def assemble_self_dual_xgrs(
     """Extended assembly: requires -L(a_i) to be a nonzero square at every
     finite point, then sets v_i = sqrt(-1 / L(a_i)); the infinity coordinate
     keeps weight 1."""
-    ctx = a.ctx
     if not a.extended:
         raise DimensionMismatch("extended assembly needs the extended flag set")
+    return _assemble(a, None, label, params)
+
+
+def _assemble(a: EvalVector, lam: int | None, label: str, params: dict | None
+              ) -> tuple[CodeArtifact, list[int]]:
+    """The body of both assemblies; lam is None for the extended code, whose
+    targets are -L(a_i) = g^(log L(a_i) + (q-1)/2)."""
+    ctx = a.ctx
     n = a.n
     if n % 2 != 0:
         raise OddLength(n)
+    if lam == 0:
+        raise ValueError("lambda must be nonzero")
     a.require_distinct()
     locs = all_locators(a)
-    # -L = g^(log L + (q-1)/2)
-    target_logs = ctx.np_tables[1][locs] + (ctx.q - 1) // 2
-    v = ScalingVector(ctx, _square_root_weights(ctx, target_logs))
+    log = ctx.np_tables[1]
+    shift = (ctx.q - 1) // 2 if a.extended else log[lam]
+    v = ScalingVector(ctx, _square_root_weights(ctx, log[locs] + shift))
     k = n // 2
-    G = xgrs_generator_matrix(a, v, k)
+    G = (xgrs_generator_matrix if a.extended else grs_generator_matrix)(a, v, k)
     return CodeArtifact(ctx, a, v, k, G, label, params or {}), locs
 
 
@@ -288,14 +285,13 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
 
 
 def _json_rows(ctx: FieldCtx, G: np.ndarray) -> list[list[int]]:
-    """G.tolist(), with each entry the int object that the field's exp table
-    already holds, so that the k*n entries cost a list pointer each and not
+    """G.tolist().  When G has at least q entries, they share the q int
+    objects 0..q-1, so that the k*n entries cost a list pointer each and not
     a new int object each (32 bytes more per entry at the peak of a large
     artifact's serialization)."""
-    ints = np.empty(ctx.q, dtype=object)
-    ints[0] = 0
-    ints[ctx.np_tables[0]] = ctx.exp
-    return ints[G].tolist()
+    if G.size < ctx.q:
+        return G.tolist()
+    return np.arange(ctx.q).astype(object)[G].tolist()
 
 
 def to_json(obj: dict) -> str:

@@ -98,22 +98,36 @@ def test_construct_verify_roundtrip(tmp_path, capsys):
     assert code == 0 and doc["self_dual"] is True
 
 
-@pytest.mark.parametrize("q,theorem,params,p,d,mds", [
-    ("22801", "T1i", ["--m", "6", "--t", "71"], 151, 2, "--no-mds"),
-    ("81", "T4", ["--e", "1"], 3, 4, "--mds"),
-])
-def test_verify_builds_no_table_lists(q, theorem, params, p, d, mds, tmp_path, capsys):
-    # verify reads the field's arrays only, the MDS oracles included; the
-    # Python lists are built on first use, so a verify job never pays for them
+# one job per theorem over F_49, with the MDS oracles wherever their budgets
+# allow, and a mid-size code over F_151^2
+NO_LIST_JOBS = (
+    ("49", "T1i", "--m", "3", "--t", "4"),
+    ("49", "T1ii", "--m", "2", "--t", "3"),
+    ("49", "T2", "--m", "3", "--t", "3"),
+    ("49", "T3i", "--m", "4", "--t", "3", "--s", "2"),
+    ("49", "T3ii", "--m", "2", "--t", "4", "--s", "2"),
+    ("49", "T4", "--e", "1"),
+    ("49", "T5", "--t", "1", "--e", "1", "--k", "1"),
+    ("22801", "T1i", "--m", "6", "--t", "71"),
+)
+
+
+def test_construct_and_verify_build_no_table_lists(tmp_path, capsys):
+    # scalar arithmetic reads the field's arrays, so no job builds a
+    # q-entry Python list
     from mdssd.field import make_field
 
-    out = tmp_path / "art.json"
-    run(capsys, "construct", "--q", q, "--theorem", theorem, *params, "--no-mds",
-        "--out", str(out))
     make_field.cache_clear()
-    code, doc, _ = run(capsys, "verify", "--in", str(out), mds)
-    assert code == 0 and doc["self_dual"] is True
-    assert not {"exp", "log"} & set(vars(make_field(p, d)))
+    out = tmp_path / "art.json"
+    for q, theorem, *params in NO_LIST_JOBS:
+        code, _, _ = run(capsys, "construct", "--q", q, "--theorem", theorem, *params,
+                         "--out", str(out))
+        assert code == 0, (theorem, params)
+        code, doc, _ = run(capsys, "verify", "--in", str(out))
+        assert code == 0 and doc["self_dual"] is True, (theorem, params)
+    for p, d in ((7, 2), (151, 2)):
+        assert not [key for key, value in vars(make_field(p, d)).items()
+                    if isinstance(value, list)]
 
 
 def test_verify_corrupted_artifact_exit_4(tmp_path, capsys):

@@ -230,7 +230,7 @@ def test_u_product_power_identity():
         sign = 1 if (t - 1) % 2 == 0 else ctx.neg_v(1)
         for z, uz in trace.u.items():
             expect = ctx.mul_v(
-                sign, ctx.exp[(-(trace.A + (t - 2) * z) * (r - 1) * m) % q1]
+                sign, int(ctx.np_tables[0][(-(trace.A + (t - 2) * z) * (r - 1) * m) % q1])
             )
             assert ctx.pow_v(uz, r - 1) == expect
 

@@ -247,7 +247,7 @@ def test_log_muladd_exhaustive(p, d):
     zero.  Once per a, and once with a leading batch axis over a."""
     ctx = make_field(p, d)
     q, q1 = ctx.q, ctx.q - 1
-    log = [ctx.log_zero] + [ctx.log[x] for x in range(1, q)]
+    log = [ctx.log_zero] + ctx.np_tables[1][1:].tolist()
     f_values, f_logs = [], []
     for f in range(q):
         reps = [4 * q1, 5 * q1, 6 * q1 - 1] if f == 0 else [log[f], log[f] + q1]
