@@ -130,6 +130,24 @@ def test_construct_and_verify_build_no_table_lists(tmp_path, capsys):
                     if isinstance(value, list)]
 
 
+@pytest.mark.parametrize("q,theorem,params,p,d,mds", [
+    ("22801", "T1i", ["--m", "6", "--t", "71"], 151, 2, "--no-mds"),
+    ("81", "T4", ["--e", "1"], 3, 4, "--mds"),
+])
+def test_verify_builds_no_table_lists(q, theorem, params, p, d, mds, tmp_path, capsys):
+    # verify alone, on a fresh field cache, the MDS oracles included
+    from mdssd.field import make_field
+
+    out = tmp_path / "art.json"
+    run(capsys, "construct", "--q", q, "--theorem", theorem, *params, "--no-mds",
+        "--out", str(out))
+    make_field.cache_clear()
+    code, doc, _ = run(capsys, "verify", "--in", str(out), mds)
+    assert code == 0 and doc["self_dual"] is True
+    assert not [key for key, value in vars(make_field(p, d)).items()
+                if isinstance(value, list)]
+
+
 def test_verify_corrupted_artifact_exit_4(tmp_path, capsys):
     out = tmp_path / "art.json"
     run(capsys, "construct", "--q", "9", "--theorem", "T1ii",

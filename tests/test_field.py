@@ -368,6 +368,23 @@ def test_irreducibility_test_matches_trial_division(p, d):
         assert _is_irreducible(f, p) == _trial_irreducible(f, p), f
 
 
+@pytest.mark.parametrize("p,d", [(3, 1), (1009, 1), (3, 2), (7, 3), (151, 2), (3, 10)])
+def test_lists_are_built_on_first_use_from_the_arrays(p, d):
+    # the scalar methods once read exp/log lists built on first use from the
+    # arrays; they now read read-only views of the arrays, and no list is built
+    ctx = FieldCtx(p, d)
+    for view, array in zip((ctx._exp, ctx._log, ctx._zech), (*ctx.np_tables, ctx.np_zech)):
+        assert view.readonly and view.obj is array
+        assert view.tolist() == array.tolist()
+        assert type(view[-1]) is int
+    rng = random.Random(p * 100 + d)
+    for _ in range(200):
+        a, b = rng.randrange(ctx.q), rng.randrange(1, ctx.q)
+        assert ctx.sub_v(ctx.add_v(a, b), b) == a
+        assert ctx.div_v(ctx.mul_v(a, b), b) == a
+    assert not [key for key, value in vars(ctx).items() if isinstance(value, list)]
+
+
 # tracemalloc peak in bytes of FieldCtx(p, d) plus exp and log Python lists,
 # measured in a fresh process on the code before the tables were built on
 # digit arrays; the arrays and the lists then made up the whole peak.
