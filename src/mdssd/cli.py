@@ -11,6 +11,7 @@ verification check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,7 +186,9 @@ def _add_pd_flags(sub) -> None:
     sub.add_argument("--deg", type=int, default=1, help="extension degree")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mdssd",
         description="Construct, verify and census MDS self-dual codes from "

@@ -23,9 +23,18 @@ factor is zero gets a factor log of at least Z, which leaves it unchanged.
 Rank k of a k x n matrix is certified by the leading k x k block when that
 block is nonsingular, and by the full matrix only otherwise.
 
-The C(n, k) minors are eliminated in lockstep, as one (B, k, k) log array
-per block of column subsets taken in lexicographic order, so the first
-singular subset found is the lexicographically first.  Enumeration visits
+The exhaustive minors are decided from the systematic form.  Gauss-Jordan
+on the leading k x k block A turns G into [D | P] with D diagonal; if A is
+singular, the columns 0..k-1 are the first singular subset.  Otherwise a
+code with generator [I | P] is MDS exactly when every square submatrix of P
+is nonsingular (MacWilliams & Sloane, The Theory of Error-Correcting Codes,
+ch. 11, Thm 8): the k-subset S = ([k] \\ R) + (k + C) has
+det G_S = +-det(A) det P[R, C] / (product of D over R), and
+S <-> (R, C) with |R| = |C| = j is a bijection, since
+sum_j C(k, j) C(n-k, j) = C(n, k).  So the check stays exhaustive over every
+k-subset.  The j x j minors of P are eliminated in lockstep, one (B, j, j)
+log array per chunk, with the pairs in the lexicographic order of S; the
+witness is the least first singular S over the sizes j.  Enumeration visits
 only the (q^k - 1)/(q - 1) coefficient vectors whose last nonzero entry is
 1; this is exhaustive because every nonzero codeword is a nonzero multiple
 of exactly one of them, with the same weight.
@@ -34,7 +43,7 @@ of exactly one of them, with the same weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -195,24 +204,60 @@ def _singular_minors(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
 
 
 def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
-    """The lexicographically first k-subset of columns of G whose minor is
-    singular, or None when every k x k minor is nonzero.  The subsets go in
-    lexicographic blocks of at most _BLOCK_ENTRIES log entries, and the first
-    block holding a singular minor ends the scan.  Each minor is held
-    transposed, one chosen column of G per row, which keeps its
-    determinant."""
+    """The lexicographically first k-subset S of columns of G whose minor
+    det(G_S) is zero, or None when every k x k minor is nonzero.
+
+    Gauss-Jordan on the leading k x k block A (pivot = first nonzero entry,
+    on logs, one `log_muladd` per pivot) turns G into [D | P] with D
+    diagonal and nonsingular, by row operations that scale every minor by
+    the same nonzero factor.  A column with no pivot means det A = 0, and
+    S = (0, ..., k-1) is the first subset of all.  Otherwise S meets the
+    columns of D in [k] \\ R and the columns of P in k + C, with
+    |R| = |C| = j, and expanding det [D | P]_S along its columns of D
+    leaves +-(product of D over [k] \\ R) * det P[R, C].  This is a
+    bijection between the k-subsets and the pairs (R, C) of equal size,
+    sum_j C(k, j) C(n-k, j) = C(n, k), so S is singular exactly when
+    P[R, C] is.  For each size j = 1 .. min(k, n-k) the j x j minors of P
+    are stacked, in chunks of at most _BLOCK_ENTRIES log entries, with the
+    pairs in the lexicographic order of S; the first singular one is the
+    first S of that size, and the witness is the least over the sizes."""
     n, k = art.n, art.k
     if n > MINORS_BUDGET_N:
         raise TooLarge(f"n = {n} > {MINORS_BUDGET_N} for exhaustive minors")
     ctx = art.ctx
-    columns = _logs(ctx, np.asarray(art.G, dtype=np.int64).T)
-    subsets = combinations(range(n), k)
-    block = max(1, _BLOCK_ENTRIES // (k * k))
-    while chunk := list(islice(subsets, block)):
-        singular = _singular_minors(ctx, columns[np.array(chunk, dtype=np.intp)])
-        if singular.any():
-            return chunk[int(singular.argmax())]
-    return None
+    zero, q1 = ctx.log_zero, ctx.q - 1
+    L = _logs(ctx, np.asarray(art.G, dtype=np.int64))
+    for i in range(k):
+        nz = np.flatnonzero(L[i:, i] != zero)
+        if nz.size == 0:
+            return tuple(range(k))
+        if nz[0]:
+            L[[i, i + nz[0]]] = L[[i + nz[0], i]]
+        # -(f/piv) * pivot row into every other row; the pivot row's own
+        # factor is zero
+        f = L[:, i] + (q1 // 2 - int(L[i, i])) % q1
+        f[i] = zero
+        L[:, i + 1:] = ctx.log_muladd(L[:, i + 1:], f, L[i, i + 1:])
+    P = L[:, k:]
+    best = None
+    for j in range(1, min(k, n - k) + 1):
+        # A precedes B in lexicographic order exactly when the least element
+        # of their symmetric difference lies in A, so complementing reverses
+        # the order: R in reverse order puts [k] \ R in lexicographic order
+        rows = np.array(list(combinations(range(k), j))[::-1], dtype=np.intp)
+        cols = np.array(list(combinations(range(n - k), j)), dtype=np.intp)
+        pairs = len(rows) * len(cols)
+        block = max(1, _BLOCK_ENTRIES // (j * j))
+        for lo in range(0, pairs, block):
+            r, c = np.divmod(np.arange(lo, min(lo + block, pairs)), len(cols))
+            singular = _singular_minors(ctx, P[rows[r][:, :, None], cols[c][:, None, :]])
+            if singular.any():
+                at = int(singular.argmax())
+                R = set(rows[r[at]].tolist())
+                S = (*(i for i in range(k) if i not in R), *(k + int(x) for x in cols[c[at]]))
+                best = S if best is None else min(best, S)
+                break
+    return best
 
 
 def check_mds_minors(art: CodeArtifact) -> bool:

@@ -5,15 +5,21 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from math import comb
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
-def test_every_traced_name_exists():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_exists():
+    tracer = _load_tracer()
     missing = [
         f"mdssd.{home}.{attr}"
         for home, attr, *_ in (*tracer.TRACED, *tracer.GENERATORS, ("field", "make_field"))
@@ -21,3 +27,21 @@ def test_every_traced_name_exists():
     ]
     assert not missing
     assert {home for home, *_ in tracer.TRACED} <= set(tracer.MODULES)
+
+
+def test_traced_verify_records_the_minors_layer():
+    """The exhaustive minors of an n <= 16 artifact run behind the name the
+    tracer wraps, inside the verify_artifact span."""
+    import mdssd.verify as verify
+    from mdssd.constructions import build
+
+    art, _ = build("T1ii", 3, 2, m=2, t=2)  # an extended [6, 3] code over F_9
+    tr = _load_tracer().Tracer()
+    with tr.instrument():
+        report = verify.verify_artifact(art)
+    assert report.mds_checked == "exhaustive_minors" and report.mds_ok
+    names = [name for name, *_ in tr.spans]
+    minors = [span for span in tr.spans if span[0] == "verify.minors"]
+    assert len(minors) == 1
+    assert names[minors[0][3]] == "verify.verify_artifact"
+    assert tr.counts["verify.minor_subsets"] == comb(art.n, art.k)

@@ -218,6 +218,39 @@ def test_artifact_output_is_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cached_parser_runs_jobs_like_a_fresh_one(tmp_path, monkeypatch, capsys):
+    """One process runs construct, a bad argv, verify and census through the
+    parser built once; each ends as it does with a freshly built parser."""
+    import mdssd.cli as cli
+
+    art = tmp_path / "f9.json"
+    jobs = (
+        ["construct", "--q", "9", "--theorem", "T1ii", "--m", "2", "--t", "2",
+         "--out", str(art)],
+        ["construct", "--q", "9", "--theorem", "T9"],  # argparse exits 2
+        ["verify", "--in", str(art)],
+        ["census", "--q", "9", "--list", "--spot-check-bound", "6"],
+    )
+
+    def outcomes():
+        got = []
+        for argv in jobs:
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as ex:
+                code = ex.code
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err, art.read_bytes()))
+        return got
+
+    cached = outcomes()
+    assert cli.make_parser() is cli.make_parser()
+    assert [code for code, *_ in cached] == [0, 2, 0, 0]
+    assert "invalid choice: 'T9'" in cached[1][2]
+    monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+    assert outcomes() == cached
+
+
 def _set(path, value):
     def mutate(doc):
         *head, last = path

@@ -633,6 +633,78 @@ def test_minors_in_small_blocks_match_scalar_oracle(p, d, monkeypatch):
         _assert_minors_match_oracle(ctx, G)
 
 
+@pytest.mark.parametrize("p,d,n", [(3, 3, 14), (151, 2, 14), (3, 3, 16)])
+def test_minors_at_the_budget_match_scalar_oracle(p, d, n):
+    ctx = make_field(p, d)
+    for G in _grs_matrices(ctx, random.Random(n), n // 2, n):
+        _assert_minors_match_oracle(ctx, G)
+
+
+def _systematic_cases(ctx, k, n):
+    """(name, G, the oracle's witness) for [I | P] with P the Cauchy matrix
+    1/(x_i - y_j), every square submatrix of which is nonsingular, and for
+    three changes of it: P = 0, a leading block made singular with G still
+    of rank k, and one singular 2 x 2 submatrix of P."""
+    G = [[int(i == r) for i in range(k)] + [ctx.inv_v(ctx.sub_v(r, y)) for y in range(k, n)]
+         for r in range(k)]
+    zero_p = [row[:k] + [0] * (n - k) for row in G]
+    singular_a = [[row[1], *row[1:]] for row in G]
+    # rows (1, 3) and columns (1, 3) of P: P[3][3] = P[1][3] P[3][1] / P[1][1]
+    one_2x2 = [row[:] for row in G]
+    P = [row[k:] for row in G]
+    one_2x2[3][k + 3] = ctx.mul_v(ctx.mul_v(P[1][3], P[3][1]), ctx.inv_v(P[1][1]))
+    return [
+        ("cauchy", G, None),
+        ("zero P", zero_p, (*range(k - 1), k)),
+        ("singular A", singular_a, tuple(range(k))),
+        ("one singular 2x2", one_2x2,
+         (*(i for i in range(k) if i not in (1, 3)), k + 1, k + 3)),
+    ]
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (151, 2)])
+def test_minors_of_systematic_forms_match_scalar_oracle(p, d):
+    ctx = make_field(p, d)
+    k, n = 5, 10
+    for name, G, witness in _systematic_cases(ctx, k, n):
+        assert _oracle_first_singular_minor(ctx, G) == witness, name
+        _assert_minors_match_oracle(ctx, G)
+        if name == "singular A":
+            assert _oracle_rank(ctx, G) == k
+        if name == "one singular 2x2":
+            P = [row[k:] for row in G]
+            singular = [(R, C) for j in (1, 2)
+                        for R in combinations(range(k), j) for C in combinations(range(n - k), j)
+                        if not _det_nonzero(ctx, [[P[r][c] for c in C] for r in R])]
+            assert singular == [((1, 3), (1, 3))]
+
+
+@pytest.mark.parametrize("p,d", [(3, 3), (151, 2)])
+def test_minors_with_every_size_in_several_chunks_match_scalar_oracle(p, d, monkeypatch):
+    import mdssd.verify as verify
+
+    sizes = []
+    singular_minors = verify._singular_minors
+
+    def recorded(ctx, M):
+        sizes.append(M.shape[1])
+        return singular_minors(ctx, M)
+
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 8)
+    monkeypatch.setattr(verify, "_singular_minors", recorded)
+    ctx = make_field(p, d)
+    k, n = 5, 10
+    for _, G, _ in _systematic_cases(ctx, k, n):
+        _assert_minors_match_oracle(ctx, G)
+    for G in _grs_matrices(ctx, random.Random(p), k, n):
+        _assert_minors_match_oracle(ctx, G)
+    # a fully nonsingular scan puts every size j = 1 .. 5 in several chunks
+    sizes.clear()
+    _assert_minors_match_oracle(ctx, _systematic_cases(ctx, k, n)[0][1])
+    assert all(sizes.count(j) > 1 for j in range(1, k + 1))
+    assert sorted(set(sizes)) == list(range(1, k + 1))
+
+
 def test_first_singular_minor_names_the_witness():
     ctx = make_field(7, 1)
     vandermonde = [[1, 1, 1, 1], [1, 2, 3, 6]]  # distinct points: no singular minor
