@@ -633,9 +633,9 @@ def test_minors_in_small_blocks_match_scalar_oracle(p, d, monkeypatch):
         _assert_minors_match_oracle(ctx, G)
 
 
-@pytest.mark.parametrize("p,d,n", [(3, 3, 14), (151, 2, 14), (3, 3, 16)])
-def test_minors_at_the_budget_match_scalar_oracle(p, d, n):
-    ctx = make_field(p, d)
+@pytest.mark.parametrize("n", [14, 16])
+def test_minors_at_the_budget_match_scalar_oracle(n):
+    ctx = make_field(3, 3)
     for G in _grs_matrices(ctx, random.Random(n), n // 2, n):
         _assert_minors_match_oracle(ctx, G)
 
