@@ -18,22 +18,12 @@ from .constructions import (
 from .errors import (
     HypothesisViolated,
     MdssdError,
-    NotASquare,
     ParityInfeasible,
     SpotCheckFailed,
     SquareConditionViolated,
     TooLargeToMaterialize,
 )
-from .field import (
-    FieldCtx,
-    FieldElement,
-    element_order,
-    make_field,
-    quadratic_character,
-    root_of_unity,
-    sqrt,
-    subfield_generator,
-)
+from .field import FieldCtx, make_field
 from .grs import (
     CodeArtifact,
     EvalVector,
@@ -61,10 +51,9 @@ __all__ = [
     "MATERIALIZE_BUDGET", "THEOREMS", "ConstructionParams", "ConstructionTrace",
     "build", "closed_form_locator", "construct_from_params",
     "iter_valid_params", "validate",
-    "HypothesisViolated", "MdssdError", "NotASquare", "ParityInfeasible",
+    "HypothesisViolated", "MdssdError", "ParityInfeasible",
     "SpotCheckFailed", "SquareConditionViolated", "TooLargeToMaterialize",
-    "FieldCtx", "FieldElement", "element_order", "make_field",
-    "quadratic_character", "root_of_unity", "sqrt", "subfield_generator",
+    "FieldCtx", "make_field",
     "CodeArtifact", "EvalVector", "ScalingVector", "artifact_from_dict",
     "artifact_to_dict", "assemble_self_dual_grs", "assemble_self_dual_xgrs",
     "cyclotomic_locator", "locator", "to_json",

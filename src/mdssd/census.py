@@ -241,11 +241,12 @@ class CensusReport:
         }
 
     def to_dict(self) -> dict:
+        counts = self.counts
         return {
             "q": self.q,
-            "prior_count": len(self.lengths_prior),
-            "new_count": len(self.lengths_new),
-            "union_count": len(self.lengths_union),
+            "prior_count": counts["prior"],
+            "new_count": counts["new"],
+            "union_count": counts["union"],
             "spot_checks": {str(n): v for n, v in sorted(self.spot_checks.items())},
             "prior": list(self.lengths_prior),
             "new": list(self.lengths_new),

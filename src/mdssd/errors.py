@@ -40,25 +40,9 @@ class FieldTooLarge(MdssdError):
         self.budget = budget
 
 
-class DivisionByZero(MdssdError):
-    def __init__(self):
-        super().__init__("division by zero field element")
-
-
 class ZeroToNegativePower(MdssdError):
     def __init__(self):
         super().__init__("zero cannot be raised to a negative power")
-
-
-class NotASquare(MdssdError):
-    def __init__(self, value: int):
-        super().__init__(f"element with encoding {value} is not a square")
-        self.value = value
-
-
-class ZeroElement(MdssdError):
-    def __init__(self):
-        super().__init__("the zero element has no multiplicative order")
 
 
 class NotDividing(MdssdError):

@@ -1,11 +1,11 @@
-"""Exact arithmetic in F_{p^d} for odd p, plus the number-theoretic predicates
-(quadratic character, square roots, element orders, roots of unity) that the
-code constructions depend on.
+"""Exact arithmetic in F_{p^d} for odd p, with the roots of unity and subfields
+that the code constructions depend on.  Square roots are taken on logs, in
+`grs._square_root_weights`.
 
 Elements are canonically encoded as integers value(x) = sum(coeffs[i] * p^i)
 with coefficients constant-term first.  Fields small enough to materialize
-carry full exp/log tables for the multiplicative group, making mul/div/pow
-O(1).  Addition is written once, as the Zech table zech[i] = log(1 + g^i):
+carry full exp/log tables for the multiplicative group, making mul/pow O(1).
+Addition is written once, as the Zech table zech[i] = log(1 + g^i):
 g^a + g^b = g^(a + zech[b - a]), where zech[(q-1)/2] = -1 marks
 1 + g^((q-1)/2) = 0, and a - b adds -b = g^(log b + (q-1)/2).  Scalar
 methods index read-only memoryviews of the tables, which give Python ints
@@ -33,21 +33,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import sympy
 
 from .errors import (
     DegreeZero,
-    DivisionByZero,
     EvenCharacteristic,
     FieldTooLarge,
     NonPrime,
-    NotASquare,
     NotASubfield,
     NotDividing,
-    ZeroElement,
     ZeroToNegativePower,
 )
 
@@ -380,14 +376,6 @@ class FieldCtx:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
-    def inv_v(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero()
-        return self._exp[-self._log[a] % (self.q - 1)]
-
-    def div_v(self, a: int, b: int) -> int:
-        return self.mul_v(a, self.inv_v(b))
-
     def pow_v(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -399,53 +387,7 @@ class FieldCtx:
         """Encoding of the integer c viewed in the prime subfield."""
         return c % self.p
 
-    # -- number-theoretic predicates --
-
-    def chi_v(self, a: int) -> int:
-        """Quadratic character: a^((q-1)/2), reported as +1 / -1 / 0."""
-        if a == 0:
-            return 0
-        return 1 if self.pow_v(a, (self.q - 1) // 2) == 1 else -1
-
-    def sqrt_v(self, a: int) -> int:
-        """Canonical square root (the value-smaller of the two) via
-        Tonelli-Shanks; valid for every odd q."""
-        if a == 0:
-            return 0
-        if self.chi_v(a) != 1:
-            raise NotASquare(a)
-        q1 = self.q - 1
-        s, m = q1, 0
-        while s % 2 == 0:
-            s //= 2
-            m += 1
-        # g is a non-residue by definition of a primitive element
-        c = self.pow_v(self.g_val, s)
-        t = self.pow_v(a, s)
-        root = self.pow_v(a, (s + 1) // 2)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = self.mul_v(t2, t2)
-                i += 1
-            b = c
-            for _ in range(m - i - 1):
-                b = self.mul_v(b, b)
-            m = i
-            c = self.mul_v(b, b)
-            t = self.mul_v(t, c)
-            root = self.mul_v(root, b)
-        other = self.neg_v(root)
-        return min(root, other)
-
-    def order_v(self, a: int) -> int:
-        if a == 0:
-            raise ZeroElement()
-        e = self.q - 1
-        for ell in self.q1_factors:
-            while e % ell == 0 and self.pow_v(a, e // ell) == 1:
-                e //= ell
-        return e
+    # -- roots of unity and subfields --
 
     def root_of_unity_v(self, m: int) -> int:
         if m < 1 or (self.q - 1) % m != 0:
@@ -457,15 +399,6 @@ class FieldCtx:
             if self.p**e == sub_q and self.d % e == 0:
                 return self.pow_v(self.g_val, (self.q - 1) // (sub_q - 1))
         raise NotASubfield(sub_q, self.q)
-
-    def in_subfield_v(self, a: int, sub_q: int) -> bool:
-        """Membership test x in F_{sub_q} <=> x^{sub_q} = x."""
-        e = 0
-        while self.p**e < sub_q:
-            e += 1
-        if self.p**e != sub_q or self.d % e != 0:
-            raise NotASubfield(sub_q, self.q)
-        return self.pow_v(a, sub_q) == a
 
     def subfield_elements_v(self, sub_q: int) -> list[int]:
         """All encodings of the subfield with sub_q elements, ascending."""
@@ -517,91 +450,9 @@ class FieldCtx:
         return hash((self.p, self.d))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """One element of F_q, canonically encoded as value = sum(coeffs[i] p^i)."""
-
-    ctx: FieldCtx
-    val: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple((self.val // self.ctx.p**i) % self.ctx.p for i in range(self.ctx.d))
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise ValueError("elements of different fields")
-            return other.val
-        if isinstance(other, int):
-            return other % self.ctx.p
-        return NotImplemented
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx.add_v(self.val, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub_v(self.val, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.ctx, self.ctx.sub_v(self._coerce(other), self.val))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx.mul_v(self.val, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.ctx, self.ctx.div_v(self.val, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg_v(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow_v(self.val, e))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            # integers compare as elements of the prime subfield
-            return self.val == other % self.ctx.p
-        return isinstance(other, FieldElement) and self.ctx == other.ctx and self.val == other.val
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.d, self.val))
-
-    def __bool__(self) -> bool:
-        return self.val != 0
-
-    def __repr__(self) -> str:
-        return f"<{self.ctx.format_v(self.val)} in F_{self.ctx.q}>"
-
-
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, d: int) -> FieldCtx:
     """Deterministic field context: value-smallest irreducible modulus and
     value-smallest primitive element.  Idempotent and cached."""
     return FieldCtx(p, d)
 
-
-# --- module-level operation surface ---
-
-def quadratic_character(a: FieldElement) -> int:
-    return a.ctx.chi_v(a.val)
-
-
-def sqrt(a: FieldElement) -> FieldElement:
-    return FieldElement(a.ctx, a.ctx.sqrt_v(a.val))
-
-
-def element_order(a: FieldElement) -> int:
-    return a.ctx.order_v(a.val)
-
-
-def root_of_unity(m: int, ctx: FieldCtx) -> FieldElement:
-    return FieldElement(ctx, ctx.root_of_unity_v(m))
-
-
-def subfield_generator(ctx: FieldCtx, sub_q: int) -> FieldElement:
-    return FieldElement(ctx, ctx.subfield_generator_v(sub_q))

@@ -12,9 +12,10 @@ log(a_i - a_j) = log a_i + zech[log a_j - log a_i + (q-1)/2], so every
 locator is one row sum of Zech lookups mod q-1; `locator` stays the scalar
 brute-force oracle.  A target g^l is a square exactly when l is even, and
 the roots of 1/g^l are g^h and g^(h + (q-1)/2) with h = (-l mod (q-1))/2;
-the weight is the smaller encoding of the two, the canonical root of
-`FieldCtx.sqrt_v`.  Row i of G has logs log v_j + i log a_j, and G is one
-read-only int64 array of shape (k, n), converted to lists only for JSON.
+the weight is the smaller encoding of the two.  This log form is the one
+definition of the canonical root.  Row i of G has logs log v_j + i log a_j,
+and G is one read-only int64 array of shape (k, n), converted to lists only
+for JSON.
 """
 
 from __future__ import annotations

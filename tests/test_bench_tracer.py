@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps mdssd functions by module and name; a rename
-in the program must fail here rather than break a traced benchmark run."""
+in the program must fail here rather than break a traced benchmark run.  The
+same holds for the names that `mdssd.__all__` exports."""
 
 from __future__ import annotations
 
@@ -27,6 +28,13 @@ def test_every_traced_name_exists():
     ]
     assert not missing
     assert {home for home, *_ in tracer.TRACED} <= set(tracer.MODULES)
+
+
+def test_every_public_name_exists_once():
+    import mdssd
+
+    assert [name for name in mdssd.__all__ if not hasattr(mdssd, name)] == []
+    assert len(set(mdssd.__all__)) == len(mdssd.__all__)
 
 
 def test_traced_verify_records_the_minors_layer():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import field_oracles as oracles
 from mdssd.census import (
     CENSUS_BUDGET,
     CensusCtx,
@@ -30,7 +31,7 @@ def test_integer_eta_matches_field_character():
         cx = CensusCtx(q, p, d)
         ctx = make_field(p, d)
         for c in range(0, p):
-            assert cx.eta(c) == ctx.chi_v(c % p)
+            assert cx.eta(c) == oracles.chi(ctx, c % p)
 
 
 def test_f9_lengths():

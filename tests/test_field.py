@@ -1,38 +1,35 @@
-"""Finite field layer: determinism, arithmetic laws, character and roots."""
+"""Finite field layer: determinism, arithmetic laws, roots of unity, subfields
+and the canonical square root."""
 
 from __future__ import annotations
 
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 
+import field_oracles as oracles
 from mdssd.errors import (
-    DivisionByZero,
+    DegreeZero,
     EvenCharacteristic,
     FieldTooLarge,
     NonPrime,
-    NotASquare,
     NotASubfield,
     NotDividing,
-    ZeroElement,
+    ZeroToNegativePower,
 )
 from mdssd.field import (
     FieldCtx,
-    FieldElement,
     _find_modulus,
     _is_irreducible,
     _pmod,
     _pmul,
-    element_order,
     make_field,
-    quadratic_character,
-    root_of_unity,
-    sqrt,
-    subfield_generator,
     make_field as mk,
 )
+from mdssd.grs import _square_root_weights
 
 
 def test_f9_deterministic_modulus_and_generator():
@@ -55,7 +52,7 @@ def test_prime_field_has_trivial_modulus():
     ctx = make_field(7, 1)
     assert ctx.d == 1
     assert ctx.mul_v(3, 5) == 1
-    assert ctx.inv_v(3) == 5
+    assert ctx.pow_v(3, -1) == 5
 
 
 def test_construction_guards():
@@ -65,6 +62,8 @@ def test_construction_guards():
         make_field(9, 1)
     with pytest.raises(FieldTooLarge):
         make_field(3, 20)
+    with pytest.raises(DegreeZero):
+        make_field(3, 0)
 
 
 def test_make_field_is_cached():
@@ -81,7 +80,7 @@ def test_field_axioms_exhaustive(p, d):
         assert ctx.mul_v(a, 1) == a
         assert ctx.add_v(a, ctx.neg_v(a)) == 0
         if a != 0:
-            assert ctx.mul_v(a, ctx.inv_v(a)) == 1
+            assert ctx.mul_v(a, ctx.pow_v(a, -1)) == 1
     # distributivity on a deterministic sample
     sample = [1, 2, q - 1, ctx.g_val]
     for a in sample:
@@ -95,59 +94,79 @@ def test_field_axioms_exhaustive(p, d):
 def test_generator_is_primitive():
     for p, d in [(3, 2), (5, 2), (7, 2), (3, 4)]:
         ctx = make_field(p, d)
-        assert ctx.order_v(ctx.g_val) == ctx.q - 1
+        assert oracles.order(ctx, ctx.g_val) == ctx.q - 1
 
 
 def test_division_by_zero_and_zero_inverse():
-    ctx = make_field(5, 1)
-    with pytest.raises(DivisionByZero):
-        ctx.div_v(1, 0)
-    with pytest.raises(DivisionByZero):
-        ctx.inv_v(0)
+    with pytest.raises(ZeroToNegativePower):
+        make_field(5, 1).pow_v(0, -1)
 
 
 def test_quadratic_character_multiplicative():
     ctx = make_field(5, 2)
     q1 = ctx.q - 1
+    chi = [oracles.chi(ctx, a) for a in range(ctx.q)]
     for a in range(1, ctx.q):
         for b in (1, 2, ctx.g_val, ctx.q - 1):
-            assert ctx.chi_v(ctx.mul_v(a, b)) == ctx.chi_v(a) * ctx.chi_v(b)
+            assert chi[ctx.mul_v(a, b)] == chi[a] * chi[b]
     # half the nonzero elements are squares
-    assert sum(1 for a in range(1, ctx.q) if ctx.chi_v(a) == 1) == q1 // 2
+    assert chi.count(1) == q1 // 2
+
+
+SQRT_FIELDS = [(3, 2), (7, 1), (5, 2), (3, 3)]
+
+
+def _brute_force_roots(ctx):
+    """Every square of F_q mapped to its value-smaller root, by squaring all
+    elements."""
+    roots = {}
+    for r in range(ctx.q):
+        sq = ctx.mul_v(r, r)
+        roots[sq] = min(roots.get(sq, r), r)
+    return roots
 
 
 def test_chi_of_f9_two_is_square():
+    """The Tonelli-Shanks oracle of the tests gives the value-smaller root of
+    every square and refuses every non-square; alone it checks roots where
+    brute force is too slow."""
     ctx = make_field(3, 2)
-    assert ctx.chi_v(2) == 1
-    assert ctx.sqrt_v(2) == 3  # x, the value-smaller of the two roots
+    assert oracles.chi(ctx, 2) == 1
+    assert oracles.sqrt(ctx, 2) == 3  # x, the value-smaller of the two roots
+    for p, d in SQRT_FIELDS:
+        ctx = make_field(p, d)
+        roots = _brute_force_roots(ctx)
+        for a in range(ctx.q):
+            assert oracles.chi(ctx, a) == (0 if a == 0 else 1 if a in roots else -1)
+            if a not in roots:
+                with pytest.raises(oracles.NotASquare):
+                    oracles.sqrt(ctx, a)
+                continue
+            assert oracles.sqrt(ctx, a) == roots[a]
 
 
 def test_sqrt_roundtrip_all_squares():
-    for p, d in [(3, 2), (7, 1), (5, 2), (3, 3)]:
+    """The canonical root is the log form of `grs._square_root_weights`: on
+    every even log l it gives the value-smaller brute-force root of 1/g^l."""
+    for p, d in SQRT_FIELDS:
         ctx = make_field(p, d)
-        for a in range(1, ctx.q):
-            if ctx.chi_v(a) != 1:
-                with pytest.raises(NotASquare):
-                    ctx.sqrt_v(a)
-                continue
-            root = ctx.sqrt_v(a)
-            assert ctx.mul_v(root, root) == a
-            # canonical branch: the value-smaller of the two roots
-            assert root <= ctx.neg_v(root)
-    assert make_field(3, 2).sqrt_v(0) == 0
+        roots = _brute_force_roots(ctx)
+        logs = list(range(0, ctx.q - 1, 2))
+        weights = _square_root_weights(ctx, np.array(logs, dtype=np.int64))
+        assert list(weights) == [roots[ctx.pow_v(ctx.g_val, -log)] for log in logs]
 
 
 def test_element_orders_divide_group_order():
     ctx = make_field(3, 3)
     for a in range(1, ctx.q):
-        assert (ctx.q - 1) % ctx.order_v(a) == 0
-    with pytest.raises(ZeroElement):
-        ctx.order_v(0)
+        assert (ctx.q - 1) % oracles.order(ctx, a) == 0
+    with pytest.raises(ValueError):
+        oracles.order(ctx, 0)
 
 
 def test_f9_order_of_two():
     ctx = make_field(3, 2)
-    assert ctx.order_v(2) == 2  # 2 = -1
+    assert oracles.order(ctx, 2) == 2  # 2 = -1
 
 
 def test_root_of_unity():
@@ -155,7 +174,7 @@ def test_root_of_unity():
     assert ctx.root_of_unity_v(4) == 6  # 2x
     for m in (1, 2, 4, 8):
         w = ctx.root_of_unity_v(m)
-        assert ctx.order_v(w) == m
+        assert oracles.order(ctx, w) == m
     with pytest.raises(NotDividing):
         ctx.root_of_unity_v(3)
 
@@ -165,7 +184,7 @@ def test_subfield_generator_and_membership():
     gen = ctx.subfield_generator_v(3)
     assert gen == 2  # generates F_3^* = {1, 2}
     assert set(ctx.subfield_elements_v(3)) == {0, 1, 2}
-    assert ctx.in_subfield_v(2, 3) and not ctx.in_subfield_v(ctx.g_val, 3)
+    assert oracles.in_subfield(ctx, 2, 3) and not oracles.in_subfield(ctx, ctx.g_val, 3)
     with pytest.raises(NotASubfield):
         ctx.subfield_generator_v(5)
 
@@ -177,38 +196,12 @@ def test_frobenius_fixes_exactly_the_subfield():
     assert fixed == sub
 
 
-def test_element_wrapper_operators():
-    ctx = make_field(3, 2)
-    a = FieldElement(ctx, 4)
-    b = FieldElement(ctx, 3)
-    assert (a + b).val == ctx.add_v(4, 3)
-    assert (a - b).val == ctx.sub_v(4, 3)
-    assert (a * b).val == ctx.mul_v(4, 3)
-    assert (a / b).val == ctx.div_v(4, 3)
-    assert (-a).val == ctx.neg_v(4)
-    assert (a**2).val == ctx.pow_v(4, 2)
-    assert a.coeffs == (1, 1)
-    assert a == FieldElement(ctx, 4) and a != b
-    # integers compare as prime-subfield elements
-    assert FieldElement(ctx, 2) == 2 and FieldElement(ctx, 2) == 5
-
-
-def test_module_level_surface():
-    ctx = make_field(3, 2)
-    two = FieldElement(ctx, 2)
-    assert quadratic_character(two) == 1
-    assert sqrt(two).val == 3
-    assert element_order(two) == 2
-    assert root_of_unity(4, ctx).val == 6
-    assert subfield_generator(ctx, 3).val == 2
-
-
 def test_large_field_tables():
     ctx = make_field(3, 10)
     assert ctx.q == 59049
-    assert ctx.order_v(ctx.g_val) == ctx.q - 1
+    assert oracles.order(ctx, ctx.g_val) == ctx.q - 1
     a = ctx.g_val
-    assert ctx.mul_v(a, ctx.inv_v(a)) == 1
+    assert ctx.mul_v(a, ctx.pow_v(a, -1)) == 1
 
 
 # (p, d) -> (modulus, g_val) of the deterministic field
@@ -381,7 +374,7 @@ def test_lists_are_built_on_first_use_from_the_arrays(p, d):
     for _ in range(200):
         a, b = rng.randrange(ctx.q), rng.randrange(1, ctx.q)
         assert ctx.sub_v(ctx.add_v(a, b), b) == a
-        assert ctx.div_v(ctx.mul_v(a, b), b) == a
+        assert ctx.mul_v(ctx.mul_v(a, b), ctx.pow_v(b, -1)) == a
     assert not [key for key, value in vars(ctx).items() if isinstance(value, list)]
 
 

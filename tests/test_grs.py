@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import field_oracles as oracles
 import mdssd.grs as grs
 from mdssd.constructions import build
 from mdssd.errors import (
@@ -228,9 +229,9 @@ def test_log_locators_match_brute_force(p, d, monkeypatch):
 
 @pytest.mark.parametrize("p,d", KERNEL_FIELDS)
 def test_assembly_matches_scalar_square_roots_and_failing_index(p, d, monkeypatch):
-    """The weights equal sqrt_v(inv_v(target)) on every point, and a set that
-    violates the square condition names the first point where chi(target)
-    is not 1, for the plain and the extended engine."""
+    """The weights equal the oracle sqrt of 1/target on every point, and a
+    set that violates the square condition names the first point where
+    chi(target) is not 1, for the plain and the extended engine."""
     monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 5)
     ctx = make_field(p, d)
     rng = random.Random(p * 100 + d)
@@ -243,7 +244,7 @@ def test_assembly_matches_scalar_square_roots_and_failing_index(p, d, monkeypatc
             lam = rng.randrange(1, ctx.q)
             targets = [ctx.neg_v(locator(a, i)) if extended else ctx.mul_v(lam, locator(a, i))
                        for i in range(len(points))]
-            bad = next((i for i, t in enumerate(targets) if ctx.chi_v(t) != 1), None)
+            bad = next((i for i, t in enumerate(targets) if oracles.chi(ctx, t) != 1), None)
             if bad is not None:
                 seen["violated"] += 1
                 with pytest.raises(SquareConditionViolated) as err:
@@ -252,7 +253,7 @@ def test_assembly_matches_scalar_square_roots_and_failing_index(p, d, monkeypatc
                 continue
             seen["ok"] += 1
             art, _ = assemble_self_dual_xgrs(a) if extended else assemble_self_dual_grs(a, lam)
-            assert art.v.weights == tuple(ctx.sqrt_v(ctx.inv_v(t)) for t in targets)
+            assert art.v.weights == tuple(oracles.sqrt(ctx, ctx.pow_v(t, -1)) for t in targets)
             assert check_self_dual(art)
     assert seen["ok"] and seen["violated"]
 
@@ -267,7 +268,7 @@ def test_square_root_weights_match_scalar_sqrt(p, d):
     logs += [log + q1 for log in logs[:50]]
     weights = grs._square_root_weights(ctx, np.array(logs, dtype=np.int64))
     exp = ctx.np_tables[0].tolist()
-    assert list(weights) == [ctx.sqrt_v(ctx.inv_v(exp[log % q1])) for log in logs]
+    assert list(weights) == [oracles.sqrt(ctx, ctx.pow_v(exp[log % q1], -1)) for log in logs]
 
 
 @pytest.mark.parametrize("p,d", KERNEL_FIELDS)

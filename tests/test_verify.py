@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import field_oracles as oracles
 from mdssd.constructions import build
 from mdssd.errors import DimensionMismatch, TooLarge
 from mdssd.field import make_field
@@ -184,7 +185,7 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
 
 # --- vectorized kernels against scalar oracles ---
 
-# Oracles use only the scalar add_v/sub_v/mul_v/inv_v, never numpy or BLAS;
+# Oracles use only the scalar add_v/sub_v/mul_v/pow_v, never numpy or BLAS;
 # tests/test_field.py checks add_v/sub_v against digit-wise addition.
 
 def _oracle_rank(ctx, G):
@@ -195,7 +196,7 @@ def _oracle_rank(ctx, G):
         if piv is None:
             continue
         M[rank], M[piv] = M[piv], M[rank]
-        inv = ctx.inv_v(M[rank][col])
+        inv = ctx.pow_v(M[rank][col], -1)
         for r in range(rank + 1, len(M)):
             if M[r][col]:
                 f = ctx.mul_v(M[r][col], inv)
@@ -308,13 +309,13 @@ def _self_dual_matrix(ctx, rng, k):
     a^2 + b^2 = -1."""
     minus_one = ctx.neg_v(1)
     A = [[0] * k for _ in range(k)]
-    if ctx.chi_v(minus_one) == 1:
+    if oracles.chi(ctx, minus_one) == 1:
         for i in range(k):
-            A[i][i] = ctx.sqrt_v(minus_one)
+            A[i][i] = oracles.sqrt(ctx, minus_one)
     else:
         b = next(b for b in range(1, ctx.q)
-                 if ctx.chi_v(ctx.sub_v(minus_one, ctx.mul_v(b, b))) == 1)
-        a = ctx.sqrt_v(ctx.sub_v(minus_one, ctx.mul_v(b, b)))
+                 if oracles.chi(ctx, ctx.sub_v(minus_one, ctx.mul_v(b, b))) == 1)
+        a = oracles.sqrt(ctx, ctx.sub_v(minus_one, ctx.mul_v(b, b)))
         for i in range(0, k, 2):
             A[i][i] = A[i + 1][i + 1] = a
             A[i][i + 1], A[i + 1][i] = b, ctx.neg_v(b)
@@ -446,7 +447,7 @@ def test_gram_multi_chunk_is_exact():
     ctx = make_field(1048573, 1)
     p = ctx.p
     rng = random.Random(7)
-    i = ctx.sqrt_v(p - 1)
+    i = oracles.sqrt(ctx, p - 1)
     large = [a for a in range(p - p // 10, p) if (a * i) % p >= p - p // 10]
     rows = []
     for _ in range(2):
@@ -486,7 +487,7 @@ def _det_nonzero(ctx, rows):
         if piv is None:
             return False
         M[col], M[piv] = M[piv], M[col]
-        inv = ctx.inv_v(M[col][col])
+        inv = ctx.pow_v(M[col][col], -1)
         for r in range(col + 1, k):
             if M[r][col]:
                 scale = ctx.mul_v(M[r][col], inv)
@@ -645,14 +646,14 @@ def _systematic_cases(ctx, k, n):
     1/(x_i - y_j), every square submatrix of which is nonsingular, and for
     three changes of it: P = 0, a leading block made singular with G still
     of rank k, and one singular 2 x 2 submatrix of P."""
-    G = [[int(i == r) for i in range(k)] + [ctx.inv_v(ctx.sub_v(r, y)) for y in range(k, n)]
+    G = [[int(i == r) for i in range(k)] + [ctx.pow_v(ctx.sub_v(r, y), -1) for y in range(k, n)]
          for r in range(k)]
     zero_p = [row[:k] + [0] * (n - k) for row in G]
     singular_a = [[row[1], *row[1:]] for row in G]
     # rows (1, 3) and columns (1, 3) of P: P[3][3] = P[1][3] P[3][1] / P[1][1]
     one_2x2 = [row[:] for row in G]
     P = [row[k:] for row in G]
-    one_2x2[3][k + 3] = ctx.mul_v(ctx.mul_v(P[1][3], P[3][1]), ctx.inv_v(P[1][1]))
+    one_2x2[3][k + 3] = ctx.mul_v(ctx.mul_v(P[1][3], P[3][1]), ctx.pow_v(P[1][1], -1))
     return [
         ("cauchy", G, None),
         ("zero P", zero_p, (*range(k - 1), k)),
