@@ -163,17 +163,11 @@ def cmd_census(args) -> int:
         return _fail(EXIT_VERIFICATION, str(ex), args.out)
     chosen = {"prior": rep.lengths_prior, "new": rep.lengths_new,
               "all": rep.lengths_union}[args.rows]
-    counts = rep.counts
-    doc = {
-        "q": args.q,
-        "rows": args.rows,
-        "count": len(chosen),
-        "prior_count": counts["prior"],
-        "new_count": counts["new"],
-        "union_count": counts["union"],
-    }
+    full = rep.to_dict()
+    doc = {"q": args.q, "rows": args.rows, "count": len(chosen),
+           **{key: full[key] for key in ("prior_count", "new_count", "union_count")}}
     if rep.spot_checks:
-        doc["spot_checks"] = {str(n): v for n, v in sorted(rep.spot_checks.items())}
+        doc["spot_checks"] = full["spot_checks"]
     if args.list:
         doc["lengths"] = list(chosen)
     _emit(doc, args.out)

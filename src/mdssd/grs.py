@@ -108,8 +108,9 @@ def locator(a: EvalVector, i: int) -> int:
 
 
 # Entries per row block (4 MB as 8-byte values) of the locator kernel and
-# of G here, and of the Gram, digit-plane and minors blocks in `verify`, so
-# that their memory does not grow with n^2, d * k * n or C(n, k).
+# of G here, and of the Gram, digit-plane, structure-test and minors blocks
+# in `verify`, so that their memory does not grow with n^2, d * k * n or
+# C(n, k).
 _BLOCK_ENTRIES = 1 << 19
 
 

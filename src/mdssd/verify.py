@@ -4,10 +4,23 @@ enumeration.  Nothing here reuses construction-side shortcuts; everything is
 recomputed from the generator matrix, which the kernels take as any
 array-like of encodings (an artifact holds it as one int64 array).
 
-The vectorized kernels are exact.  The Gram matrix G G^T is computed over
-the integers from the base-p digit planes of G by float64 BLAS products,
-with the columns taken in chunks small enough that every float64 sum stays
-below 2^53 (see `gram_is_zero`), then reduced mod p and mod the field
+Self-duality and rank k are first decided in O(kn) from the structure of G
+alone (`_grs_structure`): the extended column, when the artifact is marked
+extended, is e_{k-1}; row 0 has no zero entry; the ratios
+a_j = G[1][j] / G[0][j] are distinct; and G[i+1][j] = a_j G[i][j]
+throughout.  Then G generates GRS_k(a, v) with v = row 0, or its extension:
+any k finite columns form a diagonally scaled Vandermonde matrix, so the
+rank is k, and G G^T is the Hankel matrix of the power sums
+sum_j v_j^2 a_j^s (plus 1 at s = 2k-2 when extended), zero exactly when its
+rows 0 and k-1 are.  The stored a and v are never read.  Any other G (or
+k = 1) falls back to elimination for the rank and, when the rank is k, the
+full Gram matrix.
+
+The vectorized kernels are exact.  Products A B^T over F_q
+(`field_matmul_t`, behind both the Hankel rows and the full Gram matrix)
+are computed over the integers from the base-p digit planes by float64
+BLAS products, with the columns taken in chunks small enough that every
+float64 sum stays below 2^53, then reduced mod p and mod the field
 modulus.  Rank, minors and codeword enumeration work on int32 logarithms to
 the base g, with the sentinel Z = 5(q-1), well away from [0, q-1), standing
 for zero.  Every update they make is one call of the fused kernel
@@ -20,8 +33,9 @@ from the table norm (reduction mod q-1, with cancelled sums and Z mapped to
 Z) finish the update.  Both integer tables are built once per field, on
 first use.  A rank step updates the whole trailing block: a row whose
 factor is zero gets a factor log of at least Z, which leaves it unchanged.
-Rank k of a k x n matrix is certified by the leading k x k block when that
-block is nonsingular, and by the full matrix only otherwise.
+On the fallback, rank k of a k x n matrix is certified by the leading
+k x k block when that block is nonsingular, and by the full matrix only
+otherwise.
 
 The exhaustive minors are decided from the systematic form.  Gauss-Jordan
 on the leading k x k block A turns G into [D | P] with D diagonal; if A is
@@ -91,43 +105,91 @@ def field_rank(ctx: FieldCtx, G) -> int:
     return rank
 
 
-def gram_is_zero(ctx: FieldCtx, G) -> bool:
-    """True iff G * G^T is the zero matrix, computed exactly.
+def _digit_planes(M: np.ndarray, p: int, d: int) -> np.ndarray:
+    """The d base-p digit planes of an encoding array, as float64."""
+    planes = np.empty((d,) + M.shape)
+    for i in range(d):
+        planes[i] = M // p**i % p
+    return planes
 
-    G splits into d base-p digit planes D_i, so G G^T is the polynomial
-    sum_s C_s x^s with C_s = sum_{i+j=s} D_i D_j^T, reduced mod the monic
-    field modulus.  Each D_i D_j^T is one float64 BLAS product, added into
-    C_{i+j} in int64.  Over m columns its entries are sums of nonnegative
-    integers of at most m (p-1)^2, so the columns go in chunks of
-    m <= (2^53 - 1) / (p-1)^2: every float64 partial sum is then an exact
+
+def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
+    """A B^T over F_q, computed exactly, as an int64 array of encodings.
+
+    A and B split into d base-p digit planes A_i and B_j, so A B^T is the
+    polynomial sum_s C_s x^s with C_s = sum_{i+j=s} A_i B_j^T, reduced mod
+    the monic field modulus.  Each A_i B_j^T is one float64 BLAS product,
+    added into C_{i+j} in int64.  Over m columns its entries are sums of
+    nonnegative integers of at most m (p-1)^2, so the columns go in chunks
+    of m <= (2^53 - 1) / (p-1)^2: every float64 partial sum is then an exact
     integer.  C is reduced mod p after each chunk, so it stays below
-    p + d * 2^53 < 2^63.  Rows of the Gram matrix are computed in blocks, and
-    columns chunked further, so that no array holds more than about
-    _BLOCK_ENTRIES entries.  G G^T is symmetric, so each row block is
-    computed from its diagonal rightwards, and the first nonzero block ends
-    the check."""
+    p + d * 2^53 < 2^63.  The chunks are also narrow enough that the planes
+    of B hold about _BLOCK_ENTRIES entries."""
     p, d = ctx.p, ctx.d
-    Gn = np.asarray(G, dtype=np.int64)
-    k, n = Gn.shape
-    chunk = min((_EXACT_FLOAT - 1) // (p - 1) ** 2, max(1, _BLOCK_ENTRIES // (d * k)))
-    rows = max(1, _BLOCK_ENTRIES // ((2 * d - 1) * k))
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    n = A.shape[1]
+    chunk = min((_EXACT_FLOAT - 1) // (p - 1) ** 2,
+                max(1, _BLOCK_ENTRIES // (d * max(len(A), len(B)))))
+    C = np.zeros((2 * d - 1, len(A), len(B)), dtype=np.int64)
+    for lo in range(0, n, chunk):
+        planes_a, planes_b = (_digit_planes(M[:, lo:lo + chunk], p, d) for M in (A, B))
+        for i in range(d):
+            for j in range(d):
+                C[i + j] += (planes_a[i] @ planes_b[j].T).astype(np.int64)
+        C %= p
     # x^d = -(f_0 + ... + f_{d-1} x^{d-1}) for the monic modulus f
     f = np.array(ctx.modulus[:d], dtype=np.int64)[:, None, None]
-    for top in range(0, k, rows):
-        C = np.zeros((2 * d - 1, min(rows, k - top), k - top), dtype=np.int64)
-        for lo in range(0, n, chunk):
-            block = Gn[:, lo:lo + chunk]
-            planes = np.empty((d,) + block.shape)
-            for i in range(d):
-                planes[i] = block // p**i % p
-            for i in range(d):
-                for j in range(d):
-                    C[i + j] += (planes[i, top:top + rows] @ planes[j, top:].T).astype(np.int64)
-            C %= p
-        for s in range(2 * d - 2, d - 1, -1):
-            C[s - d:s] -= f * C[s]
-            C[s - d:s] %= p
-        if C[:d].any():
+    for s in range(2 * d - 2, d - 1, -1):
+        C[s - d:s] -= f * C[s]
+        C[s - d:s] %= p
+    return np.tensordot(p ** np.arange(d, dtype=np.int64), C[:d], axes=1)
+
+
+def gram_is_zero(ctx: FieldCtx, G) -> bool:
+    """True iff G * G^T is the zero matrix, computed exactly by
+    `field_matmul_t`.  Rows of the Gram matrix are computed in blocks, so
+    that its (2d - 1)-plane accumulator holds about _BLOCK_ENTRIES entries.
+    G G^T is symmetric, so each row block is computed from its diagonal
+    rightwards, and the first nonzero block ends the check."""
+    Gn = np.asarray(G, dtype=np.int64)
+    k = len(Gn)
+    rows = max(1, _BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
+    return not any(field_matmul_t(ctx, Gn[top:top + rows], Gn[top:]).any()
+                   for top in range(0, k, rows))
+
+
+def _grs_structure(art: CodeArtifact) -> bool:
+    """True iff G, read alone, is a generator matrix of GRS_k(a, v), or of
+    its extension when the artifact is marked extended: the last column is
+    e_{k-1} then, and every finite column j is v_j a_j^i down its rows i,
+    with v_j = G[0][j] nonzero and the a_j = G[1][j] / G[0][j] pairwise
+    distinct.  False when k < 2, which has no row 1 to read the a_j from.
+
+    The recurrence G[i+1][j] = a_j G[i][j] is tested on int32 logs in row
+    blocks of about _BLOCK_ENTRIES entries: log G[i+1][j] must be
+    log G[i][j] + log a_j mod q-1, which by induction from the nonzero
+    row 0 keeps every entry nonzero, and a column with a_j = 0 must be zero
+    below row 0.  Distinctness is one scatter into a q-entry mask."""
+    ctx, k = art.ctx, art.k
+    G = np.asarray(art.G, dtype=np.int64)
+    finite = G.shape[1] - art.a.extended
+    if k < 2 or art.a.extended and (G[-1, -1] != 1 or G[:-1, -1].any()):
+        return False
+    zero, q1 = ctx.log_zero, ctx.q - 1
+    L = _logs(ctx, G[:2, :finite])
+    if (L[0] == zero).any():
+        return False
+    nonzero = L[1] != zero
+    log_a = (L[1] - L[0]) % q1
+    seen = np.zeros(ctx.q, dtype=bool)
+    seen[np.where(nonzero, ctx.np_tables[0][log_a], 0)] = True
+    if np.count_nonzero(seen) != finite:
+        return False
+    rows = max(1, _BLOCK_ENTRIES // finite)
+    for lo in range(0, k - 1, rows):
+        L = _logs(ctx, G[lo:min(lo + rows, k - 1) + 1, :finite])
+        if (np.where(nonzero, (L[:-1] + log_a) % q1, zero) != L[1:]).any():
             return False
     return True
 
@@ -174,9 +236,26 @@ def _rank_is_k(art: CodeArtifact) -> bool:
     return field_rank(art.ctx, G[:, :k]) == k or field_rank(art.ctx, G) == k
 
 
+def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool]:
+    """(rank G = k, the code is self-dual), for G of shape (k, 2k).
+
+    When G has the GRS structure (`_grs_structure`), any k finite columns
+    form a diagonally scaled Vandermonde matrix with distinct nodes, so the
+    rank is k, and G G^T is Hankel: entry (i, l) is
+    sum_j v_j^2 a_j^(i+l), plus 1 at i = l = k-1 for the extended code.  It
+    is zero exactly when its 2k - 1 antidiagonal sums are, and rows 0 and
+    k-1 hold all of them.  Otherwise the rank is decided by elimination and,
+    only when it is k, G G^T in full."""
+    if _grs_structure(art):
+        G = np.asarray(art.G, dtype=np.int64)
+        return True, not field_matmul_t(art.ctx, G[[0, art.k - 1]], G).any()
+    rank_ok = _rank_is_k(art)
+    return rank_ok, rank_ok and gram_is_zero(art.ctx, art.G)
+
+
 def check_self_dual(art: CodeArtifact) -> bool:
     _require_self_dual_shape(art)
-    return gram_is_zero(art.ctx, art.G) and _rank_is_k(art)
+    return _self_dual_checks(art)[1]
 
 
 def _singular_minors(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
@@ -294,8 +373,7 @@ def min_distance(art: CodeArtifact) -> int:
 
 def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
     _require_self_dual_shape(art)
-    rank_ok = _rank_is_k(art)
-    sd = rank_ok and gram_is_zero(art.ctx, art.G)
+    rank_ok, sd = _self_dual_checks(art)
     mds_checked = "skipped_too_large"
     mds_ok: bool | None = None
     dist: int | None = None

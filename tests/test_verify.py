@@ -19,9 +19,12 @@ from mdssd.field import make_field
 from mdssd.grs import CodeArtifact, EvalVector, ScalingVector, grs_generator_matrix
 from mdssd.verify import (
     VerificationReport,
+    _grs_structure,
     _rank_is_k,
+    _self_dual_checks,
     check_mds_minors,
     check_self_dual,
+    field_matmul_t,
     field_rank,
     first_singular_minor,
     gram_is_zero,
@@ -140,17 +143,17 @@ def test_large_code_gram_check_is_fast():
     assert check_self_dual(art)
 
 
-def _count_rank_calls(monkeypatch):
+def _count_calls(monkeypatch, name):
     import mdssd.verify as verify
 
     calls = []
-    real = verify.field_rank
+    real = getattr(verify, name)
 
     def counted(ctx, G):
         calls.append(np.shape(G))
         return real(ctx, G)
 
-    monkeypatch.setattr(verify, "field_rank", counted)
+    monkeypatch.setattr(verify, name, counted)
     return calls
 
 
@@ -165,22 +168,28 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
     corrupted[1][1] = good.ctx.add_v(corrupted[1][1], 3)
     zero = [[0] * good.n for _ in range(good.k)]
     repeated = [[1] + [0] * (good.n - 1)] * good.k
-    # (G, Gram = 0, expected report, field_rank calls); the corrupted G has
-    # a singular leading 3 x 3 block
+    # (G, Gram = 0, expected report, field_rank calls, gram_is_zero calls);
+    # the valid G has the GRS structure, which certifies both verdicts
+    # without elimination or the full Gram matrix; the corrupted G has a
+    # singular leading 3 x 3 block
     cases = [
-        (G, True, {"self_dual": True, "rank_ok": True}, 1),
-        (corrupted, False, {"self_dual": False, "rank_ok": True}, 2),
-        (repeated, False, {"self_dual": False, "rank_ok": False}, 2),
-        (zero, True, {"self_dual": False, "rank_ok": False}, 2),
+        (G, True, {"self_dual": True, "rank_ok": True}, 0, 0),
+        (corrupted, False, {"self_dual": False, "rank_ok": True}, 2, 1),
+        (repeated, False, {"self_dual": False, "rank_ok": False}, 2, 0),
+        (zero, True, {"self_dual": False, "rank_ok": False}, 2, 0),
     ]
-    calls = _count_rank_calls(monkeypatch)
-    for matrix, gram_zero, report, n_calls in cases:
+    for matrix, gram_zero, _, _, _ in cases:
         assert gram_is_zero(good.ctx, matrix) == gram_zero
+    calls = _count_calls(monkeypatch, "field_rank")
+    gram_calls = _count_calls(monkeypatch, "gram_is_zero")
+    for matrix, _, report, n_calls, n_gram_calls in cases:
         calls.clear()
+        gram_calls.clear()
         rep = verify_artifact(_with_G(good, matrix), mds=False)
         assert rep.to_dict() == {**report, "mds_checked": "skipped_too_large"}
         # at most one k x k and one full-width elimination, in that order
         assert calls == [(good.k, good.k), (good.k, good.n)][:n_calls]
+        assert len(gram_calls) == n_gram_calls
 
 
 # --- vectorized kernels against scalar oracles ---
@@ -463,6 +472,46 @@ def test_gram_multi_chunk_is_exact():
     bad = [row[:] for row in rows]
     bad[0][100] = p - 1 - bad[0][100]
     assert gram_is_zero(ctx, bad) == _oracle_gram_is_zero(ctx, bad)
+
+
+def _oracle_matmul_t(ctx, A, B):
+    out = []
+    for u in A:
+        out.append([])
+        for w in B:
+            acc = 0
+            for x, y in zip(u, w):
+                acc = ctx.add_v(acc, ctx.mul_v(x, y))
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+@pytest.mark.parametrize("block_entries", [None, 8])
+def test_field_matmul_t_matches_scalar_oracle(p, d, block_entries, monkeypatch):
+    # 8-entry blocks put the columns of every product into several chunks
+    import mdssd.verify as verify
+
+    if block_entries:
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
+    ctx = make_field(p, d)
+    rng = random.Random(p * 100 + d + 2)
+    for _ in range(10):
+        k, n = rng.randint(1, 7), rng.randint(1, 14)
+        A, B = _random_matrix(ctx, rng, 2, n), _random_matrix(ctx, rng, k, n)
+        assert field_matmul_t(ctx, A, B).tolist() == _oracle_matmul_t(ctx, A, B)
+
+
+def test_field_matmul_t_multi_chunk_is_exact():
+    # as in test_gram_multi_chunk_is_exact: 24577 columns near p take four
+    # chunks of at most 8192, and every integer sum exceeds 2^53
+    ctx = make_field(1048573, 1)
+    p = ctx.p
+    rng = random.Random(11)
+    A, B = ([[rng.randrange(p - p // 10, p) for _ in range(24577)] for _ in range(rows)]
+            for rows in (2, 3))
+    assert min(sum(x * y for x, y in zip(u, w)) for u in A for w in B) > 1 << 53
+    assert field_matmul_t(ctx, A, B).tolist() == _oracle_matmul_t(ctx, A, B)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2), (7, 1), (3, 3)])
@@ -790,3 +839,150 @@ def test_verify_cli_on_mutated_entry(f9_doc, tmp_path, capsys, row, col, mutatio
         assert code in allowed  # the MDS checks may only add a failure
         if code == 2:
             assert "malformed artifact" in json.loads(captured.out)["error"]
+
+
+# --- the GRS structure test against elimination and the full Gram matrix ---
+
+def _direct_checks(art):
+    rank_ok = _rank_is_k(art)
+    return rank_ok, rank_ok and gram_is_zero(art.ctx, art.G)
+
+
+def _rebuilt_column(ctx, G, j, b):
+    """G with column j rebuilt as v_j b^i down its rows, v_j = G[0][j]."""
+    G = [row[:] for row in G]
+    x = G[0][j]
+    for row in G:
+        row[j] = x
+        x = ctx.mul_v(x, b)
+    return G
+
+
+def _structure_cases(art):
+    """(name, G, whether G keeps the GRS structure) for copies of the G of
+    a self-dual artifact: one changed entry in row k-1, a finite column
+    scaled by a generator g (g^2 != 1) and by -1, rebuilt for a new point,
+    for the point 0 and for a duplicate point, zeroed, with a zero in row 0,
+    or with a_j = 0 and a nonzero entry below row 0, and a broken extended
+    column."""
+    ctx, k = art.ctx, art.k
+    G = np.asarray(art.G).tolist()
+    points = art.a.points
+    j = len(points) - 1
+    cases = [("as built", G, True)]
+    changed = [row[:] for row in G]
+    changed[k - 1][j] = ctx.add_v(changed[k - 1][j], 1)
+    # at k = 2 the change moves only the point a_j, which may stay distinct
+    moved = ctx.mul_v(changed[k - 1][j], ctx.pow_v(G[0][j], -1))
+    cases.append(("changed entry", changed, k == 2 and moved not in points))
+    for name, c in (("scaled by g", ctx.g_val), ("scaled by -1", ctx.neg_v(1))):
+        cases.append((name, [row[:j] + [ctx.mul_v(c, row[j])] + row[j + 1:] for row in G], True))
+    new = next((b for b in range(1, ctx.q) if b not in points), None)
+    if new is not None:
+        cases.append(("another point", _rebuilt_column(ctx, G, j, new), True))
+    if 0 not in points:
+        cases.append(("point 0", _rebuilt_column(ctx, G, j, 0), True))
+    cases.append(("duplicate point", _rebuilt_column(ctx, G, j, points[0]), False))
+    cases.append(("zero column", [row[:j] + [0] + row[j + 1:] for row in G], False))
+    zero_v = [row[:] for row in G]
+    zero_v[0][j] = 0
+    cases.append(("zero in row 0", zero_v, False))
+    if k >= 3:
+        below = _rebuilt_column(ctx, G, j, 0)
+        below[k - 1][j] = 1
+        cases.append(("a_j = 0 below row 0", below, False))
+    if art.a.extended:
+        broken = [row[:] for row in G]
+        broken[0][-1] = 1
+        cases.append(("broken extended column", broken, False))
+    return cases
+
+
+def _assert_structure_matches_direct(art):
+    """The helper agrees with direct elimination and the full Gram matrix on
+    every copy; the returned outcomes are (name, structure, self-dual).  At
+    k = 1 the structure test always falls back."""
+    outcomes = []
+    for name, G, structure in _structure_cases(art):
+        copy = _with_G(art, G)
+        structure = structure and art.k >= 2
+        assert _grs_structure(copy) == structure, name
+        checks = _self_dual_checks(copy)
+        assert checks == _direct_checks(copy), name
+        outcomes.append((name, structure, checks[1]))
+    return outcomes
+
+
+def _assert_self_dual_outcomes(outcomes):
+    sd = {name: sd for name, _, sd in outcomes}
+    assert sd["as built"] and sd["scaled by -1"] and not sd["scaled by g"]
+
+
+def _sweep_artifacts(p, d, n_max):
+    from mdssd.constructions import construct_from_params, iter_valid_params
+
+    ctx = make_field(p, d)
+    return [construct_from_params(ctx, pr)[0] for pr in iter_valid_params(p, d, n_max)]
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 2), (3, 4), (11, 2), (13, 2), (17, 2)])
+def test_self_dual_checks_match_direct_on_the_sweep(p, d):
+    arts = _sweep_artifacts(p, d, 16)
+    assert arts
+    for art in arts:
+        _assert_self_dual_outcomes(_assert_structure_matches_direct(art))
+
+
+@pytest.mark.parametrize("theorem,p,d,params", [
+    ("T1i", 151, 2, {"m": 6, "t": 71}),
+    ("T2", 151, 2, {"m": 15, "t": 25}),
+    ("T4", 3, 10, {"e": 2}),
+    ("T1i", 3, 10, {"m": 44, "t": 4}),
+])
+def test_self_dual_checks_match_direct_on_large_codes(theorem, p, d, params):
+    art, _ = build(theorem, p, d, **params)
+    _assert_self_dual_outcomes(_assert_structure_matches_direct(art))
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (13, 2)])
+def test_structure_in_small_row_blocks_matches_direct(p, d, monkeypatch):
+    # 16-entry blocks test the recurrence a row or two at a time
+    import mdssd.verify as verify
+
+    arts = _sweep_artifacts(p, d, 16)
+    assert max(art.k for art in arts) >= 4
+    expected = [_assert_structure_matches_direct(art) for art in arts]
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16)
+    assert [_assert_structure_matches_direct(art) for art in arts] == expected
+
+
+def test_self_dual_checks_fall_back_at_k_1(monkeypatch):
+    ctx = make_field(5, 1)
+    calls = _count_calls(monkeypatch, "field_rank")
+    gram_calls = _count_calls(monkeypatch, "gram_is_zero")
+    # 1 + 2^2 = 0 in F_5, and 1 + 1 != 0
+    for weights, self_dual in (((1, 2), True), ((1, 1), False)):
+        art = _plain_artifact(ctx, (1, 2), weights, 1)
+        calls.clear()
+        gram_calls.clear()
+        assert _self_dual_checks(art) == (True, self_dual)
+        assert calls == [(1, 1)] and gram_calls == [(1, 2)]
+        assert _direct_checks(art) == (True, self_dual)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_self_dual_checks_read_the_last_hankel_row(k):
+    # a GRS code whose Gram row 0, the sums H_0 .. H_{k-1}, is zero while a
+    # higher sum is not: only row k-1 shows that it is not self-dual
+    ctx = make_field(13, 1)
+    rng = random.Random(k)
+    for _ in range(100_000):
+        art = _plain_artifact(ctx, rng.sample(range(13), 2 * k),
+                              [rng.randrange(1, 13) for _ in range(2 * k)], k)
+        G = np.asarray(art.G).tolist()
+        if not any(_oracle_matmul_t(ctx, G[:1], G)[0]) and not _oracle_gram_is_zero(ctx, G):
+            break
+    else:
+        pytest.fail("no such code found")
+    assert _grs_structure(art)
+    assert _self_dual_checks(art) == (True, False) == _direct_checks(art)
