@@ -16,7 +16,7 @@ import sympy
 
 from .constructions import THEOREMS, ConstructionParams, construct_from_params, iter_valid_params
 from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed, TooLargeToMaterialize
-from .field import make_field
+from .field import make_field, odd_prime_power
 from .verify import check_self_dual
 
 CENSUS_BUDGET = 10**5
@@ -49,15 +49,12 @@ class CensusCtx:
 
 
 def _field_ctx(q: int) -> CensusCtx:
-    if q < 3 or q % 2 == 0:
+    pd = odd_prime_power(q)
+    if pd is None:
         raise EvenQ(q)
     if q > CENSUS_BUDGET:
         raise BudgetExceeded(q, CENSUS_BUDGET)
-    factors = sympy.factorint(q)
-    if len(factors) != 1:
-        raise EvenQ(q)  # not a prime power
-    (p, d), = factors.items()
-    return CensusCtx(q, p, d)
+    return CensusCtx(q, *pd)
 
 
 def _even(ns) -> set[int]:
@@ -85,14 +82,11 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
     pp1: set[int] = set()
     has_r1mod4_odd_s = any(r % 4 == 1 for r, s in cx.representations() if s % 2 == 1)
     for dv in cx.q1_divisors:
-        if dv < 2:
+        # dv = base^m with m odd; a power of 2 would meet neither rule below
+        pd = odd_prime_power(dv)
+        if pd is None or pd[1] % 2 == 0:
             continue
-        fac = sympy.factorint(dv)
-        if len(fac) != 1:
-            continue
-        (base, exp), = fac.items()
-        if exp % 2 == 0:
-            continue  # m odd required
+        base = pd[0]
         if q % 4 == 3 and base % 4 == 3:
             pp3.add(dv + 1)
         if has_r1mod4_odd_s and base % 4 == 1:

@@ -4,8 +4,11 @@ Subcommands: field-info, construct, verify, census.  Output is deterministic
 JSON on stdout (or --out); human-readable diagnostics go to stderr.
 
 Exit codes: 0 success, 2 invalid parameters or malformed input, 3 the
-parameters are valid but the construction cannot be carried out, 4 a
-verification check failed.
+parameters are valid but cannot be carried out (a build, field-table,
+validation or census budget refuses them, or a construction step fails), 4 a
+verification check failed.  Each error class carries its code
+(`MdssdError.exit_code`), and `main` applies it in one handler; only
+`verify` adds rules of its own, for its two phases.
 """
 
 from __future__ import annotations
@@ -15,27 +18,15 @@ import functools
 import json
 import sys
 
-import sympy
-
 from .census import CENSUS_BUDGET, census_report
 from .constructions import ODD_Q_CLAUSE, THEOREMS, build
-from .errors import (
-    BudgetExceeded,
-    EvenQ,
-    FieldTooLarge,
-    HypothesisViolated,
-    MdssdError,
-    SpotCheckFailed,
-    TooLargeToMaterialize,
-    UnsupportedTheorem,
-)
-from .field import make_field
+from .errors import HypothesisViolated, MdssdError
+from .field import make_field, odd_prime_power
 from .grs import artifact_from_dict, artifact_to_dict, to_json
 from .verify import verify_artifact
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_CONSTRUCTION = 3
 EXIT_VERIFICATION = 4
 
 
@@ -57,42 +48,33 @@ def _fail(code: int, message: str, out_path: str | None = None) -> int:
     return code
 
 
-def _report_failure(report) -> None:
-    """Name the singular minor, if the minors found one, then fail."""
+def _verdict(report) -> int:
+    """Exit 0 for a self-dual code whose MDS checks did not fail; otherwise
+    name the singular minor, if the minors found one, and exit 4.  A report
+    is self-dual only at rank k."""
+    if report.self_dual and report.mds_ok is not False:
+        return EXIT_OK
     if report.singular_minor is not None:
         columns = ", ".join(map(str, report.singular_minor))
         print(f"singular minor at columns ({columns})", file=sys.stderr)
     print("verification failed", file=sys.stderr)
+    return EXIT_VERIFICATION
 
 
 def _resolve_pd(args) -> tuple[int, int]:
-    """Accept either --p/--deg or a (possibly composite) --q.  A prime power
-    is recognized by its largest perfect-power root, so a large composite q
-    is never factored."""
+    """Accept either --p/--deg or a (possibly composite) --q."""
     if args.q is not None:
-        q = args.q
-        if q >= 3 and q % 2:
-            if sympy.isprime(q):
-                return q, 1
-            root = sympy.perfect_power(q)
-            if root and sympy.isprime(root[0]):
-                return root
-        raise HypothesisViolated(ODD_Q_CLAUSE)
+        pd = odd_prime_power(args.q)
+        if pd is None:
+            raise HypothesisViolated(ODD_Q_CLAUSE)
+        return pd
     if args.p is None:
         raise HypothesisViolated("either --q or --p/--deg is required")
     return args.p, args.deg
 
 
 def cmd_field_info(args) -> int:
-    try:
-        p, d = _resolve_pd(args)
-        if not sympy.isprime(p) or p == 2:
-            raise HypothesisViolated("p is an odd prime")
-        ctx = make_field(p, d)
-    except FieldTooLarge as ex:  # a valid field beyond the table budget
-        return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
-    except MdssdError as ex:
-        return _fail(EXIT_INVALID, str(ex), args.out)
+    ctx = make_field(*_resolve_pd(args))
     doc = {
         "p": ctx.p,
         "d": ctx.d,
@@ -108,28 +90,16 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    try:
-        p, d = _resolve_pd(args)
-    except MdssdError as ex:
-        return _fail(EXIT_INVALID, str(ex), args.out)
+    p, d = _resolve_pd(args)
     kw = {}
     for key, dest in (("m", "m"), ("t", "t"), ("s", "s"), ("e", "e"), ("k", "k_sub")):
         val = getattr(args, key)
         if val is not None:
             kw[dest] = val
-    try:
-        art, trace = build(args.theorem, p, d, **kw)
-    except (HypothesisViolated, UnsupportedTheorem) as ex:
-        return _fail(EXIT_INVALID, str(ex), args.out)
-    except MdssdError as ex:  # valid parameters that cannot be built
-        return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
+    art, trace = build(args.theorem, p, d, **kw)
     report = verify_artifact(art, mds=not args.no_mds)
-    doc = artifact_to_dict(art, trace.to_dict(), report.to_dict())
-    _emit(doc, args.out)
-    if not report.self_dual or report.mds_ok is False:
-        _report_failure(report)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    _emit(artifact_to_dict(art, trace.to_dict(), report.to_dict()), args.out)
+    return _verdict(report)
 
 
 def cmd_verify(args) -> int:
@@ -137,30 +107,22 @@ def cmd_verify(args) -> int:
         with open(getattr(args, "in"), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         art = artifact_from_dict(doc)
-    except (OSError, ValueError, KeyError, TypeError, MdssdError) as ex:
+    except MdssdError as ex:  # first: MalformedArtifact is also a ValueError
+        return _fail(ex.exit_code, f"cannot load artifact: {ex}", args.out)
+    except (OSError, ValueError, KeyError, TypeError) as ex:
         return _fail(EXIT_INVALID, f"cannot load artifact: {ex}", args.out)
     try:
         report = verify_artifact(art, mds=args.mds)
-    except MdssdError as ex:
+    except MdssdError as ex:  # e.g. n != 2k: the artifact fails verification
         return _fail(EXIT_VERIFICATION, str(ex), args.out)
     _emit(report.to_dict(), args.out)
-    if not (report.self_dual and report.rank_ok) or report.mds_ok is False:
-        _report_failure(report)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _verdict(report)
 
 
 def cmd_census(args) -> int:
     if args.spot_check_bound < 0:
         return _fail(EXIT_INVALID, "the spot-check bound is at least 0", args.out)
-    try:
-        rep = census_report(args.q, args.spot_check_bound)
-    except (EvenQ, BudgetExceeded) as ex:
-        return _fail(EXIT_INVALID, str(ex), args.out)
-    except TooLargeToMaterialize as ex:
-        return _fail(EXIT_CONSTRUCTION, str(ex), args.out)
-    except SpotCheckFailed as ex:
-        return _fail(EXIT_VERIFICATION, str(ex), args.out)
+    rep = census_report(args.q, args.spot_check_bound)
     chosen = {"prior": rep.lengths_prior, "new": rep.lengths_new,
               "all": rep.lengths_union}[args.rows]
     full = rep.to_dict()
@@ -229,7 +191,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MdssdError as ex:
+        return _fail(ex.exit_code, str(ex), args.out)
 
 
 if __name__ == "__main__":

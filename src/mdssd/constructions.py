@@ -248,53 +248,33 @@ def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
                       parity: str = "any") -> tuple[tuple[int, ...], int]:
     """Greedy ascending scan for indices i with g^{stride*i} in pairwise
     distinct cosets of the order-m subgroup.  `parity` constrains either the
-    sum A of the chosen indices (A_even / A_odd) or every index (all_even).
+    sum A of the chosen indices (A_even / A_odd: the t-th index must give A
+    that parity) or every index (all_even: the scan steps by 2).
 
-    Fresh-coset test: stride*i*m mod (q-1) not previously seen."""
+    Fresh-coset test: stride*i*m mod (q-1) not among the chosen keys."""
+    if parity not in ("any", "all_even", "A_even", "A_odd"):
+        raise ValueError(f"unknown parity mode {parity!r}")
+    want = {"A_even": 0, "A_odd": 1}.get(parity)
     q1 = ctx.q - 1
     subgroup_size = q1 // gcd(q1, stride)  # indices repeat beyond this
-
-    def fresh_indices(step: int):
-        seen: set[int] = set()
-        for i in range(0, subgroup_size, step):
-            key = stride * i * m % q1
-            if key not in seen:
-                seen.add(key)
-                yield i
-
-    if parity in ("any", "all_even"):
-        chosen = []
-        for i in fresh_indices(2 if parity == "all_even" else 1):
-            chosen.append(i)
-            if len(chosen) == t:
-                return tuple(chosen), sum(chosen)
-        if parity == "any":
-            raise NotEnoughCosets(t, len(chosen))
-        raise ParityInfeasible(f"only {len(chosen)} even-index cosets available, needed {t}")
-
-    if parity not in ("A_even", "A_odd"):
-        raise ValueError(f"unknown parity mode {parity!r}")
-    want = 0 if parity == "A_even" else 1
-    base: list[int] = []
-    base_keys: set[int] = set()
-    final = None
-    for i in range(subgroup_size):
+    chosen: list[int] = []
+    keys: set[int] = set()
+    total = 0
+    for i in range(0, subgroup_size, 2 if parity == "all_even" else 1):
         key = stride * i * m % q1
-        if len(base) < t - 1:
-            if key not in base_keys:
-                base.append(i)
-                base_keys.add(key)
+        if key in keys or (want is not None and len(chosen) == t - 1
+                           and (total + i) % 2 != want):
             continue
-        # final slot: any later representative of an unused coset qualifies
-        if key not in base_keys and (sum(base) + i) % 2 == want:
-            final = i
-            break
-    if final is None:
-        if len(base) < t - 1:
-            raise NotEnoughCosets(t, len(base))
+        chosen.append(i)
+        keys.add(key)
+        total += i
+        if len(chosen) == t:
+            return tuple(chosen), total
+    if parity == "all_even":
+        raise ParityInfeasible(f"only {len(chosen)} even-index cosets available, needed {t}")
+    if want is not None and len(chosen) == t - 1:
         raise ParityInfeasible(f"no final index gives A ≡ {want} (mod 2)")
-    chosen = base + [final]
-    return tuple(chosen), sum(chosen)
+    raise NotEnoughCosets(t, len(chosen))
 
 
 # --- families 1-3: unions of t cosets of the order-m subgroup ---

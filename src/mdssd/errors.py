@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Each error carries the command-line exit code it ends in, so the CLI maps
+every error in one place: `MdssdError` (2) for invalid parameters or
+malformed input, `CannotCarryOut` (3) for valid input that a budget or a
+construction step refuses, and `SpotCheckFailed` (4) for a census length
+that failed to verify."""
 
 from __future__ import annotations
 
@@ -10,7 +16,17 @@ def _quantity(n: int) -> str:
 
 
 class MdssdError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: invalid parameters or malformed
+    input."""
+
+    exit_code = 2
+
+
+class CannotCarryOut(MdssdError):
+    """Valid input that cannot be carried out: a budget refuses it, or a
+    construction step fails."""
+
+    exit_code = 3
 
 
 # --- field construction / arithmetic ---
@@ -32,7 +48,7 @@ class DegreeZero(MdssdError):
         super().__init__("extension degree must be >= 1")
 
 
-class FieldTooLarge(MdssdError):
+class FieldTooLarge(CannotCarryOut):
     def __init__(self, p: int, d: int, budget: int):
         super().__init__(f"q = {p}^{d} exceeds the field materialization budget {budget}")
         self.p = p
@@ -40,19 +56,19 @@ class FieldTooLarge(MdssdError):
         self.budget = budget
 
 
-class ZeroToNegativePower(MdssdError):
+class ZeroToNegativePower(CannotCarryOut):
     def __init__(self):
         super().__init__("zero cannot be raised to a negative power")
 
 
-class NotDividing(MdssdError):
+class NotDividing(CannotCarryOut):
     def __init__(self, m: int, modulus: int):
         super().__init__(f"{m} does not divide {modulus}")
         self.m = m
         self.modulus = modulus
 
 
-class NotASubfield(MdssdError):
+class NotASubfield(CannotCarryOut):
     def __init__(self, sub_q: int, q: int):
         super().__init__(f"{sub_q} does not define a subfield of the field with {q} elements")
         self.sub_q = sub_q
@@ -61,11 +77,11 @@ class NotASubfield(MdssdError):
 
 # --- code assembly ---
 
-class IndexOutOfRange(MdssdError, IndexError):
+class IndexOutOfRange(CannotCarryOut, IndexError):
     pass
 
 
-class DimensionMismatch(MdssdError):
+class DimensionMismatch(CannotCarryOut):
     pass
 
 
@@ -75,18 +91,18 @@ class MalformedArtifact(MdssdError, ValueError):
         self.detail = detail
 
 
-class DuplicatePoint(MdssdError):
+class DuplicatePoint(CannotCarryOut):
     def __init__(self):
         super().__init__("evaluation points must be pairwise distinct")
 
 
-class OddLength(MdssdError):
+class OddLength(CannotCarryOut):
     def __init__(self, n: int):
         super().__init__(f"self-dual codes require even length, got n = {n}")
         self.n = n
 
 
-class SquareConditionViolated(MdssdError):
+class SquareConditionViolated(CannotCarryOut):
     def __init__(self, index: int):
         super().__init__(f"square condition fails at evaluation point index {index}")
         self.index = index
@@ -100,19 +116,19 @@ class HypothesisViolated(MdssdError):
         self.clause = clause
 
 
-class NotEnoughCosets(MdssdError):
+class NotEnoughCosets(CannotCarryOut):
     def __init__(self, wanted: int, available: int):
         super().__init__(f"needed {wanted} coset representatives, only {available} exist")
         self.wanted = wanted
         self.available = available
 
 
-class ParityInfeasible(MdssdError):
+class ParityInfeasible(CannotCarryOut):
     def __init__(self, detail: str):
         super().__init__(f"no representative set with the required parity: {detail}")
 
 
-class TooLargeToMaterialize(MdssdError):
+class TooLargeToMaterialize(CannotCarryOut):
     def __init__(self, n: int, budget: int):
         super().__init__(f"parameters are valid but n = {_quantity(n)} exceeds the build "
                          f"budget {budget}")
@@ -120,7 +136,7 @@ class TooLargeToMaterialize(MdssdError):
         self.budget = budget
 
 
-class TooLargeToValidate(MdssdError):
+class TooLargeToValidate(CannotCarryOut):
     def __init__(self, p: int, d: int, bits: int):
         super().__init__(f"q = {p}^{d} may have more than {bits} bits, beyond the "
                          f"validation budget")
@@ -137,7 +153,7 @@ class UnsupportedTheorem(MdssdError):
 
 # --- verification ---
 
-class TooLarge(MdssdError):
+class TooLarge(CannotCarryOut):
     def __init__(self, detail: str):
         super().__init__(f"verification budget exceeded: {detail}")
 
@@ -150,12 +166,14 @@ class EvenQ(MdssdError):
         self.q = q
 
 
-class BudgetExceeded(MdssdError):
+class BudgetExceeded(CannotCarryOut):
     def __init__(self, q: int, budget: int):
         super().__init__(f"q = {q} exceeds the census budget {budget}")
 
 
 class SpotCheckFailed(MdssdError):
+    exit_code = 4
+
     def __init__(self, n: int, detail: str):
         super().__init__(f"claimed length n = {n} could not be realized: {detail}")
         self.n = n

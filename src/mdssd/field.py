@@ -450,6 +450,18 @@ class FieldCtx:
         return hash((self.p, self.d))
 
 
+def odd_prime_power(q: int) -> tuple[int, int] | None:
+    """(p, d) with q = p^d for an odd prime p, or None.  A prime power is
+    recognized by its largest perfect-power root, so a composite q is never
+    factored."""
+    if q < 3 or q % 2 == 0:
+        return None
+    if sympy.isprime(q):
+        return q, 1
+    root = sympy.perfect_power(q)
+    return root if root and sympy.isprime(root[0]) else None
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, d: int) -> FieldCtx:
     """Deterministic field context: value-smallest irreducible modulus and

@@ -21,6 +21,30 @@ def run(capsys, *argv):
     return code, doc, captured.err
 
 
+# every package error and the exit code the CLI ends in when it escapes
+EXIT_CODES = {
+    "MdssdError": 2, "NonPrime": 2, "EvenCharacteristic": 2, "DegreeZero": 2,
+    "MalformedArtifact": 2, "HypothesisViolated": 2, "UnsupportedTheorem": 2,
+    "EvenQ": 2,
+    "CannotCarryOut": 3, "FieldTooLarge": 3, "TooLargeToMaterialize": 3,
+    "TooLargeToValidate": 3, "TooLarge": 3, "BudgetExceeded": 3,
+    "NotEnoughCosets": 3, "ParityInfeasible": 3, "SquareConditionViolated": 3,
+    "DuplicatePoint": 3, "OddLength": 3, "NotDividing": 3, "NotASubfield": 3,
+    "ZeroToNegativePower": 3, "IndexOutOfRange": 3, "DimensionMismatch": 3,
+    "SpotCheckFailed": 4,
+}
+
+
+def test_every_error_class_carries_its_exit_code():
+    import inspect
+
+    import mdssd.errors as errors
+
+    classes = {name: cls for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and issubclass(cls, errors.MdssdError)}
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
+
+
 def test_field_info_f9(capsys):
     code, doc, _ = run(capsys, "field-info", "--p", "3", "--deg", "2")
     assert code == 0
@@ -29,8 +53,10 @@ def test_field_info_f9(capsys):
 
 
 def test_field_info_rejects_even_and_composite(capsys):
-    assert run(capsys, "field-info", "--p", "2", "--deg", "3")[0] == 2
-    assert run(capsys, "field-info", "--p", "9", "--deg", "1")[0] == 2
+    code, doc, _ = run(capsys, "field-info", "--p", "2", "--deg", "3")
+    assert code == 2 and "characteristic 2" in doc["error"]
+    code, doc, _ = run(capsys, "field-info", "--p", "9", "--deg", "1")
+    assert code == 2 and doc["error"] == "9 is not prime"
 
 
 def test_field_info_accepts_composite_q(capsys):
@@ -208,6 +234,15 @@ def test_census_enumerates_once(extra, monkeypatch, capsys):
 
 def test_census_invalid_q_exit_2(capsys):
     assert run(capsys, "census", "--q", "16")[0] == 2
+
+
+def test_census_decides_prime_power_before_budget(capsys):
+    # 100001 = 11 * 9091 is no prime power, whatever the budget
+    code, doc, _ = run(capsys, "census", "--q", "100001")
+    assert code == 2 and "odd prime power" in doc["error"]
+    # 3^11 is valid, and beyond the census budget
+    code, doc, _ = run(capsys, "census", "--q", "177147")
+    assert code == 3 and "census budget" in doc["error"]
 
 
 def test_artifact_output_is_byte_identical(tmp_path, capsys):
@@ -398,6 +433,18 @@ def test_huge_fields_exit_without_traceback(argv, capsys):
     assert "budget" in doc["error"] and len(doc["error"]) < 200
 
 
+def test_verify_field_too_large_exit_3(artifact_doc, tmp_path, capsys):
+    # a document that meets every rule of the format, over q = 3^14
+    from mdssd.field import _find_modulus
+
+    doc = dict(artifact_doc, p=3, d=14, q=3**14, modulus=list(_find_modulus(3, 14)))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert code == 3 and "cannot load artifact" in rep["error"] and "budget" in rep["error"]
+    assert "Traceback" not in err
+
+
 def test_composite_q_is_not_factored(capsys):
     # a product of two 30-digit primes
     q = (10**29 + 129) * (10**29 + 151)
@@ -474,6 +521,12 @@ def test_arguments_end_in_documented_exit_code(argv, capsys):
     """Valid, invalid, zero, negative and huge arguments all end in exit 0,
     2, 3 or 4, never in an exception.  Small budgets keep every field,
     length and census small."""
+    _assert_documented_exit(argv, capsys)
+
+
+def _assert_documented_exit(argv, capsys):
+    """Run argv under small budgets, so that every field, length and census
+    stays small, and check its exit code and error JSON."""
     import mdssd.census as census
     import mdssd.constructions as constructions
     import mdssd.field as field
@@ -487,3 +540,62 @@ def test_arguments_end_in_documented_exit_code(argv, capsys):
     assert code in (0, 2, 3, 4)
     if code in (2, 3):
         assert json.loads(captured.out)["error"]
+
+
+@functools.cache
+def _small_artifact_json():
+    from mdssd.constructions import build
+    from mdssd.grs import artifact_to_dict
+
+    return json.dumps(artifact_to_dict(build("T1ii", 3, 2, m=2, t=2)[0]))
+
+
+_VALUES = st.sampled_from([None, True, False, 1.5, -1, 7, 10**40, [], [1], {}, {"k": 1}])
+
+
+@st.composite
+def _artifacts(draw):
+    """The [6, 3] artifact over F_9 with one change: one or two top-level
+    keys replaced or removed, one entry of G replaced, or the extended flag
+    replaced."""
+    doc = json.loads(_small_artifact_json())
+    kind = draw(st.sampled_from(["keys", "G", "extended"]))
+    if kind == "keys":
+        for key in draw(st.lists(st.sampled_from(sorted(doc)), min_size=1, max_size=2,
+                                 unique=True)):
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(_VALUES)
+    elif kind == "G":
+        row = draw(st.integers(0, len(doc["G"]) - 1))
+        col = draw(st.integers(0, len(doc["G"][0]) - 1))
+        doc["G"][row][col] = draw(st.one_of(st.integers(0, 8), _INTS, _VALUES))
+    else:
+        doc["construction"]["extended"] = draw(_VALUES)
+    return doc
+
+
+@st.composite
+def _field_info_arguments(draw):
+    argv = ["field-info"]
+    if draw(st.booleans()):
+        return argv + ["--q", str(draw(_Q))]
+    for flag, values in (("--p", st.sampled_from([2, 3, 5, 7, 9, 13])), ("--deg", st.integers(1, 6))):
+        value = draw(st.one_of(st.none(), values, _INTS))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=st.one_of(_field_info_arguments(), _artifacts()))
+def test_field_info_and_verify_end_in_documented_exit_code(draw, tmp_path, capsys):
+    """field-info arguments and changed artifacts end in exit 0, 2, 3 or 4
+    too, never in an exception."""
+    if isinstance(draw, dict):
+        path = tmp_path / "art.json"
+        path.write_text(json.dumps(draw))
+        draw = ["verify", "--in", str(path)]
+    _assert_documented_exit(draw, capsys)
