@@ -10,6 +10,7 @@ report optionally verifies small lengths end to end ("spot checks").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import sympy
@@ -28,9 +29,9 @@ class CensusCtx:
     p: int
     d: int
 
-    @property
+    @cached_property
     def q1_divisors(self) -> tuple[int, ...]:
-        return tuple(sorted(sympy.divisors(self.q - 1)))
+        return tuple(sympy.divisors(self.q - 1))  # ascending
 
     def eta(self, c: int) -> int:
         """Quadratic character of the integer c viewed in F_q."""
@@ -74,7 +75,7 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
         dv + 1 for dv in cx.q1_divisors if cx.eta(1 - (dv + 1)) == 1
     )
     rules["prior:Yan:(n-2)|(q-1)"] = _even(
-        dv + 2 for dv in cx.q1_divisors if dv + 2 <= q + 1 and cx.eta(2 - (dv + 2)) == 1
+        dv + 2 for dv in cx.q1_divisors if cx.eta(2 - (dv + 2)) == 1
     )
 
     # prime-power n-1 rules
@@ -105,12 +106,11 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
                 lr1.add(n)
             if l % 2 == 0 and l >= 2 and (r - 1) % (l - 1) == 0 and cx.eta(1 - l) == 1:
                 lr2.add(n)
-            if n + 1 <= q + 1:
-                if l % 2 == 1 and (r - 1) % l == 0 and cx.eta(l) == 1:
-                    lr3.add(n + 1)
-                if l % 2 == 1 and l >= 2 and (r - 1) % (l - 1) == 0 \
-                        and cx.eta(l - 1) == 1 and cx.eta(-1) == 1:
-                    lr4.add(n + 1)
+            if l % 2 == 1 and (r - 1) % l == 0 and cx.eta(l) == 1:
+                lr3.add(n + 1)
+            if l % 2 == 1 and l >= 2 and (r - 1) % (l - 1) == 0 \
+                    and cx.eta(l - 1) == 1 and cx.eta(-1) == 1:
+                lr4.add(n + 1)
     rules["prior:Yan:n=lr,2l|(r-1)"] = _even(lr1)
     rules["prior:Yan:n=lr,(l-1)|(r-1)"] = _even(lr2)
     rules["prior:Yan:n=lr+1,l|(r-1)"] = _even(lr3)
@@ -120,15 +120,9 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
         r = p ** (d // 2)
         rules["prior:JX:n<=r"] = _even(range(2, r + 1))
         if r % 4 == 3:
-            rules["prior:JX:n=2tr"] = _even(
-                2 * t * r for t in range(1, (r - 1) // 2 + 1) if 2 * t * r <= q + 1
-            )
-        rules["prior:Yan:n=tr,t-even"] = _even(
-            t * r for t in range(2, r + 1, 2) if t * r <= q + 1
-        )
-        rules["prior:Yan:n=tr+1,t-odd"] = _even(
-            t * r + 1 for t in range(1, r + 1, 2) if t * r + 1 <= q + 1
-        )
+            rules["prior:JX:n=2tr"] = _even(2 * t * r for t in range(1, (r - 1) // 2 + 1))
+        rules["prior:Yan:n=tr,t-even"] = _even(t * r for t in range(2, r + 1, 2))
+        rules["prior:Yan:n=tr+1,t-odd"] = _even(t * r + 1 for t in range(1, r + 1, 2))
 
     if q % 4 == 1:
         rules["prior:Yan:n|(q-1)"] = _even(dv for dv in cx.q1_divisors if dv < q1)
@@ -138,9 +132,7 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
 
     rules["prior:Yan:n=p^r+1"] = _even(p**rr + 1 for rr in sympy.divisors(d))
     if cx.eta(-1) == 1:
-        rules["prior:Yan:n=2p^e"] = _even(
-            2 * p**e for e in range(1, d) if 2 * p**e <= q + 1
-        )
+        rules["prior:Yan:n=2p^e"] = _even(2 * p**e for e in range(1, d))
 
     if d % 2 == 0:
         r = p ** (d // 2)
@@ -155,9 +147,9 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
                     break
                 if (q1 // m) % 2 == 0:
                     tm.add(n)
-                if n % 2 == 1 and n + 1 <= q + 1:
+                if n % 2 == 1:
                     tm1.add(n + 1)
-                if n % 2 == 0 and n + 2 <= q + 1:
+                else:
                     tm2.add(n + 2)
         rules["prior:LLL:n=tm"] = _even(tm)
         rules["prior:LLL:n=tm+1"] = _even(tm1)
@@ -274,10 +266,8 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     new_by_rule, candidates = _new_rules(cx, spot_check_bound)
     per_rule = {rid: tuple(sorted(n for n in ns if n <= q + 1))
                 for rid, ns in {**prior_by_rule, **new_by_rule}.items()}
-    prior = set().union(*prior_by_rule.values()) if prior_by_rule else set()
-    new = set().union(*new_by_rule.values()) if new_by_rule else set()
-    prior = {n for n in prior if n <= q + 1}
-    new = {n for n in new if n <= q + 1}
+    prior = set().union(*(per_rule[rid] for rid in prior_by_rule))
+    new = set().union(*(per_rule[rid] for rid in new_by_rule))
     _check_mod4(q, prior | new)
 
     spot_checks: dict[int, str] = {}

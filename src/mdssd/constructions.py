@@ -5,8 +5,10 @@ are t cosets of the order-m subgroup of F_q*, with representatives g^{stride*z}
 for a stride of r-1, or (r+1)/s in family 3.  The variants differ only in a
 parity rule for the indices z, in whether 0 and infinity are added, and in
 lambda.  Family 4 is a translated subspace grid, family 5 subfield-subspace
-translates of roots of unity.  All of them delegate to the assembly engines in
-`grs`.
+translates of roots of unity; both take their subspace from one span,
+`_span`, and every running product over F_q, in family 5's lambda and in the
+closed-form locators, is one `_product`.  All of them delegate to the
+assembly engines in `grs`.
 
 Each hypothesis is written once, in one clause function: `validate` raises
 the first clause that fails, and `iter_valid_params` keeps the tuples it
@@ -16,8 +18,8 @@ large-but-valid parameter sets are checked without materializing a field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
 
@@ -79,20 +81,13 @@ class ConstructionParams:
         return self.p ** (self.d // 2)
 
     def label(self) -> str:
-        parts = []
-        for key in ("m", "t", "s", "e", "k_sub"):
-            val = getattr(self, key)
-            if val is not None:
-                parts.append(f"{'k' if key == 'k_sub' else key}={val}")
+        parts = (f"{'k' if key == 'k_sub' else key}={val}"
+                 for key, val in self.to_dict().items() if key != "theorem")
         return f"{self.theorem}({','.join(parts)})"
 
     def to_dict(self) -> dict:
-        out = {"theorem": self.theorem}
-        for key in ("m", "t", "s", "e", "k_sub"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
+        given = {key: getattr(self, key) for key in ("m", "t", "s", "e", "k_sub")}
+        return {"theorem": self.theorem, **{k: v for k, v in given.items() if v is not None}}
 
 
 @dataclass
@@ -111,31 +106,20 @@ class ConstructionTrace:
     beta: int | None = None
     omega: int | None = None
     V_basis: tuple[int, ...] | None = None
-    S: tuple[int, ...] | None = None  # grid coordinates (families 4-5)
-    V: tuple[int, ...] | None = dc_field(default=None)
+    S: tuple[int, ...] | None = None  # grid coordinates (family 4)
+    V: tuple[int, ...] | None = None  # the subspace (family 5)
 
     def to_dict(self) -> dict:
+        """The intermediates that are set; ctx, params, S and V stay out."""
         out: dict = {}
-        if self.I is not None:
-            out["I"] = list(self.I)
-        if self.A is not None:
-            out["A"] = self.A
-        if self.lam is not None:
-            out["lambda"] = self.lam
-        if self.locators is not None:
-            out["locators"] = list(self.locators)
-        if self.u is not None:
-            out["u"] = {str(z): uz for z, uz in sorted(self.u.items())}
-        if self.c is not None:
-            out["c"] = self.c
-        if self.xi_s is not None:
-            out["xi_s"] = self.xi_s
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.omega is not None:
-            out["omega"] = self.omega
-        if self.V_basis is not None:
-            out["V_basis"] = list(self.V_basis)
+        for key in ("I", "A", "lam", "locators", "u", "c", "xi_s", "beta", "omega", "V_basis"):
+            val = getattr(self, key)
+            if isinstance(val, dict):
+                val = {str(z): uz for z, uz in sorted(val.items())}
+            elif isinstance(val, (tuple, list)):
+                val = list(val)
+            if val is not None:
+                out["lambda" if key == "lam" else key] = val
         return out
 
 
@@ -335,20 +319,28 @@ def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> Built:
     return art, trace
 
 
+# --- families 4-5: spans over a subfield ---
+
+def _span(ctx: FieldCtx, basis, coeffs) -> list[int]:
+    """Every sum c_i b_i with each c_i from `coeffs`; the coefficient of
+    basis[0] changes fastest."""
+    span = [0]
+    for b in basis:
+        span = [ctx.add_v(x, ctx.mul_v(c, b)) for c in coeffs for x in span]
+    return span
+
+
+def _product(ctx: FieldCtx, values) -> int:
+    return reduce(ctx.mul_v, values, 1)
+
+
 # --- family 4: subspace grid alpha_k * beta + alpha_j ---
 
 def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
-    p, r, e = ctx.p, params.r, params.e
+    r = params.r
     gamma = ctx.subfield_generator_v(r)
-    basis = tuple(ctx.pow_v(gamma, i) for i in range(e))
-    # all F_p-combinations of the basis, mixed-radix order
-    alphas = []
-    for idx in range(p**e):
-        acc, rem = 0, idx
-        for b in basis:
-            rem, c = rem // p, rem % p
-            acc = ctx.add_v(acc, ctx.mul_v(c % p, b))
-        alphas.append(acc)
+    basis = tuple(ctx.pow_v(gamma, i) for i in range(params.e))
+    alphas = _span(ctx, basis, ctx.subfield_elements_v(ctx.p))
     beta = ctx.pow_v(ctx.g_val, r - 1)
     points = [
         ctx.add_v(ctx.mul_v(ak, beta), aj)
@@ -365,36 +357,18 @@ def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
 # --- family 5: subfield-subspace translates of 2t-th roots of unity ---
 
 def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> Built:
-    k_sub, t, e = params.k_sub, params.t, params.e
-    sub_q = ctx.p**k_sub
-    sub_elems = ctx.subfield_elements_v(sub_q)
-    gamma = ctx.subfield_generator_v(sub_q)
-    omega = ctx.pow_v(gamma, (sub_q - 1) // (2 * t))
-    basis = tuple(ctx.pow_v(ctx.g_val, i) for i in range(1, e + 1))
+    t = params.t
+    sub_q = ctx.p**params.k_sub
+    omega = ctx.pow_v(ctx.subfield_generator_v(sub_q), (sub_q - 1) // (2 * t))
+    basis = tuple(ctx.pow_v(ctx.g_val, i) for i in range(1, params.e + 1))
     # V = subfield-span of {g, ..., g^e}; coordinates are unique, so
     # V meets the subfield only in 0
-    V = []
-    for idx in range(sub_q**e):
-        acc, rem = 0, idx
-        for b in basis:
-            rem, ci = rem // sub_q, rem % sub_q
-            acc = ctx.add_v(acc, ctx.mul_v(sub_elems[ci], b))
-        V.append(acc)
-    points = []
-    for j in range(2 * t):
-        wj = ctx.pow_v(omega, j)
-        points.extend(ctx.add_v(wj, u) for u in V)
-    prod_nz = 1
-    for u in V:
-        if u != 0:
-            prod_nz = ctx.mul_v(prod_nz, u)
-    prod_shift = 1
-    for u in V:
-        for h in range(1, 2 * t):
-            prod_shift = ctx.mul_v(
-                prod_shift, ctx.sub_v(ctx.add_v(1, u), ctx.pow_v(omega, h))
-            )
-    c = ctx.mul_v(prod_nz, prod_shift)
+    V = _span(ctx, basis, ctx.subfield_elements_v(sub_q))
+    roots = [ctx.pow_v(omega, j) for j in range(2 * t)]
+    points = [ctx.add_v(w, u) for w in roots for u in V]
+    # c = prod_{u in V, u != 0} u * prod_{u in V, 0 < h < 2t} (1 + u - omega^h)
+    c = _product(ctx, chain((u for u in V if u),
+                            (ctx.sub_v(ctx.add_v(1, u), w) for u in V for w in roots[1:])))
     a = EvalVector(ctx, tuple(points), extended=False)
     art, locs = assemble_self_dual_grs(a, c, params.label(), params.to_dict())
     trace = ConstructionTrace(ctx, params, lam=c, locators=locs, c=c,
@@ -439,41 +413,20 @@ def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i:
             ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, m - 1)), trace.u[z]
         )
     if th in ("T1ii", "T3ii"):
-        if i == 0:
-            acc = 1
-            for l in trace.I:
-                acc = ctx.mul_v(acc, ctx.pow_v(ctx.g_val, stride * l * m))
-            if (m + 1) * params.t % 2 == 1:
-                acc = ctx.neg_v(acc)
-            return acc
+        if i == 0:  # +-g^(stride m sum(I))
+            L0 = ctx.pow_v(ctx.g_val, stride * m * sum(trace.I))
+            return ctx.neg_v(L0) if (m + 1) * params.t % 2 else L0
         zi, k = divmod(i - 1, m)
         z = trace.I[zi]
         return ctx.mul_v(
             ctx.mul_v(ctx.int_v(m), ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
         )
-    if th == "T4":
-        pe = len(trace.S)
-        k0, j0 = divmod(i, pe)
-        S = trace.S
-        acc = ctx.pow_v(trace.beta, pe - 1)
-        for j in range(pe):
-            if j != j0:
-                acc = ctx.mul_v(acc, ctx.sub_v(S[j0], S[j]))
-        for k in range(pe):
-            if k != k0:
-                acc = ctx.mul_v(acc, ctx.sub_v(S[k0], S[k]))
-        for j in range(pe):
-            if j == j0:
-                continue
-            for k in range(pe):
-                if k == k0:
-                    continue
-                term = ctx.sub_v(
-                    ctx.mul_v(ctx.sub_v(S[k0], S[k]), trace.beta),
-                    ctx.sub_v(S[j0], S[j]),
-                )
-                acc = ctx.mul_v(acc, term)
-        return acc
+    if th == "T4":  # point S[k0] beta + S[j0]
+        S, beta = trace.S, trace.beta
+        dk, dj = ([ctx.sub_v(S[x0], s) for x, s in enumerate(S) if x != x0]
+                  for x0 in divmod(i, len(S)))
+        cross = (ctx.sub_v(ctx.mul_v(x, beta), y) for y in dj for x in dk)
+        return _product(ctx, chain([ctx.pow_v(beta, len(S) - 1)], dj, dk, cross))
     if th == "T5":
         block = ctx.p ** (params.k_sub * params.e)
         j = i // block

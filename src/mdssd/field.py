@@ -198,6 +198,13 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def _poly_text(terms) -> str:
+    """The nonzero (i, c) terms as c, x or cx, x^i or cx^i, joined by '+'."""
+    text = [str(c) if i == 0 else ("" if c == 1 else str(c)) + ("x" if i == 1 else f"x^{i}")
+            for i, c in terms if c]
+    return "+".join(text) or "0"
+
+
 class FieldCtx:
     """Immutable description of F_q = F_p[x]/(modulus) with a fixed primitive
     element g and full exp/log tables, as read-only int64 arrays
@@ -401,44 +408,20 @@ class FieldCtx:
         raise NotASubfield(sub_q, self.q)
 
     def subfield_elements_v(self, sub_q: int) -> list[int]:
-        """All encodings of the subfield with sub_q elements, ascending."""
-        gamma = self.subfield_generator_v(sub_q)
-        vals = {0, 1}
-        acc = gamma
-        for _ in range(sub_q - 2):
-            vals.add(acc)
-            acc = self.mul_v(acc, gamma)
-        return sorted(vals)
+        """All encodings of the subfield with sub_q elements, ascending: 0
+        and the powers of its generator, every (q-1)/(sub_q-1)-th exp entry."""
+        self.subfield_generator_v(sub_q)  # raises NotASubfield
+        return sorted([0, *self.np_tables[0][::(self.q - 1) // (sub_q - 1)].tolist()])
 
     # -- formatting --
 
     def format_v(self, value: int) -> str:
         """Text form of an element, e.g. encoding 4 in F_9 -> '1+x'."""
-        coeffs = [(value // self.p**i) % self.p for i in range(self.d)]
-        terms = []
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
+        return _poly_text(enumerate(value // self.p**i % self.p for i in range(self.d)))
 
     def modulus_str(self) -> str:
-        terms = []
-        for i in range(self.d, -1, -1):
-            c = self.modulus[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else f"{c}x")
-            else:
-                terms.append(f"x^{i}" if c == 1 else f"{c}x^{i}")
-        return "+".join(terms) if terms else "0"
+        """The modulus, highest degree first, e.g. 'x^2+1' for F_9."""
+        return _poly_text(reversed(list(enumerate(self.modulus))))
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, d={self.d}, q={self.q})"

@@ -345,8 +345,8 @@ def _matrix(rows, q: int, k: int, n: int) -> np.ndarray:
 
 def artifact_from_dict(doc: dict) -> CodeArtifact:
     """Strict inverse of artifact_to_dict: every field element must be an
-    encoding in [0, q), and the shapes must agree with n, k and the
-    extended flag."""
+    encoding in [0, q), the points must be distinct, and the shapes must
+    agree with n, k and the extended flag."""
     p, d, n, k = (_int_field(doc, key) for key in ("p", "d", "n", "k"))
     ctx = make_field(p, d)
     if list(ctx.modulus) != doc["modulus"]:
@@ -360,6 +360,8 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
     q = ctx.q
     points = _encodings(doc["a"], q, n - extended, f"a (n = {n}, extended = {extended})")
     a = EvalVector(ctx, points, extended)
+    if not a.is_distinct():
+        raise MalformedArtifact("a has a repeated point")
     v = ScalingVector(ctx, _encodings(doc["v"], q, len(points), "v (len(a) entries)"))
     G = _matrix(doc["G"], q, k, n)
     params = {key: val for key, val in cons.items() if key not in ("label", "extended")}

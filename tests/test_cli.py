@@ -312,6 +312,7 @@ MALFORMED = {
     "G-beyond-int64": _set(("G", 1, 2), 2**70),
     "G-row-not-list": _set(("G", 1), 5),
     "a-out-of-range": _set(("a", 0), 9),
+    "a-repeated-point": lambda doc: doc["a"].__setitem__(1, doc["a"][0]),
     "v-negative": _set(("v", 1), -1),
     "G-missing-row": _drop("G"),
     "G-extra-row": lambda doc: doc["G"].append(doc["G"][0][:]),

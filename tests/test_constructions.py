@@ -210,7 +210,9 @@ def test_t5_e_zero_reduces_to_roots_of_unity():
 
 # --- closed-form locators against the brute-force oracle ---
 
-@pytest.mark.parametrize("p,d,n_cap", [(3, 2, 10), (5, 2, 26), (7, 2, 50)])
+# 3^6 reaches the spans with two basis elements: T4 with e = 2 (n = 82) and
+# T5 with k = 2, e = 2 (n = 162, F_9 coefficients)
+@pytest.mark.parametrize("p,d,n_cap", [(3, 2, 10), (5, 2, 26), (7, 2, 50), (3, 6, 162)])
 def test_closed_form_locator_matches_oracle(p, d, n_cap):
     for pr in iter_valid_params(p, d, n_cap):
         art, trace = construct_from_params(make_field(p, d), pr)

@@ -41,6 +41,16 @@ def test_f9_deterministic_modulus_and_generator():
     assert ctx.format_v(4) == "1+x"
 
 
+@pytest.mark.parametrize("p,d,modulus,value,text", [
+    (7, 3, "x^3+2", 342, "6+6x+6x^2"),
+    (3, 10, "x^10+2x^2+1", 34, "1+2x+x^3"),  # 34 is g
+])
+def test_polynomial_text(p, d, modulus, value, text):
+    ctx = make_field(p, d)
+    assert ctx.modulus_str() == modulus
+    assert ctx.format_v(value) == text
+
+
 def test_f9_known_products():
     ctx = make_field(3, 2)
     x = 3  # the element x

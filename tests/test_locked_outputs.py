@@ -17,7 +17,13 @@ before the coset constructors and the hypothesis checks were merged,
   a spot-check bound;
 - `large`: the output file of `mdssd construct --no-mds` for six codes
   over q = 151^2 and q = 3^10, with n up to 1006, where n^2 exceeds the
-  2^19-entry blocks in which vectorized kernels split their work;
+  2^19-entry blocks in which vectorized kernels split their work, and for
+  two family-5 codes over q = 3^6 whose subspace has two basis elements
+  with F_9 coefficients, recorded before the family-4 and family-5 spans
+  were merged;
+- `prior_rules`: the prior-construction length sets of the census, each cut
+  at q + 1, for every odd prime power q <= 20,000, recorded before the
+  rules lost their redundant length tests;
 - `clauses` and `rejections_sha256`: the distinct clause texts, and a digest
   of the clause with which `validate` rejects each call of a brute-force grid
   plus a few fixed invalid calls.  These texts reach the CLI's error JSON.
@@ -38,7 +44,7 @@ import numpy as np
 import pytest
 import sympy
 
-from mdssd.census import census_report
+from mdssd.census import _field_ctx, _prior_rules, census_report
 from mdssd.cli import main
 from mdssd.constructions import THEOREMS, construct_from_params, iter_valid_params, validate
 from mdssd.errors import HypothesisViolated
@@ -63,7 +69,10 @@ LARGE_CODES = (
     (22801, "T2", {"m": 15, "t": 25}),
     (59049, "T4", {"e": 2}),
     (59049, "T1i", {"m": 44, "t": 4}),
+    (729, "T5", {"k": 2, "e": 2, "t": 1}),
+    (729, "T5", {"k": 2, "e": 2, "t": 2}),
 )
+PRIOR_RULES_Q_MAX = 20_000
 FIELD_CASES = ((3, 1), (1009, 1), (3, 2), (5, 2), (7, 3), (3, 4), (5, 4), (17, 2),
                (83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (1021, 2))
 GRID_FIELDS = ((3, 2), (5, 2), (7, 2), (3, 4), (13, 2), (3, 3), (13, 1))
@@ -108,6 +117,18 @@ def sweep_digests() -> list[list[str]]:
 def census_digests() -> dict[str, str]:
     return {f"{q},{bound}": _sha(to_json(census_report(q, bound).to_dict()))
             for q, bound in CENSUS_CASES}
+
+
+def prior_rules_digest() -> str:
+    """sha256 of one line per (q, rule): q, the rule id and its lengths
+    n <= q + 1, ascending."""
+    lines = []
+    for q in range(3, PRIOR_RULES_Q_MAX + 1, 2):
+        if len(sympy.factorint(q)) > 1:
+            continue
+        for rid, ns in sorted(_prior_rules(_field_ctx(q)).items()):
+            lines.append(f"{q} {rid} {sorted(n for n in ns if n <= q + 1)}")
+    return _sha("\n".join(lines))
 
 
 def cli_census_digest(args: tuple[str, ...]) -> str:
@@ -186,6 +207,10 @@ def test_sweep_artifacts_match_locked_digests():
 def test_census_report_matches_locked_digest(q, bound):
     digest = _sha(to_json(census_report(q, bound).to_dict()))
     assert digest == LOCKED["census"][f"{q},{bound}"]
+
+
+def test_prior_rules_match_locked_digest():
+    assert prior_rules_digest() == LOCKED["prior_rules"]
 
 
 @pytest.mark.parametrize("args", CLI_CENSUS_ARGS, ids=" ".join)
