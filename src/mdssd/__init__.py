@@ -10,7 +10,6 @@ from .constructions import (
     ConstructionParams,
     ConstructionTrace,
     build,
-    closed_form_locator,
     construct_from_params,
     iter_valid_params,
     validate,
@@ -32,8 +31,6 @@ from .grs import (
     artifact_to_dict,
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
-    cyclotomic_locator,
-    locator,
     to_json,
 )
 from .verify import (
@@ -49,14 +46,14 @@ __version__ = "0.1.0"
 __all__ = [
     "CensusReport", "census_report", "new_lengths", "prior_lengths",
     "MATERIALIZE_BUDGET", "THEOREMS", "ConstructionParams", "ConstructionTrace",
-    "build", "closed_form_locator", "construct_from_params",
+    "build", "construct_from_params",
     "iter_valid_params", "validate",
     "HypothesisViolated", "MdssdError", "ParityInfeasible",
     "SpotCheckFailed", "SquareConditionViolated", "TooLargeToMaterialize",
     "FieldCtx", "make_field",
     "CodeArtifact", "EvalVector", "ScalingVector", "artifact_from_dict",
     "artifact_to_dict", "assemble_self_dual_grs", "assemble_self_dual_xgrs",
-    "cyclotomic_locator", "locator", "to_json",
+    "to_json",
     "VerificationReport", "check_mds_minors", "check_self_dual",
     "min_distance", "verify_artifact",
 ]

@@ -15,7 +15,7 @@ from math import gcd
 
 import sympy
 
-from .constructions import THEOREMS, ConstructionParams, construct_from_params, iter_valid_params
+from .constructions import ConstructionParams, construct_from_params, params_of, valid_param_arrays
 from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed, TooLargeToMaterialize
 from .field import make_field, odd_prime_power
 from .verify import check_self_dual
@@ -197,16 +197,21 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
 
 def _new_rules(cx: CensusCtx, spot_check_bound: int
                ) -> tuple[dict[str, set[int]], dict[int, list[ConstructionParams]]]:
-    """Per-family length sets, and for each even length up to the bound the
-    tuples that give it, in enumeration order."""
-    rules: dict[str, set[int]] = {f"new:{th}": set() for th in THEOREMS}
+    """Per-family length sets, read from the length column of each family's
+    accepted tuples, and for each even length up to the bound the tuples that
+    give it, in enumeration order."""
+    rules: dict[str, set[int]] = {}
     by_length: dict[int, list[ConstructionParams]] = {}
-    for pr in iter_valid_params(cx.p, cx.d, cx.q + 1):
-        if pr.n % 2 == 0:
-            rules[f"new:{pr.theorem}"].add(pr.n)
-            if pr.n <= spot_check_bound:
-                by_length.setdefault(pr.n, []).append(pr)
-    return {rid: ns for rid, ns in rules.items() if ns}, by_length
+    bound = min(spot_check_bound, cx.q + 1)
+    for th, columns in valid_param_arrays(cx.p, cx.d, cx.q + 1).items():
+        n = columns["n"]
+        even = n % 2 == 0
+        if even.any():
+            rules[f"new:{th}"] = set(n[even].tolist())
+        small = even & (n <= bound)
+        for pr in params_of(th, cx.p, cx.d, {key: col[small] for key, col in columns.items()}):
+            by_length.setdefault(pr.n, []).append(pr)
+    return rules, by_length
 
 
 @dataclass

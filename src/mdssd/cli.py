@@ -49,11 +49,15 @@ def _fail(code: int, message: str, out_path: str | None = None) -> int:
 
 
 def _verdict(report) -> int:
-    """Exit 0 for a self-dual code whose MDS checks did not fail; otherwise
-    name the singular minor, if the minors found one, and exit 4.  A report
-    is self-dual only at rank k."""
-    if report.self_dual and report.mds_ok is not False:
+    """Exit 0 for a self-dual code whose MDS checks did not fail and whose
+    stored a and v agree with G; otherwise name the disagreeing column or
+    the singular minor, where found, and exit 4.  A report is self-dual only
+    at rank k."""
+    if report.self_dual and report.mds_ok is not False and report.stored_mismatch is None:
         return EXIT_OK
+    if report.stored_mismatch is not None:
+        which, column = report.stored_mismatch
+        print(f"stored {which} disagrees with G at column {column}", file=sys.stderr)
     if report.singular_minor is not None:
         columns = ", ".join(map(str, report.singular_minor))
         print(f"singular minor at columns ({columns})", file=sys.stderr)

@@ -6,14 +6,18 @@ for a stride of r-1, or (r+1)/s in family 3.  The variants differ only in a
 parity rule for the indices z, in whether 0 and infinity are added, and in
 lambda.  Family 4 is a translated subspace grid, family 5 subfield-subspace
 translates of roots of unity; both take their subspace from one span,
-`_span`, and every running product over F_q, in family 5's lambda and in the
-closed-form locators, is one `_product`.  All of them delegate to the
-assembly engines in `grs`.
+`_span`.  All of them delegate to the assembly engines in `grs`.
 
-Each hypothesis is written once, in one clause function: `validate` raises
-the first clause that fails, and `iter_valid_params` keeps the tuples it
-accepts.  The clauses are pure integer arithmetic, so astronomically
-large-but-valid parameter sets are checked without materializing a field.
+Each hypothesis is written once, in one clause table: per theorem, rows of
+(clause text, failing condition) in checking order, and the length n.  The
+conditions use only %, //, comparisons, & and | and a gcd, so two
+evaluators run the same text.  `validate` walks the table on Python ints and
+raises the first clause that fails; that is pure integer arithmetic, so
+astronomically large-but-valid parameter sets are checked without
+materializing a field.  `valid_param_arrays` judges every candidate tuple of
+the coset families at once on int64 arrays, after the clauses that decide
+the whole call (p an odd prime, d >= 1, q = r^2) are checked once, and
+`iter_valid_params` and the census read its accepted columns.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import sympy
@@ -43,13 +49,6 @@ from .grs import (
     locator_logs,
 )
 
-# each theorem's parameters, as ConstructionParams fields
-_PARAM_KEYS = {
-    "T1i": ("m", "t"), "T1ii": ("m", "t"), "T2": ("m", "t"),
-    "T3i": ("m", "t", "s"), "T3ii": ("m", "t", "s"),
-    "T4": ("e",), "T5": ("t", "e", "k_sub"),
-}
-THEOREMS = tuple(_PARAM_KEYS)
 ODD_Q_CLAUSE = "q is a power of an odd prime"
 
 # Construction is refused (validation still succeeds) beyond this length.
@@ -126,23 +125,90 @@ class ConstructionTrace:
 Built = tuple[CodeArtifact, ConstructionTrace]
 
 
-# --- hypotheses (integer-only; works for arbitrarily large q) ---
+# --- hypotheses: one clause table, two evaluators ---
 
 _is_prime = lru_cache(maxsize=256)(sympy.isprime)
 
-
-def _t_max(r: int, m: int, s: int | None = None) -> int:
-    """Distinct cosets of the order-m subgroup the stride reaches:
-    (r+1)/gcd(r+1,m), or s(r-1)/gcd(s(r-1),m) with s."""
-    order = r + 1 if s is None else s * (r - 1)
-    return order // gcd(order, m)
+# The array path computes in int64, and refuses q of more bits than this (see
+# valid_param_arrays).
+_ARRAY_BITS = 62
 
 
-def _hypotheses(theorem: str, p: int, d: int, m: int | None = None, t: int | None = None,
-                s: int | None = None, e: int | None = None,
-                k_sub: int | None = None) -> int | str:
-    """The length n if the theorem's hypotheses hold, else the first clause
-    that fails.  Each clause is checked only after the ones before it hold."""
+def _t_max(x, order):
+    """Distinct cosets of the order-m subgroup that a stride of this
+    multiplicative order reaches: order / gcd(order, m)."""
+    return order // x.gcd(order, x.m)
+
+
+class _Theorem(NamedTuple):
+    keys: tuple[str, ...]  # its parameters, as ConstructionParams fields
+    required: str  # the clause when one of them is missing
+    clauses: tuple  # rows (clause, failing condition, ...), in checking order
+    length: Callable  # n, once every clause holds
+
+
+# A condition reads x: p, d, q, r, gcd and the parameters, either as Python
+# ints with math.gcd, or as int64 arrays of candidates with np.gcd.  It uses
+# only %, //, comparisons, & and | and the gcd, so both evaluators run the
+# same text.  Where a row has several conditions, each guards the ones after
+# it: the scalar walk stops at the first that is true, and the array path,
+# whose candidates never meet a guard, ORs them.
+_MT = (("m", "t"), "m and t are required")
+_MTS = (("m", "t", "s"), "m, t and s are required")
+_M_DIVIDES = ("m | (q-1)", lambda x: x.m < 1, lambda x: (x.q - 1) % x.m != 0)
+_TM_EVEN = ("tm is even", lambda x: x.t * x.m % 2 != 0)
+_T_RANGE = ("1 <= t <= (r+1)/gcd(r+1,m)", lambda x: (x.t < 1) | (x.t > _t_max(x, x.r + 1)))
+_Q1_M_EVEN = ("(q-1)/m is even", lambda x: (x.q - 1) // x.m % 2 != 0)
+_S_CLAUSES = (
+    ("s is even", lambda x: (x.s % 2 != 0) | (x.s < 2)),
+    ("s | m", lambda x: x.m % x.s != 0),
+    ("s | (r+1)", lambda x: (x.r + 1) % x.s != 0),
+    ("1 <= t <= s(r-1)/gcd(s(r-1),m)",
+     lambda x: (x.t < 1) | (x.t > _t_max(x, x.s * (x.r - 1)))),
+)
+
+
+def _tm(x):
+    return x.t * x.m
+
+
+_HYPOTHESES = {
+    "T1i": _Theorem(*_MT, (_M_DIVIDES, _TM_EVEN, _T_RANGE, _Q1_M_EVEN), _tm),
+    "T1ii": _Theorem(*_MT, (
+        _M_DIVIDES, _TM_EVEN, _T_RANGE,
+        ("t is even, m is even and r ≡ 1 (mod 4)",
+         lambda x: (x.t % 2 == 0) & (x.m % 2 == 0) & (x.r % 4 == 1)),
+    ), lambda x: _tm(x) + 2),
+    "T2": _Theorem(*_MT, (
+        _M_DIVIDES,
+        ("tm is odd", lambda x: x.t * x.m % 2 == 0),
+        ("2 <= t <= (r+1)/(2 gcd(r+1,m))",
+         lambda x: (x.t < 2) | (x.t > _t_max(x, x.r + 1) // 2)),
+    ), lambda x: _tm(x) + 1),
+    "T3i": _Theorem(*_MTS, (
+        _M_DIVIDES, *_S_CLAUSES, _Q1_M_EVEN,
+        ("(r+1)/s is even", lambda x: (x.r + 1) // x.s % 2 != 0),
+    ), _tm),
+    "T3ii": _Theorem(*_MTS, (_M_DIVIDES, *_S_CLAUSES), lambda x: _tm(x) + 2),
+    "T4": _Theorem(("e",), "e is required", (
+        ("1 <= e <= s", lambda x: (x.e < 1) | (x.e > x.d // 2)),
+    ), lambda x: x.p ** (2 * x.e) + 1),
+    "T5": _Theorem(("t", "e", "k_sub"), "k, t and e are required", (
+        ("k | (km) with q = p^{km}", lambda x: x.k_sub < 1, lambda x: x.d % x.k_sub != 0),
+        ("t >= 1", lambda x: x.t < 1),
+        ("2t | (p^k - 1)", lambda x: (x.p ** x.k_sub - 1) % (2 * x.t) != 0),
+        ("e <= m-1", lambda x: (x.e < 0) | (x.e > x.d // x.k_sub - 1)),
+        ("(q-1)/(2t) is even", lambda x: (x.q - 1) % (4 * x.t) != 0),
+    ), lambda x: 2 * x.t * x.p ** (x.k_sub * x.e)),
+}
+THEOREMS = tuple(_HYPOTHESES)
+
+
+def _call_clause(theorem: str, p: int, d: int) -> str | None:
+    """The first failing clause among those that decide the whole call,
+    before the parameters are read: p is an odd prime, d >= 1, and q = r^2
+    for every family but T5.  Raises TooLargeToValidate when q may have more
+    than VALIDATION_BITS bits."""
     if p == 2:
         return ODD_Q_CLAUSE
     if not _is_prime(p):
@@ -151,64 +217,22 @@ def _hypotheses(theorem: str, p: int, d: int, m: int | None = None, t: int | Non
         return "d >= 1"
     if d * p.bit_length() > VALIDATION_BITS:
         raise TooLargeToValidate(p, d, VALIDATION_BITS)
-    q = p**d
-    if theorem == "T5":
-        if k_sub is None or t is None or e is None:
-            return "k, t and e are required"
-        if not (k_sub >= 1 and d % k_sub == 0):
-            return "k | (km) with q = p^{km}"
-        if t < 1:
-            return "t >= 1"
-        if (p**k_sub - 1) % (2 * t):
-            return "2t | (p^k - 1)"
-        if not 0 <= e <= d // k_sub - 1:
-            return "e <= m-1"
-        if (q - 1) % (4 * t):
-            return "(q-1)/(2t) is even"
-        return 2 * t * p ** (k_sub * e)
-    if d % 2:
+    if theorem != "T5" and d % 2:
         return "q = r^2 with r an odd prime power"
-    r = p ** (d // 2)
-    if theorem == "T4":
-        if e is None:
-            return "e is required"
-        if not 1 <= e <= d // 2:
-            return "1 <= e <= s"
-        return p ** (2 * e) + 1
-    strided = theorem in ("T3i", "T3ii")
-    if m is None or t is None or (strided and s is None):
-        return "m, t and s are required" if strided else "m and t are required"
-    if not (m >= 1 and (q - 1) % m == 0):
-        return "m | (q-1)"
-    if strided:
-        if not (s % 2 == 0 and s >= 2):
-            return "s is even"
-        if m % s:
-            return "s | m"
-        if (r + 1) % s:
-            return "s | (r+1)"
-        if not 1 <= t <= _t_max(r, m, s):
-            return "1 <= t <= s(r-1)/gcd(s(r-1),m)"
-    elif theorem == "T2":
-        if t * m % 2 == 0:
-            return "tm is odd"
-        if not 2 <= t <= _t_max(r, m) // 2:
-            return "2 <= t <= (r+1)/(2 gcd(r+1,m))"
-        return t * m + 1
-    else:
-        if t * m % 2:
-            return "tm is even"
-        if not 1 <= t <= _t_max(r, m):
-            return "1 <= t <= (r+1)/gcd(r+1,m)"
-        if theorem == "T1ii" and t % 2 == 0 and m % 2 == 0 and r % 4 == 1:
-            return "t is even, m is even and r ≡ 1 (mod 4)"
-    if theorem.endswith("ii"):
-        return t * m + 2
-    if (q - 1) // m % 2:
-        return "(q-1)/m is even"
-    if strided and (r + 1) // s % 2:
-        return "(r+1)/s is even"
-    return t * m
+    return None
+
+
+def _scalar_walk(rule: _Theorem, p: int, d: int, given: dict) -> int | str:
+    """n if the parameters are present and every clause of the table holds
+    on these Python ints, else the first clause that fails."""
+    if None in map(given.get, rule.keys):
+        return rule.required
+    x = SimpleNamespace(p=p, d=d, q=p**d, r=p ** (d // 2), gcd=gcd, **given)
+    for row in rule.clauses:
+        for fail in row[1:]:
+            if fail(x):
+                return row[0]
+    return rule.length(x)
 
 
 def validate(theorem: str, p: int, d: int, *, m: int | None = None, t: int | None = None,
@@ -219,11 +243,12 @@ def validate(theorem: str, p: int, d: int, *, m: int | None = None, t: int | Non
     TooLargeToValidate when q may have more than VALIDATION_BITS bits."""
     if theorem not in THEOREMS:
         raise UnsupportedTheorem(theorem)
-    n = _hypotheses(theorem, p, d, m, t, s, e, k_sub)
+    rule = _HYPOTHESES[theorem]
+    given = {"m": m, "t": t, "s": s, "e": e, "k_sub": k_sub}
+    n = _call_clause(theorem, p, d) or _scalar_walk(rule, p, d, given)
     if isinstance(n, str):
         raise HypothesisViolated(n)
-    given = {"m": m, "t": t, "s": s, "e": e, "k_sub": k_sub}
-    return ConstructionParams(theorem, p, d, n, **{k: given[k] for k in _PARAM_KEYS[theorem]})
+    return ConstructionParams(theorem, p, d, n, **{k: given[k] for k in rule.keys})
 
 
 # --- coset-representative selection ---
@@ -396,65 +421,98 @@ def construct_from_params(ctx: FieldCtx, params: ConstructionParams) -> Built:
     return _construct(ctx, params)
 
 
-# --- closed-form locators (tested point-by-point against brute force) ---
+# --- exhaustive parameter enumeration (census, spot checks, test sweeps) ---
 
-def closed_form_locator(params: ConstructionParams, trace: ConstructionTrace, i: int) -> int:
-    """Per-family closed form of L at the i-th finite evaluation point."""
-    ctx = trace.ctx
-    th = params.theorem
-    q1 = ctx.q - 1
-    if th not in _FAMILIES:
-        m, stride = params.m, _stride(params)
-    if th in ("T1i", "T2", "T3i"):
-        zi, k = divmod(i, m)
-        z = trace.I[zi]
-        alpha = ctx.pow_v(ctx.g_val, k * (q1 // m) + stride * z)
-        return ctx.mul_v(
-            ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, m - 1)), trace.u[z]
-        )
-    if th in ("T1ii", "T3ii"):
-        if i == 0:  # +-g^(stride m sum(I))
-            L0 = ctx.pow_v(ctx.g_val, stride * m * sum(trace.I))
-            return ctx.neg_v(L0) if (m + 1) * params.t % 2 else L0
-        zi, k = divmod(i - 1, m)
-        z = trace.I[zi]
-        return ctx.mul_v(
-            ctx.mul_v(ctx.int_v(m), ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
-        )
-    if th == "T4":  # point S[k0] beta + S[j0]
-        S, beta = trace.S, trace.beta
-        dk, dj = ([ctx.sub_v(S[x0], s) for x, s in enumerate(S) if x != x0]
-                  for x0 in divmod(i, len(S)))
-        cross = (ctx.sub_v(ctx.mul_v(x, beta), y) for y in dj for x in dk)
-        return _product(ctx, chain([ctx.pow_v(beta, len(S) - 1)], dj, dk, cross))
-    if th == "T5":
-        block = ctx.p ** (params.k_sub * params.e)
-        j = i // block
-        return ctx.mul_v(ctx.pow_v(trace.omega, -j * block), trace.c)
-    raise UnsupportedTheorem(th)
+def _candidates(theorem: str, p: int, d: int, n_max: int) -> SimpleNamespace:
+    """A coset family's candidate tuples as int64 arrays m, t (and s), plus
+    p, d, q, r and np.gcd: m runs over the divisors of q-1 up to n_max (so
+    that n >= m), s over the divisors of gcd(m, r+1) for T3i and T3ii, and
+    t from 1 to the number of cosets the stride reaches, at most n_max // m.
+    Rows are ordered by m, then s, then t."""
+    q, r = p**d, p ** (d // 2)
+    x = SimpleNamespace(p=p, d=d, q=q, r=r, gcd=np.gcd, s=None)
+    ms = [m for m in sympy.divisors(q - 1) if m <= n_max]
+    if "s" in _HYPOTHESES[theorem].keys:
+        pairs = [(m, s) for m in ms for s in sympy.divisors(gcd(m, r + 1))]
+        x.m, x.s = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        order = x.s * (r - 1)
+    else:
+        x.m = np.array(ms, dtype=np.int64)
+        order = r + 1
+    counts = np.minimum(_t_max(x, order), n_max // x.m)
+    rows = np.repeat(np.arange(counts.size), counts)
+    x.t = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows] + 1
+    x.m = x.m[rows]
+    if x.s is not None:
+        x.s = x.s[rows]
+    return x
 
 
-# --- exhaustive parameter enumeration (census spot checks, test sweeps) ---
+def _array_verdicts(rule: _Theorem, x: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """(every clause holds, n) for each candidate row of x, with every
+    condition of the table evaluated on whole arrays."""
+    ok = np.ones(x.t.shape, dtype=bool)
+    for row in rule.clauses:
+        for fail in row[1:]:
+            ok &= np.logical_not(fail(x))
+    return ok, rule.length(x)
+
+
+def _few_candidates(theorem: str, p: int, d: int):
+    """T4's and T5's candidate tuples, in order, as dicts in the order of
+    the theorem's keys: at most d/2, and for T5 the sum over k | d of d/k
+    times the number of divisors of (p^k - 1)/2."""
+    if theorem == "T4":
+        return ({"e": e} for e in range(1, d // 2 + 1))
+    return ({"t": t, "e": e, "k_sub": k} for k in sympy.divisors(d)
+            for t in sympy.divisors((p**k - 1) // 2) for e in range(d // k))
+
+
+def _accepted(theorem: str, p: int, d: int, n_max: int) -> dict[str, np.ndarray]:
+    """One theorem's entry of `valid_param_arrays`."""
+    rule = _HYPOTHESES[theorem]
+    columns = (*rule.keys, "n")
+    if _call_clause(theorem, p, d) is not None:
+        return dict(zip(columns, np.zeros((len(columns), 0), dtype=np.int64)))
+    q = p**d
+    if q.bit_length() > _ARRAY_BITS:
+        raise TooLargeToValidate(p, d, _ARRAY_BITS)
+    n_max = min(n_max, q + 1)
+    if theorem in ("T4", "T5"):
+        walked = ((kw, _scalar_walk(rule, p, d, kw)) for kw in _few_candidates(theorem, p, d))
+        rows = [(*kw.values(), n) for kw, n in walked if isinstance(n, int) and n <= n_max]
+        return dict(zip(columns, np.array(rows, dtype=np.int64).reshape(-1, len(columns)).T))
+    x = _candidates(theorem, p, d, n_max)
+    ok, n = _array_verdicts(rule, x)
+    ok &= n <= n_max
+    return {**{key: getattr(x, key)[ok] for key in rule.keys}, "n": n[ok]}
+
+
+def valid_param_arrays(p: int, d: int, n_max: int) -> dict[str, dict[str, np.ndarray]]:
+    """Per theorem, in THEOREMS order, every accepted tuple with n <= n_max,
+    as int64 columns: the theorem's parameter keys, then "n".  Rows are in
+    candidate order, the order of `iter_valid_params`.
+
+    The clauses that decide the whole call are checked once per theorem;
+    one that fails leaves the theorem without rows.  The coset families'
+    candidates are then judged all at once on int64 arrays, and T4's and
+    T5's few by the scalar walk, against the same clause table as
+    `validate`.  The array path refuses q of more than _ARRAY_BITS = 62 bits
+    with TooLargeToValidate.  Below that, every intermediate stays under
+    2^63: q - 1 and the quotients and remainders of it; r + 1 and
+    s(r - 1) < q (s divides r + 1); every gcd and coset count, which are at
+    most these; t m <= n_max <= q + 1, since t <= n_max // m; and n <= t m + 2."""
+    return {th: _accepted(th, p, d, n_max) for th in THEOREMS}
+
+
+def params_of(theorem: str, p: int, d: int, columns: dict[str, np.ndarray]):
+    """A ConstructionParams for each row of `valid_param_arrays` columns."""
+    for row in zip(*(col.tolist() for col in columns.values())):
+        yield ConstructionParams(theorem, p, d, **dict(zip(columns, row)))
+
 
 def iter_valid_params(p: int, d: int, n_max: int):
     """Yield every ConstructionParams with n <= n_max, deterministically
-    ordered by (theorem, parameters).  The loops only bound the search;
-    `_hypotheses` decides which tuples are valid."""
-    q = p**d
-    n_max = min(n_max, q + 1)
-    r = p ** (d // 2)
-    divisors = [m for m in sympy.divisors(q - 1) if m <= n_max]  # n >= m
-    candidates = chain(
-        ((th, m, t, None, None, None) for th in ("T1i", "T1ii", "T2") for m in divisors
-         for t in range(1, min(_t_max(r, m), n_max // m) + 1)),
-        ((th, m, t, s, None, None) for th in ("T3i", "T3ii") for m in divisors
-         for s in sympy.divisors(gcd(m, r + 1))
-         for t in range(1, min(_t_max(r, m, s), n_max // m) + 1)),
-        (("T4", None, None, None, e, None) for e in range(1, d // 2 + 1)),
-        (("T5", None, t, None, e, k) for k in sympy.divisors(d)
-         for t in sympy.divisors((p**k - 1) // 2) for e in range(d // k)),
-    )
-    for th, m, t, s, e, k_sub in candidates:
-        n = _hypotheses(th, p, d, m, t, s, e, k_sub)
-        if isinstance(n, int) and n <= n_max:
-            yield ConstructionParams(th, p, d, n, m, t, s, e, k_sub)
+    ordered by (theorem, parameters); see `valid_param_arrays`."""
+    for th, columns in valid_param_arrays(p, d, n_max).items():
+        yield from params_of(th, p, d, columns)

@@ -34,13 +34,11 @@ class CannotCarryOut(MdssdError):
 class NonPrime(MdssdError):
     def __init__(self, p: int):
         super().__init__(f"{p} is not prime")
-        self.p = p
 
 
 class EvenCharacteristic(MdssdError):
-    def __init__(self, p: int = 2):
+    def __init__(self):
         super().__init__("characteristic 2 is out of scope (odd characteristic only)")
-        self.p = p
 
 
 class DegreeZero(MdssdError):
@@ -51,9 +49,6 @@ class DegreeZero(MdssdError):
 class FieldTooLarge(CannotCarryOut):
     def __init__(self, p: int, d: int, budget: int):
         super().__init__(f"q = {p}^{d} exceeds the field materialization budget {budget}")
-        self.p = p
-        self.d = d
-        self.budget = budget
 
 
 class ZeroToNegativePower(CannotCarryOut):
@@ -64,22 +59,14 @@ class ZeroToNegativePower(CannotCarryOut):
 class NotDividing(CannotCarryOut):
     def __init__(self, m: int, modulus: int):
         super().__init__(f"{m} does not divide {modulus}")
-        self.m = m
-        self.modulus = modulus
 
 
 class NotASubfield(CannotCarryOut):
     def __init__(self, sub_q: int, q: int):
         super().__init__(f"{sub_q} does not define a subfield of the field with {q} elements")
-        self.sub_q = sub_q
-        self.q = q
 
 
 # --- code assembly ---
-
-class IndexOutOfRange(CannotCarryOut, IndexError):
-    pass
-
 
 class DimensionMismatch(CannotCarryOut):
     pass
@@ -88,7 +75,6 @@ class DimensionMismatch(CannotCarryOut):
 class MalformedArtifact(MdssdError, ValueError):
     def __init__(self, detail: str):
         super().__init__(f"malformed artifact: {detail}")
-        self.detail = detail
 
 
 class DuplicatePoint(CannotCarryOut):
@@ -99,7 +85,6 @@ class DuplicatePoint(CannotCarryOut):
 class OddLength(CannotCarryOut):
     def __init__(self, n: int):
         super().__init__(f"self-dual codes require even length, got n = {n}")
-        self.n = n
 
 
 class SquareConditionViolated(CannotCarryOut):
@@ -119,8 +104,6 @@ class HypothesisViolated(MdssdError):
 class NotEnoughCosets(CannotCarryOut):
     def __init__(self, wanted: int, available: int):
         super().__init__(f"needed {wanted} coset representatives, only {available} exist")
-        self.wanted = wanted
-        self.available = available
 
 
 class ParityInfeasible(CannotCarryOut):
@@ -132,23 +115,17 @@ class TooLargeToMaterialize(CannotCarryOut):
     def __init__(self, n: int, budget: int):
         super().__init__(f"parameters are valid but n = {_quantity(n)} exceeds the build "
                          f"budget {budget}")
-        self.n = n
-        self.budget = budget
 
 
 class TooLargeToValidate(CannotCarryOut):
     def __init__(self, p: int, d: int, bits: int):
         super().__init__(f"q = {p}^{d} may have more than {bits} bits, beyond the "
                          f"validation budget")
-        self.p = p
-        self.d = d
-        self.bits = bits
 
 
 class UnsupportedTheorem(MdssdError):
     def __init__(self, theorem: str):
         super().__init__(f"no closed-form locator for construction {theorem!r}")
-        self.theorem = theorem
 
 
 # --- verification ---
@@ -163,7 +140,6 @@ class TooLarge(CannotCarryOut):
 class EvenQ(MdssdError):
     def __init__(self, q: int):
         super().__init__(f"census requires an odd prime power, got q = {q}")
-        self.q = q
 
 
 class BudgetExceeded(CannotCarryOut):
@@ -176,5 +152,3 @@ class SpotCheckFailed(MdssdError):
 
     def __init__(self, n: int, detail: str):
         super().__init__(f"claimed length n = {n} could not be realized: {detail}")
-        self.n = n
-        self.detail = detail

@@ -9,13 +9,12 @@ where L(a_i) is the product of differences with the other points.
 
 Assembly runs in numpy on logarithms to the base g.  For nonzero points,
 log(a_i - a_j) = log a_i + zech[log a_j - log a_i + (q-1)/2], so every
-locator is one row sum of Zech lookups mod q-1; `locator` stays the scalar
-brute-force oracle.  A target g^l is a square exactly when l is even, and
-the roots of 1/g^l are g^h and g^(h + (q-1)/2) with h = (-l mod (q-1))/2;
-the weight is the smaller encoding of the two.  This log form is the one
-definition of the canonical root.  Row i of G has logs log v_j + i log a_j,
-and G is one read-only int64 array of shape (k, n), converted to lists only
-for JSON.
+locator is one row sum of Zech lookups mod q-1.  A target g^l is a square
+exactly when l is even, and the roots of 1/g^l are g^h and g^(h + (q-1)/2)
+with h = (-l mod (q-1))/2; the weight is the smaller encoding of the two.
+This log form is the one definition of the canonical root.  Row i of G has
+logs log v_j + i log a_j, and G is one read-only int64 array of shape
+(k, n), converted to lists only for JSON.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicatePoint,
-    IndexOutOfRange,
     MalformedArtifact,
     OddLength,
     SquareConditionViolated,
@@ -93,20 +91,6 @@ class CodeArtifact:
         return self.a.n
 
 
-def locator(a: EvalVector, i: int) -> int:
-    """Brute-force L(a_i) = prod_{j != i} (a_i - a_j).  This is the oracle
-    every closed form is tested against."""
-    if not 0 <= i < len(a.points):
-        raise IndexOutOfRange(f"point index {i} out of range [0, {len(a.points)})")
-    ctx = a.ctx
-    ai = a.points[i]
-    out = 1
-    for j, aj in enumerate(a.points):
-        if j != i:
-            out = ctx.mul_v(out, ctx.sub_v(ai, aj))
-    return out
-
-
 # Entries per row block (4 MB as 8-byte values) of the locator kernel and
 # of G here, and of the Gram, digit-plane, structure-test and minors blocks
 # in `verify`, so that their memory does not grow with n^2, d * k * n or
@@ -152,12 +136,6 @@ def _log_locators(a: EvalVector) -> np.ndarray:
 def all_locators(a: EvalVector) -> list[int]:
     """Every L(a_i), for distinct points."""
     return a.ctx.np_tables[0][_log_locators(a)].tolist()
-
-
-def cyclotomic_locator(m: int, i: int, ctx: FieldCtx) -> int:
-    """Closed form for the locator on the m-th roots of unity: m * alpha^{-i}."""
-    alpha = ctx.root_of_unity_v(m)
-    return ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, -i))
 
 
 def _generator_rows(a: EvalVector, v: ScalingVector, k: int, n: int) -> np.ndarray:

@@ -5,16 +5,17 @@ recomputed from the generator matrix, which the kernels take as any
 array-like of encodings (an artifact holds it as one int64 array).
 
 Self-duality and rank k are first decided in O(kn) from the structure of G
-alone (`_grs_structure`): the extended column, when the artifact is marked
+alone (`_grs_ratios`): the extended column, when the artifact is marked
 extended, is e_{k-1}; row 0 has no zero entry; the ratios
 a_j = G[1][j] / G[0][j] are distinct; and G[i+1][j] = a_j G[i][j]
 throughout.  Then G generates GRS_k(a, v) with v = row 0, or its extension:
 any k finite columns form a diagonally scaled Vandermonde matrix, so the
 rank is k, and G G^T is the Hankel matrix of the power sums
 sum_j v_j^2 a_j^s (plus 1 at s = 2k-2 when extended), zero exactly when its
-rows 0 and k-1 are.  The stored a and v are never read.  Any other G (or
+rows 0 and k-1 are.  `verify_artifact` then checks the stored v against
+row 0 and the stored a against the ratios, in O(n).  Any other G (or
 k = 1) falls back to elimination for the rank and, when the rank is k, the
-full Gram matrix.
+full Gram matrix, and the stored a and v are not read.
 
 The vectorized kernels are exact.  Products A B^T over F_q
 (`field_matmul_t`, behind both the Hankel rows and the full Gram matrix)
@@ -159,12 +160,14 @@ def gram_is_zero(ctx: FieldCtx, G) -> bool:
                    for top in range(0, k, rows))
 
 
-def _grs_structure(art: CodeArtifact) -> bool:
-    """True iff G, read alone, is a generator matrix of GRS_k(a, v), or of
-    its extension when the artifact is marked extended: the last column is
-    e_{k-1} then, and every finite column j is v_j a_j^i down its rows i,
-    with v_j = G[0][j] nonzero and the a_j = G[1][j] / G[0][j] pairwise
-    distinct.  False when k < 2, which has no row 1 to read the a_j from.
+def _grs_ratios(art: CodeArtifact) -> np.ndarray | None:
+    """The ratios a_j = G[1][j] / G[0][j] of the finite columns, as
+    encodings, when G, read alone, is a generator matrix of GRS_k(a, v), or
+    of its extension when the artifact is marked extended: the last column
+    is e_{k-1} then, and every finite column j is v_j a_j^i down its rows i,
+    with v_j = G[0][j] nonzero and the a_j pairwise distinct.  None when G
+    has no such structure, and when k < 2, which has no row 1 to read the
+    a_j from.
 
     The recurrence G[i+1][j] = a_j G[i][j] is tested on int32 logs in row
     blocks of about _BLOCK_ENTRIES entries: log G[i+1][j] must be
@@ -175,23 +178,38 @@ def _grs_structure(art: CodeArtifact) -> bool:
     G = np.asarray(art.G, dtype=np.int64)
     finite = G.shape[1] - art.a.extended
     if k < 2 or art.a.extended and (G[-1, -1] != 1 or G[:-1, -1].any()):
-        return False
+        return None
     zero, q1 = ctx.log_zero, ctx.q - 1
     L = _logs(ctx, G[:2, :finite])
     if (L[0] == zero).any():
-        return False
+        return None
     nonzero = L[1] != zero
     log_a = (L[1] - L[0]) % q1
+    ratios = np.where(nonzero, ctx.np_tables[0][log_a], 0)
     seen = np.zeros(ctx.q, dtype=bool)
-    seen[np.where(nonzero, ctx.np_tables[0][log_a], 0)] = True
+    seen[ratios] = True
     if np.count_nonzero(seen) != finite:
-        return False
+        return None
     rows = max(1, _BLOCK_ENTRIES // finite)
     for lo in range(0, k - 1, rows):
         L = _logs(ctx, G[lo:min(lo + rows, k - 1) + 1, :finite])
         if (np.where(nonzero, (L[:-1] + log_a) % q1, zero) != L[1:]).any():
-            return False
-    return True
+            return None
+    return ratios
+
+
+def _stored_disagreement(art: CodeArtifact, ratios: np.ndarray) -> tuple[str, int] | None:
+    """For G with the GRS structure: the first finite column j whose stored
+    v_j is not G[0][j] or whose stored a_j is not the ratio
+    G[1][j] / G[0][j], named "v" when v_j disagrees there and "a" otherwise;
+    None when the stored a and v describe G."""
+    v = np.asarray(art.G, dtype=np.int64)[0, :ratios.size]
+    bad_v = np.array(art.v.weights, dtype=np.int64) != v
+    bad = bad_v | (np.array(art.a.points, dtype=np.int64) != ratios)
+    if not bad.any():
+        return None
+    j = int(bad.argmax())
+    return ("v" if bad_v[j] else "a"), j
 
 
 # --- report ---
@@ -206,10 +224,13 @@ class VerificationReport:
     # the lexicographically first singular column subset, when the
     # exhaustive minors found one
     singular_minor: tuple[int, ...] | None = None
+    # ("a" or "v", column): the first finite column where the stored a or v
+    # disagrees with a G of GRS structure
+    stored_mismatch: tuple[str, int] | None = None
 
     def to_dict(self) -> dict:
-        # singular_minor is intentionally excluded: artifact JSON must be
-        # bit-exact
+        # singular_minor and stored_mismatch are intentionally excluded:
+        # artifact JSON must be bit-exact
         out = {
             "self_dual": self.self_dual,
             "rank_ok": self.rank_ok,
@@ -236,21 +257,23 @@ def _rank_is_k(art: CodeArtifact) -> bool:
     return field_rank(art.ctx, G[:, :k]) == k or field_rank(art.ctx, G) == k
 
 
-def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool]:
-    """(rank G = k, the code is self-dual), for G of shape (k, 2k).
+def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None]:
+    """(rank G = k, the code is self-dual, the ratios a_j of `_grs_ratios`
+    or None), for G of shape (k, 2k).
 
-    When G has the GRS structure (`_grs_structure`), any k finite columns
-    form a diagonally scaled Vandermonde matrix with distinct nodes, so the
-    rank is k, and G G^T is Hankel: entry (i, l) is
-    sum_j v_j^2 a_j^(i+l), plus 1 at i = l = k-1 for the extended code.  It
-    is zero exactly when its 2k - 1 antidiagonal sums are, and rows 0 and
-    k-1 hold all of them.  Otherwise the rank is decided by elimination and,
-    only when it is k, G G^T in full."""
-    if _grs_structure(art):
+    When G has the GRS structure, any k finite columns form a diagonally
+    scaled Vandermonde matrix with distinct nodes, so the rank is k, and
+    G G^T is Hankel: entry (i, l) is sum_j v_j^2 a_j^(i+l), plus 1 at
+    i = l = k-1 for the extended code.  It is zero exactly when its 2k - 1
+    antidiagonal sums are, and rows 0 and k-1 hold all of them.  Otherwise
+    the rank is decided by elimination and, only when it is k, G G^T in
+    full."""
+    ratios = _grs_ratios(art)
+    if ratios is not None:
         G = np.asarray(art.G, dtype=np.int64)
-        return True, not field_matmul_t(art.ctx, G[[0, art.k - 1]], G).any()
+        return True, not field_matmul_t(art.ctx, G[[0, art.k - 1]], G).any(), ratios
     rank_ok = _rank_is_k(art)
-    return rank_ok, rank_ok and gram_is_zero(art.ctx, art.G)
+    return rank_ok, rank_ok and gram_is_zero(art.ctx, art.G), None
 
 
 def check_self_dual(art: CodeArtifact) -> bool:
@@ -373,7 +396,8 @@ def min_distance(art: CodeArtifact) -> int:
 
 def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
     _require_self_dual_shape(art)
-    rank_ok, sd = _self_dual_checks(art)
+    rank_ok, sd, ratios = _self_dual_checks(art)
+    stored = None if ratios is None else _stored_disagreement(art, ratios)
     mds_checked = "skipped_too_large"
     mds_ok: bool | None = None
     dist: int | None = None
@@ -389,4 +413,4 @@ def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
             if mds_checked == "skipped_too_large":
                 mds_checked = "min_weight"
                 mds_ok = dist == art.n - art.k + 1
-    return VerificationReport(sd, rank_ok, mds_checked, dist, mds_ok, singular)
+    return VerificationReport(sd, rank_ok, mds_checked, dist, mds_ok, singular, stored)

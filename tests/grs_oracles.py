@@ -1,0 +1,72 @@
+"""GRS oracles for the tests: the brute-force locator, written only on the
+scalar `mul_v`/`sub_v` of a field, and the closed forms that the paper's
+lemmas give for the locators of each family, which are tested point by point
+against it."""
+
+from __future__ import annotations
+
+from itertools import chain
+
+from mdssd.constructions import _product, _stride
+from mdssd.errors import UnsupportedTheorem
+
+
+class IndexOutOfRange(IndexError):
+    """The oracle's refusal of a point index outside the evaluation vector."""
+
+
+def locator(a, i: int) -> int:
+    """Brute-force L(a_i) = prod_{j != i} (a_i - a_j).  This is the oracle
+    every closed form is tested against."""
+    if not 0 <= i < len(a.points):
+        raise IndexOutOfRange(f"point index {i} out of range [0, {len(a.points)})")
+    ctx = a.ctx
+    ai = a.points[i]
+    out = 1
+    for j, aj in enumerate(a.points):
+        if j != i:
+            out = ctx.mul_v(out, ctx.sub_v(ai, aj))
+    return out
+
+
+def cyclotomic_locator(m: int, i: int, ctx) -> int:
+    """Closed form for the locator on the m-th roots of unity: m * alpha^{-i}."""
+    alpha = ctx.root_of_unity_v(m)
+    return ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, -i))
+
+
+def closed_form_locator(params, trace, i: int) -> int:
+    """Per-family closed form of L at the i-th finite evaluation point, from
+    the construction's trace."""
+    ctx = trace.ctx
+    th = params.theorem
+    q1 = ctx.q - 1
+    if th not in ("T4", "T5"):
+        m, stride = params.m, _stride(params)
+    if th in ("T1i", "T2", "T3i"):
+        zi, k = divmod(i, m)
+        z = trace.I[zi]
+        alpha = ctx.pow_v(ctx.g_val, k * (q1 // m) + stride * z)
+        return ctx.mul_v(
+            ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, m - 1)), trace.u[z]
+        )
+    if th in ("T1ii", "T3ii"):
+        if i == 0:  # +-g^(stride m sum(I))
+            L0 = ctx.pow_v(ctx.g_val, stride * m * sum(trace.I))
+            return ctx.neg_v(L0) if (m + 1) * params.t % 2 else L0
+        zi, k = divmod(i - 1, m)
+        z = trace.I[zi]
+        return ctx.mul_v(
+            ctx.mul_v(ctx.int_v(m), ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
+        )
+    if th == "T4":  # point S[k0] beta + S[j0]
+        S, beta = trace.S, trace.beta
+        dk, dj = ([ctx.sub_v(S[x0], s) for x, s in enumerate(S) if x != x0]
+                  for x0 in divmod(i, len(S)))
+        cross = (ctx.sub_v(ctx.mul_v(x, beta), y) for y in dj for x in dk)
+        return _product(ctx, chain([ctx.pow_v(beta, len(S) - 1)], dj, dk, cross))
+    if th == "T5":
+        block = ctx.p ** (params.k_sub * params.e)
+        j = i // block
+        return ctx.mul_v(ctx.pow_v(trace.omega, -j * block), trace.c)
+    raise UnsupportedTheorem(th)

@@ -14,22 +14,16 @@ import pytest
 import sympy
 
 from mdssd.census import census_report, new_lengths, prior_lengths
+from grs_oracles import closed_form_locator, cyclotomic_locator, locator
 from mdssd.constructions import (
     build,
-    closed_form_locator,
     construct_from_params,
     iter_valid_params,
     validate,
 )
 from mdssd.errors import HypothesisViolated, SpotCheckFailed, TooLargeToMaterialize
 from mdssd.field import make_field
-from mdssd.grs import (
-    EvalVector,
-    artifact_to_dict,
-    cyclotomic_locator,
-    locator,
-    to_json,
-)
+from mdssd.grs import EvalVector, artifact_to_dict, to_json
 from mdssd.verify import DISTANCE_BUDGET, check_mds_minors, check_self_dual, min_distance
 
 SMALL_Q = (9, 25, 49, 81, 121, 169, 289)

@@ -30,7 +30,7 @@ EXIT_CODES = {
     "TooLargeToValidate": 3, "TooLarge": 3, "BudgetExceeded": 3,
     "NotEnoughCosets": 3, "ParityInfeasible": 3, "SquareConditionViolated": 3,
     "DuplicatePoint": 3, "OddLength": 3, "NotDividing": 3, "NotASubfield": 3,
-    "ZeroToNegativePower": 3, "IndexOutOfRange": 3, "DimensionMismatch": 3,
+    "ZeroToNegativePower": 3, "DimensionMismatch": 3,
     "SpotCheckFailed": 4,
 }
 
@@ -220,13 +220,13 @@ def test_census_enumerates_once(extra, monkeypatch, capsys):
     import mdssd.census as census
 
     calls = []
-    enumerate_params = census.iter_valid_params
+    enumerate_params = census.valid_param_arrays
 
     def counting(*args):
         calls.append(args)
         return enumerate_params(*args)
 
-    monkeypatch.setattr(census, "iter_valid_params", counting)
+    monkeypatch.setattr(census, "valid_param_arrays", counting)
     code, doc, _ = run(capsys, "census", "--q", "25", *extra)
     assert code == 0 and calls == [(5, 2, 26)]
     assert ("spot_checks" in doc) == bool(extra)
@@ -373,6 +373,24 @@ def test_verify_names_singular_minor(artifact_doc, tmp_path, capsys):
     _assert_names_minor(err, "(0, 1, 2)")
     code, _, err = run(capsys, "verify", "--in", str(path), "--no-mds")
     assert code == 4 and "singular minor" not in err
+
+
+@pytest.mark.parametrize("key,change,named", [
+    ("v", lambda v: [1] * len(v), "stored v disagrees with G at column 1"),
+    ("a", lambda a: [a[0], a[2], a[1], *a[3:]], "stored a disagrees with G at column 1"),
+], ids=["v", "a"])
+def test_verify_refuses_stored_a_or_v_that_disagree_with_G(key, change, named, artifact_doc,
+                                                           tmp_path, capsys):
+    # G alone is still a self-dual MDS code; the stored a or v no longer
+    # describe it
+    doc = json.loads(json.dumps(artifact_doc))
+    doc[key] = change(doc[key])
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--no-mds",)):
+        code, rep, err = run(capsys, "verify", "--in", str(path), *extra)
+        assert code == 4 and rep["self_dual"] is True
+        assert named in err and err.index(named) < err.index("verification failed")
 
 
 def test_construct_names_singular_minor(monkeypatch, capsys):

@@ -3,16 +3,23 @@ small-field codes, closed-form locators, and the parameter enumeration."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+import sympy
 
 import field_oracles as oracles
+from grs_oracles import closed_form_locator, locator
 from mdssd.constructions import (
+    _HYPOTHESES,
     MATERIALIZE_BUDGET,
+    THEOREMS,
+    _array_verdicts,
+    _candidates,
     build,
-    closed_form_locator,
     construct_from_params,
     iter_valid_params,
     select_coset_reps,
+    valid_param_arrays,
     validate,
 )
 from mdssd.errors import (
@@ -20,10 +27,11 @@ from mdssd.errors import (
     NotEnoughCosets,
     ParityInfeasible,
     TooLargeToMaterialize,
+    TooLargeToValidate,
     UnsupportedTheorem,
 )
 from mdssd.field import make_field
-from mdssd.grs import artifact_to_dict, locator, to_json
+from mdssd.grs import artifact_to_dict, to_json
 from mdssd.verify import check_self_dual
 
 
@@ -256,12 +264,61 @@ def test_iter_valid_params_all_constructible():
         assert check_self_dual(art), pr.label()
 
 
+def _given(pr):
+    return {k: v for k, v in (("m", pr.m), ("t", pr.t), ("s", pr.s),
+                              ("e", pr.e), ("k_sub", pr.k_sub)) if v is not None}
+
+
 def test_every_enumerated_tuple_validates():
     for p, d in ((3, 2), (5, 2), (3, 4)):
         for pr in iter_valid_params(p, d, 64):
-            kw = {k: v for k, v in (("m", pr.m), ("t", pr.t), ("s", pr.s),
-                                    ("e", pr.e), ("k_sub", pr.k_sub)) if v is not None}
-            assert validate(pr.theorem, p, d, **kw) == pr
+            assert validate(pr.theorem, p, d, **_given(pr)) == pr
+
+
+def _odd_prime_powers(limit):
+    factored = (sympy.factorint(q) for q in range(3, limit + 1, 2))
+    return [next(iter(f.items())) for f in factored if len(f) == 1]
+
+
+def test_array_verdicts_agree_with_the_scalar_walk():
+    """Every candidate tuple of the coset families, for every odd q <= 3000
+    and for 83^2 and 151^2, gets the same verdict and n from the int64
+    arrays as from `validate`, with every numpy error raised.  For odd d the
+    clause q = r^2 rejects the whole call, and the arrays yield no row."""
+    fields = _odd_prime_powers(3000) + [(83, 2), (151, 2)]
+    checked = 0
+    with np.errstate(all="raise"):
+        for p, d in fields:
+            q = p**d
+            accepted = valid_param_arrays(p, d, q + 1)
+            for th in ("T1i", "T1ii", "T2", "T3i", "T3ii"):
+                x = _candidates(th, p, d, q + 1)
+                ok, n = _array_verdicts(_HYPOTHESES[th], x)
+                keys = _HYPOTHESES[th].keys
+                rows = zip(*(getattr(x, key).tolist() for key in keys))
+                for row, row_ok, row_n in zip(rows, ok.tolist(), n.tolist()):
+                    try:
+                        want = validate(th, p, d, **dict(zip(keys, row))).n
+                    except HypothesisViolated:
+                        want = None
+                    if d % 2:
+                        assert want is None
+                    else:
+                        assert (row_n if row_ok else None) == want, (q, th, row)
+                    checked += 1
+                if d % 2:
+                    assert accepted[th]["n"].size == 0
+    assert checked > 90_000
+
+
+def test_array_path_refuses_q_beyond_int64():
+    # q = 3^40 has 64 bits; 3^38 has 61, within the int64 bound
+    with pytest.raises(TooLargeToValidate):
+        valid_param_arrays(3, 40, 10)
+    enumerated = list(iter_valid_params(3, 38, 12))
+    assert {pr.theorem for pr in enumerated} == set(THEOREMS)
+    for pr in enumerated:
+        assert validate(pr.theorem, 3, 38, **_given(pr)) == pr and pr.n <= 12
 
 
 def test_build_is_deterministic():

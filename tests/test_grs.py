@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import field_oracles as oracles
+from grs_oracles import IndexOutOfRange, cyclotomic_locator, locator
 import mdssd.grs as grs
 from mdssd.constructions import build
 from mdssd.errors import (
     DimensionMismatch,
     DuplicatePoint,
-    IndexOutOfRange,
     OddLength,
     SquareConditionViolated,
 )
@@ -27,9 +27,7 @@ from mdssd.grs import (
     artifact_to_dict,
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
-    cyclotomic_locator,
     grs_generator_matrix,
-    locator,
     to_json,
     xgrs_generator_matrix,
 )

@@ -21,6 +21,9 @@ before the coset constructors and the hypothesis checks were merged,
   two family-5 codes over q = 3^6 whose subspace has two basis elements
   with F_9 coefficients, recorded before the family-4 and family-5 spans
   were merged;
+- `enumeration`: the sequence that `iter_valid_params(p, d, q + 1)` yields,
+  one line "n label" per tuple, for thirteen odd q from 9 to 151^2,
+  recorded before the hypotheses were evaluated on integer arrays;
 - `prior_rules`: the prior-construction length sets of the census, each cut
   at q + 1, for every odd prime power q <= 20,000, recorded before the
   rules lost their redundant length tests;
@@ -72,6 +75,7 @@ LARGE_CODES = (
     (729, "T5", {"k": 2, "e": 2, "t": 1}),
     (729, "T5", {"k": 2, "e": 2, "t": 2}),
 )
+ENUMERATION_Q = (9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 729, 6889, 22801)
 PRIOR_RULES_Q_MAX = 20_000
 FIELD_CASES = ((3, 1), (1009, 1), (3, 2), (5, 2), (7, 3), (3, 4), (5, 4), (17, 2),
                (83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (1021, 2))
@@ -112,6 +116,11 @@ def sweep_digests() -> list[list[str]]:
             doc = to_json(artifact_to_dict(art, trace.to_dict()))
             out.append([f"q={q} {pr.label()}", _sha(doc)])
     return out
+
+
+def enumeration_digest(q: int) -> str:
+    (p, d), = sympy.factorint(q).items()
+    return _sha("\n".join(f"{pr.n} {pr.label()}" for pr in iter_valid_params(p, d, q + 1)))
 
 
 def census_digests() -> dict[str, str]:
@@ -201,6 +210,11 @@ def test_sweep_artifacts_match_locked_digests():
     for (label, digest), (want_label, want_digest) in zip(got, want):
         assert (label, digest) == (want_label, want_digest), f"first difference at {want_label}"
     assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("q", ENUMERATION_Q)
+def test_enumeration_matches_locked_digest(q):
+    assert enumeration_digest(q) == LOCKED["enumeration"][str(q)]
 
 
 @pytest.mark.parametrize("q,bound", CENSUS_CASES)

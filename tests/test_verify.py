@@ -19,9 +19,10 @@ from mdssd.field import make_field
 from mdssd.grs import CodeArtifact, EvalVector, ScalingVector, grs_generator_matrix
 from mdssd.verify import (
     VerificationReport,
-    _grs_structure,
+    _grs_ratios,
     _rank_is_k,
     _self_dual_checks,
+    _stored_disagreement,
     check_mds_minors,
     check_self_dual,
     field_matmul_t,
@@ -802,6 +803,25 @@ _MUTATIONS = st.one_of(
 )
 
 
+def _oracle_grs_points(ctx, G, extended):
+    """The points a_j when every finite column j of G is v_j a_j^i down its
+    rows i, with v_j = G[0][j] nonzero and the a_j distinct, and the last
+    column is e_{k-1} when extended; None otherwise.  Scalar field
+    operations only."""
+    k = len(G)
+    if extended and [row[-1] for row in G] != [0] * (k - 1) + [1]:
+        return None
+    points = []
+    for j in range(len(G[0]) - extended):
+        if G[0][j] == 0:
+            return None
+        a = ctx.mul_v(G[1][j], ctx.pow_v(G[0][j], -1))
+        if any(G[i + 1][j] != ctx.mul_v(a, G[i][j]) for i in range(k - 1)):
+            return None
+        points.append(a)
+    return points if len(set(points)) == len(points) else None
+
+
 @pytest.fixture(scope="module")
 def f9_doc():
     from mdssd.grs import artifact_to_dict
@@ -815,12 +835,15 @@ def f9_doc():
 @given(row=st.integers(0, 2), col=st.integers(0, 5), mutation=_MUTATIONS)
 def test_verify_cli_on_mutated_entry(f9_doc, tmp_path, capsys, row, col, mutation):
     """Out-of-range and non-int entries exit 2.  An in-range change exits 0
-    exactly when the scalar oracles find G G^T = 0 and rank k, else 4: a
-    changed G may still be self-dual, e.g. an entry negated in a column
-    with a_c = 0.  No input ends in a traceback."""
+    exactly when the scalar oracles find G G^T = 0 and rank k, and the
+    stored a and v still describe G wherever G keeps the GRS structure;
+    else 4.  A changed G may still be self-dual, e.g. an entry negated in a
+    column with a_c = 0, but its row 0 then disagrees with the stored v.
+    No input ends in a traceback."""
     from mdssd.cli import main
 
     ctx = make_field(3, 2)
+    assert _oracle_grs_points(ctx, f9_doc["G"], extended=True) == f9_doc["a"]
     kind, value = mutation
     doc = json.loads(json.dumps(f9_doc))
     x = doc["G"][row][col]
@@ -831,7 +854,9 @@ def test_verify_cli_on_mutated_entry(f9_doc, tmp_path, capsys, row, col, mutatio
     expected = 2
     if kind == "in-range":
         ok = _oracle_gram_is_zero(ctx, doc["G"]) and _oracle_rank(ctx, doc["G"]) == 3
-        expected = 0 if ok else 4
+        described = (doc["G"] == f9_doc["G"]
+                     or _oracle_grs_points(ctx, doc["G"], extended=True) is None)
+        expected = 0 if ok and described else 4
     for flags, allowed in ((["--no-mds"], {expected}), ([], {expected, 4})):
         code = main(["verify", "--in", str(path), *flags])
         captured = capsys.readouterr()
@@ -901,14 +926,24 @@ def _structure_cases(art):
 def _assert_structure_matches_direct(art):
     """The helper agrees with direct elimination and the full Gram matrix on
     every copy; the returned outcomes are (name, structure, self-dual).  At
-    k = 1 the structure test always falls back."""
+    k = 1 the structure test always falls back.  Every copy changes only the
+    last finite column j (or the extended column), so where the structure
+    holds, the stored a and v disagree with it exactly there, v first,
+    unless G is as built."""
+    j = len(art.a.points) - 1
     outcomes = []
     for name, G, structure in _structure_cases(art):
         copy = _with_G(art, G)
         structure = structure and art.k >= 2
-        assert _grs_structure(copy) == structure, name
+        ratios = _grs_ratios(copy)
+        assert (ratios is not None) == structure, name
         checks = _self_dual_checks(copy)
-        assert checks == _direct_checks(copy), name
+        assert checks[:2] == _direct_checks(copy), name
+        if structure:
+            assert checks[2].tolist() == ratios.tolist(), name
+            expected = None if name == "as built" else (
+                "v" if G[0][j] != art.G[0][j] else "a", j)
+            assert _stored_disagreement(copy, ratios) == expected, name
         outcomes.append((name, structure, checks[1]))
     return outcomes
 
@@ -965,7 +1000,7 @@ def test_self_dual_checks_fall_back_at_k_1(monkeypatch):
         art = _plain_artifact(ctx, (1, 2), weights, 1)
         calls.clear()
         gram_calls.clear()
-        assert _self_dual_checks(art) == (True, self_dual)
+        assert _self_dual_checks(art) == (True, self_dual, None)
         assert calls == [(1, 1)] and gram_calls == [(1, 2)]
         assert _direct_checks(art) == (True, self_dual)
 
@@ -984,5 +1019,5 @@ def test_self_dual_checks_read_the_last_hankel_row(k):
             break
     else:
         pytest.fail("no such code found")
-    assert _grs_structure(art)
-    assert _self_dual_checks(art) == (True, False) == _direct_checks(art)
+    assert _grs_ratios(art).tolist() == list(art.a.points)
+    assert _self_dual_checks(art)[:2] == (True, False) == _direct_checks(art)
