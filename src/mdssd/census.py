@@ -202,6 +202,7 @@ def _new_rules(cx: CensusCtx, spot_check_bound: int
     give it, in enumeration order."""
     rules: dict[str, set[int]] = {}
     by_length: dict[int, list[ConstructionParams]] = {}
+    # no length exceeds q + 1; the clamp keeps the comparison within int64
     bound = min(spot_check_bound, cx.q + 1)
     for th, columns in valid_param_arrays(cx.p, cx.d, cx.q + 1).items():
         n = columns["n"]
