@@ -8,7 +8,9 @@ parameters are valid but cannot be carried out (a build, field-table,
 validation or census budget refuses them, or a construction step fails), 4 a
 verification check failed.  Each error class carries its code
 (`MdssdError.exit_code`), and `main` applies it in one handler; only
-`verify` adds rules of its own, for its two phases.
+`verify` adds rules of its own, for its two phases.  An output that cannot
+be written, such as an --out in a missing directory, is an invalid
+parameter: `main` reports it on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -196,9 +198,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MdssdError as ex:
-        return _fail(ex.exit_code, str(ex), args.out)
+        try:
+            return args.func(args)
+        except MdssdError as ex:
+            return _fail(ex.exit_code, str(ex), args.out)
+    except OSError as ex:  # the output cannot be written; no second attempt
+        print(f"cannot write the output: {ex}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

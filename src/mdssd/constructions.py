@@ -15,7 +15,7 @@ evaluators run the same text.  `validate` walks the table on Python ints and
 raises the first clause that fails; that is pure integer arithmetic, so
 astronomically large-but-valid parameter sets are checked without
 materializing a field.  `valid_param_arrays` judges every candidate tuple of
-the coset families at once on int64 arrays, after the clauses that decide
+all seven theorems at once on int64 arrays, after the clauses that decide
 the whole call (p an odd prime, d >= 1, q = r^2) are checked once, and
 `iter_valid_params` and the census read its accepted columns.
 """
@@ -355,10 +355,6 @@ def _span(ctx: FieldCtx, basis, coeffs) -> list[int]:
     return span
 
 
-def _product(ctx: FieldCtx, values) -> int:
-    return reduce(ctx.mul_v, values, 1)
-
-
 # --- family 4: subspace grid alpha_k * beta + alpha_j ---
 
 def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
@@ -392,8 +388,8 @@ def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> Built:
     roots = [ctx.pow_v(omega, j) for j in range(2 * t)]
     points = [ctx.add_v(w, u) for w in roots for u in V]
     # c = prod_{u in V, u != 0} u * prod_{u in V, 0 < h < 2t} (1 + u - omega^h)
-    c = _product(ctx, chain((u for u in V if u),
-                            (ctx.sub_v(ctx.add_v(1, u), w) for u in V for w in roots[1:])))
+    c = reduce(ctx.mul_v, chain((u for u in V if u),
+                                (ctx.sub_v(ctx.add_v(1, u), w) for u in V for w in roots[1:])), 1)
     a = EvalVector(ctx, tuple(points), extended=False)
     art, locs = assemble_self_dual_grs(a, c, params.label(), params.to_dict())
     trace = ConstructionTrace(ctx, params, lam=c, locators=locs, c=c,
@@ -424,13 +420,23 @@ def construct_from_params(ctx: FieldCtx, params: ConstructionParams) -> Built:
 # --- exhaustive parameter enumeration (census, spot checks, test sweeps) ---
 
 def _candidates(theorem: str, p: int, d: int, n_max: int) -> SimpleNamespace:
-    """A coset family's candidate tuples as int64 arrays m, t (and s), plus
-    p, d, q, r and np.gcd: m runs over the divisors of q-1 up to n_max (so
-    that n >= m), s over the divisors of gcd(m, r+1) for T3i and T3ii, and
-    t from 1 to the number of cosets the stride reaches, at most n_max // m.
-    Rows are ordered by m, then s, then t."""
+    """A theorem's candidate tuples as int64 arrays of its parameters, plus
+    p, d, q, r and np.gcd.  T4's e runs from 1 to d/2.  T5's k runs over the
+    divisors of d, t over those of (p^k - 1)/2 and e from 0 to d/k - 1,
+    ordered by k, then t, then e.  In the coset families, m runs over the
+    divisors of q-1 up to n_max (so that n >= m), s over the divisors of
+    gcd(m, r+1) for T3i and T3ii, and t from 1 to the number of cosets the
+    stride reaches, at most n_max // m, ordered by m, then s, then t."""
     q, r = p**d, p ** (d // 2)
     x = SimpleNamespace(p=p, d=d, q=q, r=r, gcd=np.gcd, s=None)
+    if theorem == "T4":
+        x.e = np.arange(1, d // 2 + 1, dtype=np.int64)
+        return x
+    if theorem == "T5":
+        rows = [(t, e, k) for k in sympy.divisors(d)
+                for t in sympy.divisors((p**k - 1) // 2) for e in range(d // k)]
+        x.t, x.e, x.k_sub = np.array(rows, dtype=np.int64).T
+        return x
     ms = [m for m in sympy.divisors(q - 1) if m <= n_max]
     if "s" in _HYPOTHESES[theorem].keys:
         pairs = [(m, s) for m in ms for s in sympy.divisors(gcd(m, r + 1))]
@@ -451,37 +457,24 @@ def _candidates(theorem: str, p: int, d: int, n_max: int) -> SimpleNamespace:
 def _array_verdicts(rule: _Theorem, x: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
     """(every clause holds, n) for each candidate row of x, with every
     condition of the table evaluated on whole arrays."""
-    ok = np.ones(x.t.shape, dtype=bool)
+    n = rule.length(x)
+    ok = np.ones(n.shape, dtype=bool)
     for row in rule.clauses:
         for fail in row[1:]:
             ok &= np.logical_not(fail(x))
-    return ok, rule.length(x)
-
-
-def _few_candidates(theorem: str, p: int, d: int):
-    """T4's and T5's candidate tuples, in order, as dicts in the order of
-    the theorem's keys: at most d/2, and for T5 the sum over k | d of d/k
-    times the number of divisors of (p^k - 1)/2."""
-    if theorem == "T4":
-        return ({"e": e} for e in range(1, d // 2 + 1))
-    return ({"t": t, "e": e, "k_sub": k} for k in sympy.divisors(d)
-            for t in sympy.divisors((p**k - 1) // 2) for e in range(d // k))
+    return ok, n
 
 
 def _accepted(theorem: str, p: int, d: int, n_max: int) -> dict[str, np.ndarray]:
     """One theorem's entry of `valid_param_arrays`."""
     rule = _HYPOTHESES[theorem]
-    columns = (*rule.keys, "n")
     if _call_clause(theorem, p, d) is not None:
+        columns = (*rule.keys, "n")
         return dict(zip(columns, np.zeros((len(columns), 0), dtype=np.int64)))
     q = p**d
     if q.bit_length() > _ARRAY_BITS:
         raise TooLargeToValidate(p, d, _ARRAY_BITS)
     n_max = min(n_max, q + 1)
-    if theorem in ("T4", "T5"):
-        walked = ((kw, _scalar_walk(rule, p, d, kw)) for kw in _few_candidates(theorem, p, d))
-        rows = [(*kw.values(), n) for kw, n in walked if isinstance(n, int) and n <= n_max]
-        return dict(zip(columns, np.array(rows, dtype=np.int64).reshape(-1, len(columns)).T))
     x = _candidates(theorem, p, d, n_max)
     ok, n = _array_verdicts(rule, x)
     ok &= n <= n_max
@@ -494,14 +487,16 @@ def valid_param_arrays(p: int, d: int, n_max: int) -> dict[str, dict[str, np.nda
     candidate order, the order of `iter_valid_params`.
 
     The clauses that decide the whole call are checked once per theorem;
-    one that fails leaves the theorem without rows.  The coset families'
-    candidates are then judged all at once on int64 arrays, and T4's and
-    T5's few by the scalar walk, against the same clause table as
-    `validate`.  The array path refuses q of more than _ARRAY_BITS = 62 bits
-    with TooLargeToValidate.  Below that, every intermediate stays under
-    2^63: q - 1 and the quotients and remainders of it; r + 1 and
-    s(r - 1) < q (s divides r + 1); every gcd and coset count, which are at
-    most these; t m <= n_max <= q + 1, since t <= n_max // m; and n <= t m + 2."""
+    one that fails leaves the theorem without rows.  Every theorem's
+    candidates are then judged all at once on int64 arrays, against the
+    same clause table as `validate`.  The array path refuses q of more than
+    _ARRAY_BITS = 62 bits with TooLargeToValidate.  Below that, every
+    intermediate stays under 2^63: q - 1 and the quotients and remainders
+    of it; r + 1 and s(r - 1) < q (s divides r + 1); every gcd and coset
+    count, which are at most these; t m <= n_max <= q + 1, since
+    t <= n_max // m; and n <= t m + 2.  In T4 and T5, p^k <= q and
+    4t <= 2(p^k - 1), T5's n = 2t p^(ke) < 2q and T4's
+    n = p^(2e) + 1 <= q + 1."""
     return {th: _accepted(th, p, d, n_max) for th in THEOREMS}
 
 

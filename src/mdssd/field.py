@@ -11,10 +11,9 @@ g^a + g^b = g^(a + zech[b - a]), where zech[(q-1)/2] = -1 marks
 methods index read-only memoryviews of the tables, which give Python ints
 without a copy; vectorized code gathers from the same arrays.
 
-Set-up runs in a few numpy passes.  The modulus search evaluates blocks of
-candidate polynomials at every point of F_p and drops those with a root; of
-degree at most 3 a rootless one is irreducible, and beyond that the rootless
-ones go, in order, to Ben-Or's test.  The primitive-element search raises
+Set-up runs in a few numpy passes.  The modulus search runs Ben-Or's test
+on the candidate polynomials in ascending order; of degree at most 3 its one
+step is the root test.  The primitive-element search raises
 stacks of multiplication matrices over F_p, with the squarings shared by the
 primes of q-1.  The exp table is filled by doubling: once g^0..g^{L-1} are
 known, the next L entries are g^L times them.  Multiplication by a fixed
@@ -54,10 +53,6 @@ TABLE_BUDGET = 1 << 20
 # Columns of the digit table multiplied per BLAS call while doubling; bounds
 # the float64 temporaries independently of q.
 _TABLE_CHUNK = 4096
-
-# Candidate polynomials times points of F_p evaluated per numpy call by the
-# modulus sieve.
-_SIEVE_ENTRIES = 1 << 8
 
 # Primitive-element candidates tested per numpy call.
 _CANDIDATES = 16
@@ -127,26 +122,16 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 
 
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Smallest-encoding monic irreducible polynomial of degree d over F_p.
-    Blocks of candidates are evaluated at every point of F_p and those with a
-    root are dropped.  Without a root, a polynomial of degree d <= 3 is
-    irreducible; for d >= 4 the rootless candidates go to `_is_irreducible`
-    in order."""
+    """Smallest-encoding monic irreducible polynomial of degree d over F_p:
+    the first candidate, in ascending order of encoding, that passes
+    `_is_irreducible`.  For d <= 3 that test takes one step,
+    gcd(x^p - x, f) = 1, which holds exactly when f has no root in F_p."""
     if d == 1:
         return (0, 1)  # x itself; reduction mod x plays no role for d=1
-    points = np.arange(p, dtype=np.int64)
-    block = max(1, _SIEVE_ENTRIES // p)
-    for lo in range(0, p**d, block):
-        lows = np.arange(lo, min(lo + block, p**d), dtype=np.int64)
-        values = np.ones((lows.size, p), dtype=np.int64)  # Horner, from x^d
-        for i in reversed(range(d)):
-            values *= points
-            values += (lows // p**i % p)[:, None]
-            values %= p
-        for low in lows[values.all(axis=1)].tolist():
-            f = [low // p**i % p for i in range(d)] + [1]
-            if d <= 3 or _is_irreducible(f, p):
-                return tuple(f)
+    for low in range(p**d):
+        f = [low // p**i % p for i in range(d)] + [1]
+        if _is_irreducible(f, p):
+            return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -375,9 +360,6 @@ class FieldCtx:
         z = self._zech[(e - la) % q1]
         return 0 if z < 0 else self._exp[(la + z) % q1]
 
-    def neg_v(self, a: int) -> int:
-        return self.sub_v(0, a)
-
     def mul_v(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -389,10 +371,6 @@ class FieldCtx:
                 raise ZeroToNegativePower()
             return 1 if e == 0 else 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def int_v(self, c: int) -> int:
-        """Encoding of the integer c viewed in the prime subfield."""
-        return c % self.p
 
     # -- roots of unity and subfields --
 

@@ -218,7 +218,7 @@ def _stored_disagreement(art: CodeArtifact, ratios: np.ndarray) -> tuple[str, in
 class VerificationReport:
     self_dual: bool
     rank_ok: bool
-    mds_checked: str  # exhaustive_minors | min_weight | skipped_too_large
+    mds_checked: str  # exhaustive_minors | skipped_too_large
     min_distance: int | None
     mds_ok: bool | None = None
     # the lexicographically first singular column subset, when the
@@ -410,7 +410,4 @@ def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
                 singular = first_singular_minor(art)
         if art.ctx.q**art.k <= DISTANCE_BUDGET:
             dist = min_distance(art)
-            if mds_checked == "skipped_too_large":
-                mds_checked = "min_weight"
-                mds_ok = dist == art.n - art.k + 1
     return VerificationReport(sd, rank_ok, mds_checked, dist, mds_ok, singular, stored)

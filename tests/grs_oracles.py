@@ -5,10 +5,16 @@ against it."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
 
-from mdssd.constructions import _product, _stride
+from mdssd.constructions import _stride
 from mdssd.errors import UnsupportedTheorem
+
+
+def _product(ctx, values) -> int:
+    """The product of the field elements in `values`."""
+    return reduce(ctx.mul_v, values, 1)
 
 
 class IndexOutOfRange(IndexError):
@@ -32,7 +38,7 @@ def locator(a, i: int) -> int:
 def cyclotomic_locator(m: int, i: int, ctx) -> int:
     """Closed form for the locator on the m-th roots of unity: m * alpha^{-i}."""
     alpha = ctx.root_of_unity_v(m)
-    return ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, -i))
+    return ctx.mul_v(m % ctx.p, ctx.pow_v(alpha, -i))
 
 
 def closed_form_locator(params, trace, i: int) -> int:
@@ -48,16 +54,16 @@ def closed_form_locator(params, trace, i: int) -> int:
         z = trace.I[zi]
         alpha = ctx.pow_v(ctx.g_val, k * (q1 // m) + stride * z)
         return ctx.mul_v(
-            ctx.mul_v(ctx.int_v(m), ctx.pow_v(alpha, m - 1)), trace.u[z]
+            ctx.mul_v(m % ctx.p, ctx.pow_v(alpha, m - 1)), trace.u[z]
         )
     if th in ("T1ii", "T3ii"):
         if i == 0:  # +-g^(stride m sum(I))
             L0 = ctx.pow_v(ctx.g_val, stride * m * sum(trace.I))
-            return ctx.neg_v(L0) if (m + 1) * params.t % 2 else L0
+            return ctx.sub_v(0, L0) if (m + 1) * params.t % 2 else L0
         zi, k = divmod(i - 1, m)
         z = trace.I[zi]
         return ctx.mul_v(
-            ctx.mul_v(ctx.int_v(m), ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
+            ctx.mul_v(m % ctx.p, ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
         )
     if th == "T4":  # point S[k0] beta + S[j0]
         S, beta = trace.S, trace.beta

@@ -618,3 +618,20 @@ def test_field_info_and_verify_end_in_documented_exit_code(draw, tmp_path, capsy
         path.write_text(json.dumps(draw))
         draw = ["verify", "--in", str(path)]
     _assert_documented_exit(draw, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--q", "9", "--theorem", "T1i", "--m", "4", "--t", "1"),
+    ("field-info", "--q", "9"),
+    ("verify", "--in", "missing.json"),
+    ("census", "--q", "9"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exit_2(argv, tmp_path, capsys):
+    # the directory of --out does not exist; verify's --in does not either,
+    # so its error report is the write that fails
+    argv = [tmp_path / arg if arg.endswith(".json") else arg for arg in argv]
+    out = tmp_path / "missing" / "out.json"
+    code, doc, err = run(capsys, *map(str, argv), "--out", str(out))
+    assert code == 2 and doc is None
+    assert "cannot write the output" in err and "Traceback" not in err
+    assert not out.parent.exists()

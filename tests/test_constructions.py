@@ -238,7 +238,7 @@ def test_u_product_power_identity():
             continue
         ctx = art.ctx
         r, q1 = 11, ctx.q - 1
-        sign = 1 if (t - 1) % 2 == 0 else ctx.neg_v(1)
+        sign = 1 if (t - 1) % 2 == 0 else ctx.sub_v(0, 1)
         for z, uz in trace.u.items():
             expect = ctx.mul_v(
                 sign, int(ctx.np_tables[0][(-(trace.A + (t - 2) * z) * (r - 1) * m) % q1])
@@ -281,17 +281,20 @@ def _odd_prime_powers(limit):
 
 
 def test_array_verdicts_agree_with_the_scalar_walk():
-    """Every candidate tuple of the coset families, for every odd q <= 3000
-    and for 83^2 and 151^2, gets the same verdict and n from the int64
-    arrays as from `validate`, with every numpy error raised.  For odd d the
-    clause q = r^2 rejects the whole call, and the arrays yield no row."""
-    fields = _odd_prime_powers(3000) + [(83, 2), (151, 2)]
+    """Every candidate tuple of every theorem, for every odd q <= 3000, for
+    83^2 and 151^2, and for 3^10, 3^12, 5^8 and 7^6, whose degrees have many
+    divisors for T5, gets the same verdict and n from the int64 arrays as
+    from `validate`, with every numpy error raised.  For odd d the clause
+    q = r^2 rejects the whole call of every theorem but T5, and the arrays
+    yield no row."""
+    fields = _odd_prime_powers(3000) + [(83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (7, 6)]
     checked = 0
     with np.errstate(all="raise"):
         for p, d in fields:
             q = p**d
             accepted = valid_param_arrays(p, d, q + 1)
-            for th in ("T1i", "T1ii", "T2", "T3i", "T3ii"):
+            for th in THEOREMS:
+                rejected_call = d % 2 and th != "T5"
                 x = _candidates(th, p, d, q + 1)
                 ok, n = _array_verdicts(_HYPOTHESES[th], x)
                 keys = _HYPOTHESES[th].keys
@@ -301,12 +304,12 @@ def test_array_verdicts_agree_with_the_scalar_walk():
                         want = validate(th, p, d, **dict(zip(keys, row))).n
                     except HypothesisViolated:
                         want = None
-                    if d % 2:
+                    if rejected_call:
                         assert want is None
                     else:
                         assert (row_n if row_ok else None) == want, (q, th, row)
                     checked += 1
-                if d % 2:
+                if rejected_call:
                     assert accepted[th]["n"].size == 0
     assert checked > 90_000
 

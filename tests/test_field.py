@@ -88,7 +88,7 @@ def test_field_axioms_exhaustive(p, d):
     for a in elems:
         assert ctx.add_v(a, 0) == a
         assert ctx.mul_v(a, 1) == a
-        assert ctx.add_v(a, ctx.neg_v(a)) == 0
+        assert ctx.add_v(a, ctx.sub_v(0, a)) == 0
         if a != 0:
             assert ctx.mul_v(a, ctx.pow_v(a, -1)) == 1
     # distributivity on a deterministic sample
@@ -323,12 +323,12 @@ def test_scalar_addition_matches_digitwise_oracle(p, d):
         pairs += [(a, a) for a in rng.sample(range(q), 100)]
         pairs += [(0, b) for b in rng.sample(range(q), 100)]
         pairs += [(a, 0) for a in rng.sample(range(q), 100)]
-        pairs += [(0, 0), (q - 1, q - 1), (1, ctx.neg_v(1))]
+        pairs += [(0, 0), (q - 1, q - 1), (1, ctx.sub_v(0, 1))]
     for a, b in pairs:
         assert ctx.add_v(a, b) == _digitwise(ctx, a, b, 1)
         assert ctx.sub_v(a, b) == _digitwise(ctx, a, b, -1)
     assert all(ctx.sub_v(a, a) == 0 for a, _ in pairs)
-    assert all(ctx.neg_v(b) == _digitwise(ctx, 0, b, -1) for _, b in pairs)
+    assert all(ctx.sub_v(0, b) == _digitwise(ctx, 0, b, -1) for _, b in pairs)
 
 
 def _divides(h, f, p):
@@ -354,7 +354,7 @@ def _first_irreducible(p, d):
                 if _trial_irreducible(f, p))
 
 
-# degree 2 to 12; for d <= 3 the root sieve decides alone
+# degree 2 to 12; for d <= 3 Ben-Or's one step, gcd(x^p - x, f) = 1, is the root test
 MODULUS_FIELDS = [(3, 2), (5, 2), (151, 2), (1021, 2), (3, 3), (7, 3), (3, 4), (5, 4), (3, 5),
                   (3, 6), (5, 6), (3, 7), (3, 8), (5, 8), (3, 9), (3, 10), (3, 11), (3, 12)]
 

@@ -240,8 +240,8 @@ def test_assembly_matches_scalar_square_roots_and_failing_index(p, d, monkeypatc
             if a.n % 2:
                 continue
             lam = rng.randrange(1, ctx.q)
-            targets = [ctx.neg_v(locator(a, i)) if extended else ctx.mul_v(lam, locator(a, i))
-                       for i in range(len(points))]
+            targets = [ctx.sub_v(0, locator(a, i)) if extended
+                       else ctx.mul_v(lam, locator(a, i)) for i in range(len(points))]
             bad = next((i for i, t in enumerate(targets) if oracles.chi(ctx, t) != 1), None)
             if bad is not None:
                 seen["violated"] += 1

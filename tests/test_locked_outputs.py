@@ -8,6 +8,9 @@ before the coset constructors and the hypothesis checks were merged,
 
 - `fields`: the modulus, primitive element and exp, log and Zech tables of
   fourteen fields, degree 1 to 12, from q = 3 to q = 3^12;
+- `moduli`: the modulus `_find_modulus` picks for each of the 223 fields
+  with d >= 2 and q <= 2^20, recorded before the root sieve gave way to
+  Ben-Or's test for every degree;
 
 - `sweep`: every artifact of the acceptance sweep (q <= 289, n <= 128), each
   serialized with its trace, in `iter_valid_params` order;
@@ -41,6 +44,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +55,7 @@ from mdssd.census import _field_ctx, _prior_rules, census_report
 from mdssd.cli import main
 from mdssd.constructions import THEOREMS, construct_from_params, iter_valid_params, validate
 from mdssd.errors import HypothesisViolated
-from mdssd.field import make_field
+from mdssd.field import _find_modulus, make_field
 from mdssd.grs import artifact_to_dict, to_json
 
 LOCKED = json.loads((Path(__file__).parent / "locked_digests.json").read_text())
@@ -77,6 +81,7 @@ LARGE_CODES = (
 )
 ENUMERATION_Q = (9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 729, 6889, 22801)
 PRIOR_RULES_Q_MAX = 20_000
+MODULI_Q_MAX = 1 << 20
 FIELD_CASES = ((3, 1), (1009, 1), (3, 2), (5, 2), (7, 3), (3, 4), (5, 4), (17, 2),
                (83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (1021, 2))
 GRID_FIELDS = ((3, 2), (5, 2), (7, 2), (3, 4), (13, 2), (3, 3), (13, 1))
@@ -104,6 +109,16 @@ def field_digest(ctx) -> str:
         h.update(f"{table.dtype} {table.shape}".encode())
         h.update(np.ascontiguousarray(table).tobytes())
     return h.hexdigest()
+
+
+def moduli_digest() -> str:
+    """sha256 of one line "p d modulus" per odd prime power q = p^d <= 2^20
+    with d >= 2, ascending in p, then d."""
+    lines = [f"{p} {d} {_find_modulus(p, d)}"
+             for p in sympy.primerange(3, math.isqrt(MODULI_Q_MAX) + 1)
+             for d in range(2, MODULI_Q_MAX.bit_length()) if p**d <= MODULI_Q_MAX]
+    assert len(lines) == 223
+    return _sha("\n".join(lines))
 
 
 def sweep_digests() -> list[list[str]]:
@@ -203,6 +218,10 @@ def brute_force():
 @pytest.mark.parametrize("p,d", FIELD_CASES, ids=[f"{p}^{d}" for p, d in FIELD_CASES])
 def test_field_tables_match_locked_digest(p, d):
     assert field_digest(make_field(p, d)) == LOCKED["fields"][f"{p},{d}"]
+
+
+def test_moduli_match_locked_digest():
+    assert moduli_digest() == LOCKED["moduli"]
 
 
 def test_sweep_artifacts_match_locked_digests():

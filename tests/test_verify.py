@@ -317,7 +317,7 @@ def _self_dual_matrix(ctx, rng, k):
     column permutation, which keep G G^T = 0 and rank k.
     A = sqrt(-1) I if -1 is a square, else blocks [[a, b], [-b, a]] with
     a^2 + b^2 = -1."""
-    minus_one = ctx.neg_v(1)
+    minus_one = ctx.sub_v(0, 1)
     A = [[0] * k for _ in range(k)]
     if oracles.chi(ctx, minus_one) == 1:
         for i in range(k):
@@ -328,7 +328,7 @@ def _self_dual_matrix(ctx, rng, k):
         a = oracles.sqrt(ctx, ctx.sub_v(minus_one, ctx.mul_v(b, b)))
         for i in range(0, k, 2):
             A[i][i] = A[i + 1][i + 1] = a
-            A[i][i + 1], A[i + 1][i] = b, ctx.neg_v(b)
+            A[i][i + 1], A[i + 1][i] = b, ctx.sub_v(0, b)
     G = [[int(i == j) for j in range(k)] + A[i] for i in range(k)]
     for _ in range(3 * k):
         i, j = rng.sample(range(k), 2)
@@ -336,7 +336,7 @@ def _self_dual_matrix(ctx, rng, k):
         G[i] = [ctx.add_v(ctx.mul_v(c, x), y) for x, y in zip(G[i], G[j])]
     perm = rng.sample(range(2 * k), 2 * k)
     signs = [rng.random() < 0.5 for _ in range(2 * k)]
-    return [[ctx.neg_v(row[c]) if s else row[c] for c, s in zip(perm, signs)] for row in G]
+    return [[ctx.sub_v(0, row[c]) if s else row[c] for c, s in zip(perm, signs)] for row in G]
 
 
 def _corrupt(ctx, rng, G):
@@ -900,7 +900,7 @@ def _structure_cases(art):
     # at k = 2 the change moves only the point a_j, which may stay distinct
     moved = ctx.mul_v(changed[k - 1][j], ctx.pow_v(G[0][j], -1))
     cases.append(("changed entry", changed, k == 2 and moved not in points))
-    for name, c in (("scaled by g", ctx.g_val), ("scaled by -1", ctx.neg_v(1))):
+    for name, c in (("scaled by g", ctx.g_val), ("scaled by -1", ctx.sub_v(0, 1))):
         cases.append((name, [row[:j] + [ctx.mul_v(c, row[j])] + row[j + 1:] for row in G], True))
     new = next((b for b in range(1, ctx.q) if b not in points), None)
     if new is not None:
