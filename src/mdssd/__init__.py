@@ -28,6 +28,8 @@ from .grs import (
     EvalVector,
     ScalingVector,
     artifact_from_dict,
+    artifact_from_json,
+    artifact_record,
     artifact_to_dict,
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
@@ -52,7 +54,8 @@ __all__ = [
     "SpotCheckFailed", "SquareConditionViolated", "TooLargeToMaterialize",
     "FieldCtx", "make_field",
     "CodeArtifact", "EvalVector", "ScalingVector", "artifact_from_dict",
-    "artifact_to_dict", "assemble_self_dual_grs", "assemble_self_dual_xgrs",
+    "artifact_from_json", "artifact_record", "artifact_to_dict",
+    "assemble_self_dual_grs", "assemble_self_dual_xgrs",
     "to_json",
     "VerificationReport", "check_mds_minors", "check_self_dual",
     "min_distance", "verify_artifact",

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .census import CENSUS_BUDGET, census_report
 from .constructions import ODD_Q_CLAUSE, THEOREMS, build
 from .errors import HypothesisViolated, MdssdError
 from .field import make_field, odd_prime_power
-from .grs import artifact_from_dict, artifact_to_dict, to_json
+from .grs import artifact_from_json, artifact_record, to_json
 from .verify import verify_artifact
 
 EXIT_OK = 0
@@ -104,18 +103,17 @@ def cmd_construct(args) -> int:
             kw[dest] = val
     art, trace = build(args.theorem, p, d, **kw)
     report = verify_artifact(art, mds=not args.no_mds)
-    _emit(artifact_to_dict(art, trace.to_dict(), report.to_dict()), args.out)
+    _emit(artifact_record(art, trace.to_dict(), report.to_dict()), args.out)
     return _verdict(report)
 
 
 def cmd_verify(args) -> int:
     try:
         with open(getattr(args, "in"), "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        art = artifact_from_dict(doc)
+            art = artifact_from_json(fh.read())
     except MdssdError as ex:  # first: MalformedArtifact is also a ValueError
         return _fail(ex.exit_code, f"cannot load artifact: {ex}", args.out)
-    except (OSError, ValueError, KeyError, TypeError) as ex:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as ex:
         return _fail(EXIT_INVALID, f"cannot load artifact: {ex}", args.out)
     try:
         report = verify_artifact(art, mds=args.mds)

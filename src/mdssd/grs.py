@@ -14,7 +14,13 @@ exactly when l is even, and the roots of 1/g^l are g^h and g^(h + (q-1)/2)
 with h = (-l mod (q-1))/2; the weight is the smaller encoding of the two.
 This log form is the one definition of the canonical root.  Row i of G has
 logs log v_j + i log a_j, and G is one read-only int64 array of shape
-(k, n), converted to lists only for JSON.
+(k, n).
+
+G's JSON text is written and read on arrays as well.  `to_json` writes an
+array under "G" from its decimal digits, byte for byte as `json.dumps`
+writes the lists, and `artifact_from_json` parses the writer's canonical
+form of G straight into int64; any other text goes through `json.loads`
+and `artifact_from_dict`'s strict list checks, which word every error.
 """
 
 from __future__ import annotations
@@ -243,8 +249,10 @@ def _assemble(a: EvalVector, lam: int | None, label: str, params: dict | None
 
 # --- JSON artifact form (bit-exact across platforms) ---
 
-def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
-                     verification: dict | None = None) -> dict:
+def artifact_record(art: CodeArtifact, trace_dict: dict | None = None,
+                    verification: dict | None = None) -> dict:
+    """The artifact's JSON fields, with G as the read-only int64 array, which
+    `to_json` writes from its digits."""
     out = {
         "q": art.ctx.q,
         "p": art.ctx.p,
@@ -255,7 +263,7 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
         "construction": {"label": art.label, "extended": art.a.extended, **art.params},
         "a": list(art.a.points),
         "v": list(art.v.weights),
-        "G": _json_rows(art.ctx, art.G),
+        "G": art.G,
     }
     if trace_dict is not None:
         out["trace"] = trace_dict
@@ -264,18 +272,55 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
     return out
 
 
-def _json_rows(ctx: FieldCtx, G: np.ndarray) -> list[list[int]]:
-    """G.tolist().  When G has at least q entries, they share the q int
-    objects 0..q-1, so that the k*n entries cost a list pointer each and not
-    a new int object each (32 bytes more per entry at the peak of a large
-    artifact's serialization)."""
-    if G.size < ctx.q:
-        return G.tolist()
-    return np.arange(ctx.q).astype(object)[G].tolist()
+def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
+                     verification: dict | None = None) -> dict:
+    """As artifact_record, with G as k lists of n ints."""
+    return {**artifact_record(art, trace_dict, verification), "G": art.G.tolist()}
 
 
 def to_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON: sorted keys, no whitespace.  An int64 array under "G"
+    is written from its digits (`_matrix_json`), with the same bytes as its
+    lists; "G" must then sort first, as it does among an artifact's keys,
+    whose other keys are lowercase."""
+    G = obj.get("G")
+    if not isinstance(G, np.ndarray):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    rest = json.dumps({key: val for key, val in obj.items() if key != "G"},
+                      sort_keys=True, separators=(",", ":"))
+    return b"".join([b'{"G":[[', *_matrix_json(G), b"]],", rest[1:].encode()]).decode()
+
+
+def _matrix_json(G: np.ndarray) -> list[bytes]:
+    """The text of a (k, n) array of entries >= 0 between the outer "[[" and
+    "]]", in pieces of whole rows.  Each entry gets a little-endian slot of
+    8-byte words: its digits, right-aligned and built one decimal place per
+    pass, then "," (";" after a row's last entry); NUL bytes pad the slot
+    and are deleted, and ";" becomes "],[" between rows."""
+    k, n = G.shape
+    width = len(str(int(G.max())))
+    words = (width + 8) // 8
+    rows = max(1, _BLOCK_ENTRIES // n)
+    pieces = []
+    for lo in range(0, k, rows):
+        rest = G[lo:lo + rows].ravel()
+        slots = np.zeros((rest.size, words), dtype="<i8")
+        slots[:, -1] = ord(",") << 56
+        slots[n - 1::n, -1] = ord(";") << 56
+        for place in range(width):
+            byte = 8 * words - 2 - place
+            high = rest // 10
+            char = high * -10
+            char += rest
+            char += ord("0")
+            if place:  # a leading zero stays NUL
+                char *= rest > 0
+            char <<= 8 * (byte % 8)
+            slots[:, byte // 8] |= char
+            rest = high
+        pieces.append(slots.tobytes().translate(None, b"\0").replace(b";", b"],["))
+    pieces[-1] = pieces[-1][:-3]
+    return pieces
 
 
 def _int_field(doc: dict, key: str) -> int:
@@ -297,10 +342,10 @@ def _encodings(values, q: int, length: int, what: str) -> tuple[int, ...]:
 
 
 def _matrix(rows, q: int, k: int, n: int) -> np.ndarray:
-    """G as a read-only (k, n) int64 array, from a list of k lists of n ints
-    (bools excluded) in [0, q).  The entries are checked by one type pass
-    over all of them and one range check on the array; an error names the
-    first offending row."""
+    """G as a (k, n) int64 array, from a list of k lists of n ints (bools
+    excluded).  The entries are checked by one type pass over all of them;
+    an error names the first offending row.  An entry beyond int64 is
+    clamped to -1 or q, so that it stays out of range."""
     if not isinstance(rows, list) or len(rows) != k:
         raise MalformedArtifact(f"G must be a list of k = {k} rows")
     for i, row in enumerate(rows):
@@ -310,10 +355,15 @@ def _matrix(rows, q: int, k: int, n: int) -> np.ndarray:
         i = next(i for i, row in enumerate(rows) if not set(map(type, row)) <= {int})
         raise MalformedArtifact(f"G row {i} has an entry that is not an integer")
     try:
-        G = np.array(rows, dtype=np.int64).reshape(k, n)
-    except OverflowError:  # clamped, an entry beyond int64 stays out of range
-        G = np.array([[min(max(x, -1), q) for x in row] for row in rows],
-                     dtype=np.int64).reshape(k, n)
+        return np.array(rows, dtype=np.int64).reshape(k, n)
+    except OverflowError:
+        return np.array([[min(max(x, -1), q) for x in row] for row in rows],
+                        dtype=np.int64).reshape(k, n)
+
+
+def _field_matrix(G: np.ndarray, q: int) -> np.ndarray:
+    """G, read-only, once every entry is in [0, q); an error names the first
+    offending row."""
     if G.size and (G.min() < 0 or G.max() >= q):
         i = int(((G < 0) | (G >= q)).any(axis=1).argmax())
         raise MalformedArtifact(f"G row {i} has an entry outside [0, {q})")
@@ -324,7 +374,8 @@ def _matrix(rows, q: int, k: int, n: int) -> np.ndarray:
 def artifact_from_dict(doc: dict) -> CodeArtifact:
     """Strict inverse of artifact_to_dict: every field element must be an
     encoding in [0, q), the points must be distinct, and the shapes must
-    agree with n, k and the extended flag."""
+    agree with n, k and the extended flag.  G may also be a (k, n) int64
+    array, as `artifact_from_json` parses it."""
     p, d, n, k = (_int_field(doc, key) for key in ("p", "d", "n", "k"))
     ctx = make_field(p, d)
     if list(ctx.modulus) != doc["modulus"]:
@@ -341,6 +392,78 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
     if not a.is_distinct():
         raise MalformedArtifact("a has a repeated point")
     v = ScalingVector(ctx, _encodings(doc["v"], q, len(points), "v (len(a) entries)"))
-    G = _matrix(doc["G"], q, k, n)
+    G = doc["G"]
+    if not isinstance(G, np.ndarray):
+        G = _matrix(G, q, k, n)
+    elif G.dtype != np.int64 or G.shape != (k, n):
+        raise MalformedArtifact(f"G must be a ({k}, {n}) int64 array")
+    G = _field_matrix(G, q)
     params = {key: val for key, val in cons.items() if key not in ("label", "extended")}
     return CodeArtifact(ctx, a, v, k, G, cons.get("label", "unknown"), params)
+
+
+def artifact_from_json(text: str) -> CodeArtifact:
+    """artifact_from_dict(json.loads(text)), with the writer's canonical G
+    parsed straight into int64 when `_canonical_parts` accepts the text."""
+    parts = _canonical_parts(text)
+    if parts is None:
+        return artifact_from_dict(json.loads(text))
+    doc, G = parts
+    return artifact_from_dict({**doc, "G": G})
+
+
+# G's text as `_canonical_parts` hands it to np.fromstring: digits and ","
+# stay, the brackets of "],[" become spaces, which it skips around a ",",
+# and every other byte becomes NUL.
+_G_TEXT = bytes(c if c in b"0123456789," else 32 if c in b"[]" else 0 for c in range(256))
+
+
+def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
+    """(the other fields, G) for text in the writer's canonical form, or None.
+
+    The form starts '{"G":[[' ("G" sorts before every lowercase key), every
+    "]" of G is followed by ",[" and the last by "],".  The checks run
+    cheapest first: one pass over G's text for its characters, then the
+    rest must parse, hold no second "G" and give G's row count as k and an
+    int n, every entry must be a nonempty run of digits, k * n of them, and
+    each row must hold n.  Only then is G parsed, and the digits of the
+    values must add up to the digits of the text, which rules out leading
+    zeros and entries beyond int64.  Every entry is then a JSON int, so
+    json.loads(text) gives the same document."""
+    if not text.startswith('{"G":[[') or not text.isascii():
+        return None
+    row_ends = []
+    end = text.find("]", 7)
+    while text.startswith("],[", end):
+        row_ends.append(end - 7)
+        end = text.find("]", end + 3)
+    if end < 0 or not text.startswith("]],", end):
+        return None
+    flat = text[7:end].encode().translate(_G_TEXT)
+    if b"\0" in flat:
+        return None
+    try:
+        doc = json.loads("{" + text[end + 3:])
+    except (ValueError, RecursionError):
+        return None
+    k, n = doc.get("k"), doc.get("n")
+    if "G" in doc or type(k) is not int or type(n) is not int or k != len(row_ends) + 1:
+        return None
+    chars = np.frombuffer(flat, dtype=np.uint8)
+    digit = chars - ord("0") < 10
+    runs = np.count_nonzero(digit[1:] > digit[:-1]) + np.count_nonzero(digit[:1])
+    # a space is one of a "],[", each of whose "[" follows a "]"
+    if runs != k * n or np.count_nonzero(chars == ord(" ")) != 2 * (k - 1):
+        return None
+    # the comma of each "],[" must be the last of n in its row
+    commas = np.flatnonzero(chars == ord(","))
+    if commas.size != k * n - 1 or not np.array_equal(commas[n - 1::n], np.add(row_ends, 1)):
+        return None
+    G = np.fromstring(flat, dtype=np.int64, sep=",")
+    digits, power, top = G.size, 10, int(G.max())
+    while power <= top:
+        digits += np.count_nonzero(G >= power)
+        power *= 10
+    if G.size != k * n or digits != np.count_nonzero(digit):
+        return None
+    return doc, G.reshape(k, n)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mdssd.cli import main
 from mdssd.constructions import THEOREMS
+from mdssd.grs import to_json
 
 
 def run(capsys, *argv):
@@ -339,15 +340,112 @@ def artifact_doc():
     return artifact_to_dict(art)
 
 
+# the spaced, unsorted text of json.dumps reaches only the strict path;
+# to_json's canonical text reaches the canonical reader first
+SERIALIZATIONS = (json.dumps, to_json)
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_verify_malformed_artifact_exit_2(name, artifact_doc, tmp_path, capsys):
     doc = json.loads(json.dumps(artifact_doc))
     MALFORMED[name](doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    outcomes = []
+    for dump in SERIALIZATIONS:
+        path.write_text(dump(doc))
+        code, rep, err = run(capsys, "verify", "--in", str(path))
+        assert code == 2 and "cannot load artifact: malformed artifact" in rep["error"]
+        assert "Traceback" not in err
+        outcomes.append((code, rep, err))
+    assert outcomes[0] == outcomes[1]
+
+
+def _canonical(doc, row=None, col=None, text=None):
+    """to_json(doc), with G[row][col] written as `text` when given."""
+    if text is None:
+        return to_json(doc)
+    doc = json.loads(json.dumps(doc))
+    doc["G"][row][col] = 777777
+    return to_json(doc).replace("777777", text, 1)
+
+
+def _second_g(doc):
+    G = json.loads(json.dumps(doc["G"]))
+    G[1][2] = 9
+    return to_json(doc)[:-1] + ',"G":' + to_json({"G": G})[5:-1] + "}"
+
+
+def _ragged(doc):
+    doc = json.loads(json.dumps(doc))
+    doc["G"][1].append(doc["G"][0].pop())
+    return to_json(doc)
+
+
+# Texts that look canonical, with the exit code and the start of the error
+# that the strict path gives them (None: the report of the valid artifact).
+# G[0][5] is 0, in the extended column.
+CANONICAL_LOOKING = {
+    "leading-zero": (lambda doc: _canonical(doc, 1, 2, "07"), 2, "Expecting ',' delimiter"),
+    "minus-zero": (lambda doc: _canonical(doc, 0, 5, "-0"), 0, None),
+    "empty-row": (lambda doc: to_json({**doc, "G": [doc["G"][0], [], doc["G"][2]]}), 2,
+                  "malformed artifact: G row 1 must be a list of 6 entries"),
+    "double-comma": (lambda doc: _canonical(doc, 1, 2, ""), 2, "Expecting value"),
+    "stray-bracket": (lambda doc: _canonical(doc, 1, 2, "[3"), 2, "Expecting"),
+    "beyond-int64": (lambda doc: _canonical(doc, 1, 2, str(2**70)), 2,
+                     "malformed artifact: G row 1 has an entry outside [0, 9)"),
+    "ragged-rows": (_ragged, 2, "malformed artifact: G row 0 must be a list of 6 entries"),
+    "extra-row": (lambda doc: to_json({**doc, "G": [*doc["G"], doc["G"][0]]}), 2,
+                  "malformed artifact: G must be a list of k = 3 rows"),
+    "second-G": (_second_g, 2, "malformed artifact: G row 1 has an entry outside [0, 9)"),
+    "trailing-bytes": (lambda doc: to_json(doc) + "}", 2, "Extra data"),
+    "space-in-G": (lambda doc: to_json(doc).replace("],[", "], [", 1), 0, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_LOOKING))
+def test_verify_canonical_looking_text_ends_as_on_the_strict_path(name, artifact_doc, tmp_path,
+                                                                   capsys, monkeypatch):
+    import mdssd.grs as grs
+
+    make, want_code, want_error = CANONICAL_LOOKING[name]
+    path = tmp_path / "art.json"
+    path.write_text(make(artifact_doc))
     code, rep, err = run(capsys, "verify", "--in", str(path))
-    assert code == 2 and "cannot load artifact: malformed artifact" in rep["error"]
+    assert code == want_code and "Traceback" not in err
+    if want_error is None:
+        path.write_text(to_json(artifact_doc))
+        assert (code, rep) == run(capsys, "verify", "--in", str(path))[:2]
+    else:
+        assert rep["error"].startswith(f"cannot load artifact: {want_error}")
+    path.write_text(make(artifact_doc))
+    monkeypatch.setattr(grs, "_canonical_parts", lambda text: None)
+    assert run(capsys, "verify", "--in", str(path)) == (code, rep, err)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"G":' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["top-level", "under-G"])
+def test_verify_deeply_nested_json_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2 and rep["error"].startswith("cannot load artifact: maximum recursion depth")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("dump", [
+    functools.partial(json.dumps, indent=2),
+    json.dumps,
+    functools.partial(json.dumps, sort_keys=True),
+    to_json,
+], ids=["indented", "spaced", "sorted-spaced", "canonical"])
+def test_verify_reads_any_valid_layout_the_same(dump, artifact_doc, tmp_path, capsys):
+    path = tmp_path / "art.json"
+    path.write_text(dump(artifact_doc))
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert (code, rep, err) == (0, {"mds_checked": "exhaustive_minors", "mds_ok": True,
+                                    "min_distance": 4, "rank_ok": True, "self_dual": True}, "")
 
 
 def _proportional_columns(G):
@@ -559,6 +657,7 @@ def _assert_documented_exit(argv, capsys):
     assert code in (0, 2, 3, 4)
     if code in (2, 3):
         assert json.loads(captured.out)["error"]
+    return code, captured.out, captured.err
 
 
 @functools.cache
@@ -612,12 +711,17 @@ def _field_info_arguments(draw):
 @given(draw=st.one_of(_field_info_arguments(), _artifacts()))
 def test_field_info_and_verify_end_in_documented_exit_code(draw, tmp_path, capsys):
     """field-info arguments and changed artifacts end in exit 0, 2, 3 or 4
-    too, never in an exception."""
-    if isinstance(draw, dict):
-        path = tmp_path / "art.json"
-        path.write_text(json.dumps(draw))
-        draw = ["verify", "--in", str(path)]
-    _assert_documented_exit(draw, capsys)
+    too, never in an exception, and an artifact ends the same whichever way
+    it is serialized."""
+    if not isinstance(draw, dict):
+        _assert_documented_exit(draw, capsys)
+        return
+    path = tmp_path / "art.json"
+    outcomes = []
+    for dump in SERIALIZATIONS:
+        path.write_text(dump(draw))
+        outcomes.append(_assert_documented_exit(["verify", "--in", str(path)], capsys))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import random
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import field_oracles as oracles
 from grs_oracles import IndexOutOfRange, cyclotomic_locator, locator
@@ -15,15 +19,20 @@ from mdssd.constructions import build
 from mdssd.errors import (
     DimensionMismatch,
     DuplicatePoint,
+    MalformedArtifact,
+    MdssdError,
     OddLength,
     SquareConditionViolated,
 )
 from mdssd.field import make_field
 from mdssd.grs import (
+    CodeArtifact,
     EvalVector,
     ScalingVector,
     all_locators,
     artifact_from_dict,
+    artifact_from_json,
+    artifact_record,
     artifact_to_dict,
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
@@ -192,6 +201,80 @@ def test_artifact_from_dict_g_is_a_read_only_k_by_n_array():
     back = artifact_from_dict(artifact_to_dict(art))
     assert back.G.shape == (3, 6) and back.G.dtype == np.int64
     assert not back.G.flags.writeable and back.G.tolist() == art.G.tolist()
+
+
+def _with_g(ctx, G):
+    """An artifact over ctx whose G is the given array; the writer reads
+    nothing else of it."""
+    G = np.asarray(G, dtype=np.int64)
+    k, n = G.shape
+    points = tuple(range(1, n + 1))
+    return CodeArtifact(ctx, EvalVector(ctx, points), ScalingVector(ctx, (1,) * n), k, G, "g")
+
+
+def _writer_cases():
+    F3, F5, F3_12 = make_field(3, 1), make_field(5, 1), make_field(3, 12)
+    rng = np.random.default_rng(7)
+    boundaries = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000, 531440]
+    return [
+        pytest.param(assemble_self_dual_xgrs(EvalVector(F3, (0, 1, 2), True))[0],
+                     id="zero-point-and-extended-column"),
+        pytest.param(assemble_self_dual_grs(EvalVector(F5, (1, 4)), 2)[0], id="k=1"),
+        pytest.param(_with_g(F3, rng.integers(0, 3, (2, 4))), id="q=3"),
+        pytest.param(_with_g(F3_12, [boundaries, rng.integers(0, 3**12, 12).tolist()]),
+                     id="q=3^12"),
+        pytest.param(_with_g(F3_12, [boundaries[::-1]]), id="q=3^12,k=1"),
+    ]
+
+
+@pytest.mark.parametrize("art", _writer_cases())
+def test_to_json_writes_g_arrays_as_their_lists(art):
+    trace, report = {"t": [1, 2]}, {"self_dual": True}
+    text = to_json(artifact_record(art, trace, report))
+    assert text == to_json(artifact_to_dict(art, trace, report))
+    assert text.startswith('{"G":[[')
+
+
+def test_canonical_text_is_read_without_the_list_path(monkeypatch):
+    art, _ = build("T1ii", 3, 2, m=2, t=2)
+    doc = artifact_to_dict(art)
+    monkeypatch.setattr(grs, "_matrix", None)
+    back = artifact_from_json(to_json(doc))
+    assert back == art and back.G.dtype == np.int64 and not back.G.flags.writeable
+    doc["G"][1][2] += 9
+    with pytest.raises(MalformedArtifact, match=re.escape("G row 1 has an entry outside [0, 9)")):
+        artifact_from_json(to_json(doc))
+
+
+@functools.cache
+def _canonical_texts():
+    return [to_json(artifact_to_dict(build(th, p, d, **kw)[0])) for th, p, d, kw in (
+        ("T1ii", 3, 2, {"m": 2, "t": 2}), ("T1i", 17, 2, {"m": 6, "t": 1}))]
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except (MdssdError, ValueError, KeyError, TypeError, RecursionError) as ex:
+        return type(ex), str(ex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_reader_agrees_with_the_strict_path(data):
+    """One to three characters replaced, inserted or deleted in a canonical
+    artifact: artifact_from_json gives what json.loads and
+    artifact_from_dict give, the same artifact or the same error."""
+    text = data.draw(st.sampled_from(_canonical_texts()))
+    end = text.index("]],") + 3
+    chars = st.sampled_from('0123456789,[]- "G:{}e.\n')
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, end if data.draw(st.booleans()) else len(text)))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        c = "" if op == "delete" else data.draw(chars)
+        text = text[:i] + c + text[i + (op != "insert"):]
+    strict = _outcome(lambda t: artifact_from_dict(json.loads(t)), text)
+    assert _outcome(artifact_from_json, text) == strict
 
 
 # --- log kernels against the scalar oracles ---

@@ -56,7 +56,7 @@ from mdssd.cli import main
 from mdssd.constructions import THEOREMS, construct_from_params, iter_valid_params, validate
 from mdssd.errors import HypothesisViolated
 from mdssd.field import _find_modulus, make_field
-from mdssd.grs import artifact_to_dict, to_json
+from mdssd.grs import _canonical_parts, artifact_from_json, artifact_record, artifact_to_dict, to_json
 
 LOCKED = json.loads((Path(__file__).parent / "locked_digests.json").read_text())
 
@@ -229,6 +229,30 @@ def test_sweep_artifacts_match_locked_digests():
     for (label, digest), (want_label, want_digest) in zip(got, want):
         assert (label, digest) == (want_label, want_digest), f"first difference at {want_label}"
     assert len(got) == len(want)
+
+
+def test_sweep_artifacts_write_and_read_back_as_their_lists():
+    """The array writer gives the bytes of the lists, and the canonical
+    reader takes them back, for every sweep artifact."""
+    for q in SWEEP_Q:
+        (p, d), = sympy.factorint(q).items()
+        ctx = make_field(p, d)
+        for pr in iter_valid_params(p, d, SWEEP_N_MAX):
+            art, trace = construct_from_params(ctx, pr)
+            text = to_json(artifact_record(art, trace.to_dict()))
+            assert text == to_json(artifact_to_dict(art, trace.to_dict())), pr.label()
+            assert _canonical_parts(text) is not None and artifact_from_json(text) == art
+
+
+@pytest.mark.parametrize("q,theorem,params", LARGE_CODES,
+                         ids=[_large_key(*case) for case in LARGE_CODES])
+def test_large_construct_output_writes_and_reads_back_as_its_lists(q, theorem, params, tmp_path):
+    path = tmp_path / "out.json"
+    large_digest(q, theorem, params, path)
+    text = path.read_text()
+    doc, _ = _canonical_parts(text)
+    art = artifact_from_json(text)
+    assert to_json(artifact_to_dict(art, doc["trace"], doc["verification"])) + "\n" == text
 
 
 @pytest.mark.parametrize("q", ENUMERATION_Q)
