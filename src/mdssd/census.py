@@ -2,6 +2,14 @@
 length condition (prior constructions and this package's five families) as a
 predicate on even n, and report attributed length sets and counts.
 
+The prior constructions are one table, `_prior_rules`, with one row per
+published rule.  A rule id "prior:<source>:<rule>" names the source: GG is
+Grassl & Gulliver (ISIT 2008), GUE Guenda (2012), JX Jin & Xing (IEEE TIT
+63(3), 2017), Yan (Cryptogr. Commun. 11, 2019), LLL Lebed, Liu & Luo (2019)
+and FF Fang & Fu (IEEE TIT, 2019).  Each row transcribes its rule's length
+condition by hand, so each can be compared on its own with an independent
+oracle.
+
 New-family lengths come from the same parameter enumeration the construction
 layer uses, so every claimed length is constructible by definition; the
 report optionally verifies small lengths end to end ("spot checks").
@@ -10,7 +18,6 @@ report optionally verifies small lengths end to end ("spot checks").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 import sympy
@@ -29,24 +36,12 @@ class CensusCtx:
     p: int
     d: int
 
-    @cached_property
-    def q1_divisors(self) -> tuple[int, ...]:
-        return tuple(sympy.divisors(self.q - 1))  # ascending
-
     def eta(self, c: int) -> int:
         """Quadratic character of the integer c viewed in F_q."""
         c %= self.p
         if c == 0:
             return 0
         return 1 if pow(c, (self.q - 1) // 2, self.p) == 1 else -1
-
-    def representations(self, min_s: int = 1) -> list[tuple[int, int]]:
-        """All (r, s) with r^s = q, r an odd prime power, s >= min_s."""
-        return [
-            (self.p ** (self.d // s), s)
-            for s in sympy.divisors(self.d)
-            if s >= min_s
-        ]
 
 
 def _field_ctx(q: int) -> CensusCtx:
@@ -58,139 +53,81 @@ def _field_ctx(q: int) -> CensusCtx:
     return CensusCtx(q, *pd)
 
 
-def _even(ns) -> set[int]:
-    return {n for n in ns if n % 2 == 0 and 2 <= n}
-
-
-# --- prior constructions (one rule per known length condition) ---
+# --- prior constructions: one row per published rule ---
 
 def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
-    q, p, d = cx.q, cx.p, cx.d
-    q1 = q - 1
-    rules: dict[str, set[int]] = {}
+    """The lengths of the prior constructions, per rule id.
 
-    rules["prior:GG:q+1"] = {q + 1}
+    Each row of the table gives its rule's candidate lengths, or None where
+    the rule's condition on q (d even, q = 1 (mod 4), eta(-1) = 1, ...)
+    excludes it; such a rule is absent from the result.  Every row goes
+    through one filter, n even and 2 <= n <= q + 1, which also stands in
+    for the parity conditions of the published rules.  The rows draw on the
+    iteration spaces built once above them.  r is the square root of q in
+    the rules that need d even; the lr and FF rows bind their own r."""
+    q, p, d, eta = cx.q, cx.p, cx.d, cx.eta
+    even_d = d % 2 == 0
+    r = p ** (d // 2)
+    minus_one_square = eta(-1) == 1
+    divisors = sympy.divisors(q - 1)
+    # (dv, base) for each divisor dv = base^m of q - 1 with base odd and m odd
+    odd_bases = [(dv, pd[0]) for dv in divisors
+                 if (pd := odd_prime_power(dv)) is not None and pd[1] % 2 == 1]
+    # (l, root) with 1 <= l <= root, for each q = root^s with s >= 2; every lr
+    # rule needs l or l - 1 to divide root - 1
+    roots = [p ** (d // s) for s in sympy.divisors(d)[1:]]
+    lr = [(l, root) for root in roots for l in range(1, root + 1)]
+    # for each m | q - 1, the t m with 1 <= t <= (r - 1) / gcd(r - 1, m), up to q + 1
+    tm = {m: range(m, m * min((r - 1) // gcd(r - 1, m), (q + 1) // m) + 1, m) for m in divisors}
+    # t with 2t | p - 1 and 4t | q - 1
+    ts = [t for t in divisors if (p - 1) % (2 * t) == 0 and (q - 1) % (4 * t) == 0]
+    # (p^s, p^(s l)) for s | d/2 and 0 <= l <= d/s
+    powers = [(p**s, p ** (s * l)) for s in sympy.divisors(d // 2) for l in range(d // s + 1)]
 
-    rules["prior:Yan:(n-1)|(q-1)"] = _even(
-        dv + 1 for dv in cx.q1_divisors if cx.eta(1 - (dv + 1)) == 1
-    )
-    rules["prior:Yan:(n-2)|(q-1)"] = _even(
-        dv + 2 for dv in cx.q1_divisors if cx.eta(2 - (dv + 2)) == 1
-    )
-
-    # prime-power n-1 rules
-    pp3: set[int] = set()
-    pp1: set[int] = set()
-    has_r1mod4_odd_s = any(r % 4 == 1 for r, s in cx.representations() if s % 2 == 1)
-    for dv in cx.q1_divisors:
-        # dv = base^m with m odd; a power of 2 would meet neither rule below
-        pd = odd_prime_power(dv)
-        if pd is None or pd[1] % 2 == 0:
-            continue
-        base = pd[0]
-        if q % 4 == 3 and base % 4 == 3:
-            pp3.add(dv + 1)
-        if has_r1mod4_odd_s and base % 4 == 1:
-            pp1.add(dv + 1)
-    rules["prior:GUE:q=3mod4"] = _even(pp3)
-    rules["prior:GUE:r=1mod4"] = _even(pp1)
-
-    lr1: set[int] = set()
-    lr2: set[int] = set()
-    lr3: set[int] = set()
-    lr4: set[int] = set()
-    for r, s in cx.representations(min_s=2):
-        for l in range(1, (q + 1) // r + 1):
-            n = l * r
-            if l % 2 == 0 and (r - 1) % (2 * l) == 0:
-                lr1.add(n)
-            if l % 2 == 0 and l >= 2 and (r - 1) % (l - 1) == 0 and cx.eta(1 - l) == 1:
-                lr2.add(n)
-            if l % 2 == 1 and (r - 1) % l == 0 and cx.eta(l) == 1:
-                lr3.add(n + 1)
-            if l % 2 == 1 and l >= 2 and (r - 1) % (l - 1) == 0 \
-                    and cx.eta(l - 1) == 1 and cx.eta(-1) == 1:
-                lr4.add(n + 1)
-    rules["prior:Yan:n=lr,2l|(r-1)"] = _even(lr1)
-    rules["prior:Yan:n=lr,(l-1)|(r-1)"] = _even(lr2)
-    rules["prior:Yan:n=lr+1,l|(r-1)"] = _even(lr3)
-    rules["prior:Yan:n=lr+1,(l-1)|(r-1)"] = _even(lr4)
-
-    if d % 2 == 0:
-        r = p ** (d // 2)
-        rules["prior:JX:n<=r"] = _even(range(2, r + 1))
-        if r % 4 == 3:
-            rules["prior:JX:n=2tr"] = _even(2 * t * r for t in range(1, (r - 1) // 2 + 1))
-        rules["prior:Yan:n=tr,t-even"] = _even(t * r for t in range(2, r + 1, 2))
-        rules["prior:Yan:n=tr+1,t-odd"] = _even(t * r + 1 for t in range(1, r + 1, 2))
-
-    if q % 4 == 1:
-        rules["prior:Yan:n|(q-1)"] = _even(dv for dv in cx.q1_divisors if dv < q1)
-        rules["prior:JX:4^n*n^2<=q"] = _even(
-            n for n in range(2, 40) if 4**n * n * n <= q
-        )
-
-    rules["prior:Yan:n=p^r+1"] = _even(p**rr + 1 for rr in sympy.divisors(d))
-    if cx.eta(-1) == 1:
-        rules["prior:Yan:n=2p^e"] = _even(2 * p**e for e in range(1, d))
-
-    if d % 2 == 0:
-        r = p ** (d // 2)
-        tm: set[int] = set()
-        tm1: set[int] = set()
-        tm2: set[int] = set()
-        for m in cx.q1_divisors:
-            bound = (r - 1) // gcd(r - 1, m)
-            for t in range(1, bound + 1):
-                n = t * m
-                if n > q + 1:
-                    break
-                if (q1 // m) % 2 == 0:
-                    tm.add(n)
-                if n % 2 == 1:
-                    tm1.add(n + 1)
-                else:
-                    tm2.add(n + 2)
-        rules["prior:LLL:n=tm"] = _even(tm)
-        rules["prior:LLL:n=tm+1"] = _even(tm1)
-        rules["prior:LLL:n=tm+2"] = _even(tm2)
-
-    tp: set[int] = set()
-    for t in range(1, (p - 1) // 2 + 1):
-        if (p - 1) % (2 * t) != 0 or q1 % (4 * t) != 0:
-            continue
-        for e in range(0, d):
-            n = 2 * t * p**e
-            if n > q + 1:
-                break
-            tp.add(n)
-    rules["prior:LLL:n=2tp^e"] = _even(tp)
-
-    if d % 2 == 0:
-        ff1: set[int] = set()
-        ff2: set[int] = set()
-        for s in sympy.divisors(d // 2):
-            r = p**s
-            for l in range(0, d // s + 1):
-                rl = r**l
-                for t in range(1, (r - 1) // 2 + 1):
-                    n = 2 * t * rl
-                    if n > q + 1:
-                        break
-                    ff1.add(n)
-                for t in range(0, (r - 1) // 2 + 1):
-                    if l == d // s and t != 0:
-                        continue
-                    n = (2 * t + 1) * rl + 1
-                    if n > q + 1:
-                        break
-                    ff2.add(n)
-        rules["prior:FF:n=2tr^l"] = _even(ff1)
-        rules["prior:FF:n=(2t+1)r^l+1"] = _even(ff2)
-    if q % 4 == 1:
-        rules["prior:FF:n=p^l+1"] = _even(p**l + 1 for l in range(0, d + 1))
-
-    return rules
+    rows = {
+        # Grassl & Gulliver (ISIT 2008)
+        "prior:GG:q+1": {q + 1},
+        # Guenda (2012); some q = r^s with r = 1 (mod 4) and s odd exists
+        # exactly when q = 1 (mod 4), with s = 1
+        "prior:GUE:q=3mod4": {dv + 1 for dv, base in odd_bases if q % 4 == base % 4 == 3},
+        "prior:GUE:r=1mod4": {dv + 1 for dv, base in odd_bases if q % 4 == base % 4 == 1},
+        # Jin & Xing (IEEE TIT 63(3), 2017)
+        "prior:JX:n<=r": range(2, r + 1) if even_d else None,
+        "prior:JX:n=2tr": (
+            {2 * t * r for t in range(1, (r - 1) // 2 + 1)} if even_d and r % 4 == 3 else None),
+        "prior:JX:4^n*n^2<=q": (
+            {n for n in range(2, 40) if 4**n * n * n <= q} if q % 4 == 1 else None),
+        # Yan (Cryptogr. Commun. 11, 2019)
+        "prior:Yan:(n-1)|(q-1)": {dv + 1 for dv in divisors if eta(-dv) == 1},
+        "prior:Yan:(n-2)|(q-1)": {dv + 2 for dv in divisors if eta(-dv) == 1},
+        "prior:Yan:n|(q-1)": {dv for dv in divisors if dv < q - 1} if q % 4 == 1 else None,
+        "prior:Yan:n=lr,2l|(r-1)": {l * r for l, r in lr if (r - 1) % (2 * l) == 0},
+        "prior:Yan:n=lr,(l-1)|(r-1)": {
+            l * r for l, r in lr if l > 1 and (r - 1) % (l - 1) == 0 and eta(1 - l) == 1},
+        "prior:Yan:n=lr+1,l|(r-1)": {l * r + 1 for l, r in lr if (r - 1) % l == 0 and eta(l) == 1},
+        "prior:Yan:n=lr+1,(l-1)|(r-1)": {
+            l * r + 1 for l, r in lr
+            if minus_one_square and l > 1 and (r - 1) % (l - 1) == 0 and eta(l - 1) == 1},
+        "prior:Yan:n=tr,t-even": {t * r for t in range(2, r + 1, 2)} if even_d else None,
+        "prior:Yan:n=tr+1,t-odd": {t * r + 1 for t in range(1, r + 1, 2)} if even_d else None,
+        "prior:Yan:n=p^r+1": {p**s + 1 for s in sympy.divisors(d)},
+        "prior:Yan:n=2p^e": {2 * p**e for e in range(1, d)} if minus_one_square else None,
+        # Lebed, Liu & Luo (2019)
+        "prior:LLL:n=tm": (
+            {n for m, ns in tm.items() if (q - 1) // m % 2 == 0 for n in ns} if even_d else None),
+        "prior:LLL:n=tm+1": {n + 1 for ns in tm.values() for n in ns} if even_d else None,
+        "prior:LLL:n=tm+2": {n + 2 for ns in tm.values() for n in ns} if even_d else None,
+        "prior:LLL:n=2tp^e": {2 * t * p**e for t in ts for e in range(d)},
+        # Fang & Fu (IEEE TIT, 2019)
+        "prior:FF:n=2tr^l": (
+            {2 * t * rl for r, rl in powers for t in range(1, (r - 1) // 2 + 1)} if even_d else None),
+        "prior:FF:n=(2t+1)r^l+1": (
+            {(2 * t + 1) * rl + 1 for r, rl in powers for t in range((r - 1) // 2 + 1)}
+            if even_d else None),
+        "prior:FF:n=p^l+1": {p**l + 1 for l in range(d + 1)} if q % 4 == 1 else None,
+    }
+    return {rid: {n for n in ns if n % 2 == 0 and 2 <= n <= q + 1}
+            for rid, ns in rows.items() if ns is not None}
 
 
 # --- this package's families ---
@@ -270,8 +207,7 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     cx = _field_ctx(q)
     prior_by_rule = _prior_rules(cx)
     new_by_rule, candidates = _new_rules(cx, spot_check_bound)
-    per_rule = {rid: tuple(sorted(n for n in ns if n <= q + 1))
-                for rid, ns in {**prior_by_rule, **new_by_rule}.items()}
+    per_rule = {rid: tuple(sorted(ns)) for rid, ns in {**prior_by_rule, **new_by_rule}.items()}
     prior = set().union(*(per_rule[rid] for rid in prior_by_rule))
     new = set().union(*(per_rule[rid] for rid in new_by_rule))
     _check_mod4(q, prior | new)

@@ -105,11 +105,9 @@ class ConstructionTrace:
     beta: int | None = None
     omega: int | None = None
     V_basis: tuple[int, ...] | None = None
-    S: tuple[int, ...] | None = None  # grid coordinates (family 4)
-    V: tuple[int, ...] | None = None  # the subspace (family 5)
 
     def to_dict(self) -> dict:
-        """The intermediates that are set; ctx, params, S and V stay out."""
+        """The intermediates that are set; ctx and params stay out."""
         out: dict = {}
         for key in ("I", "A", "lam", "locators", "u", "c", "xi_s", "beta", "omega", "V_basis"):
             val = getattr(self, key)
@@ -370,8 +368,7 @@ def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
     ]
     a = EvalVector(ctx, tuple(points), extended=True)
     art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, locators=locs, beta=beta,
-                              V_basis=basis, S=tuple(alphas))
+    trace = ConstructionTrace(ctx, params, locators=locs, beta=beta, V_basis=basis)
     return art, trace
 
 
@@ -393,7 +390,7 @@ def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> Built:
     a = EvalVector(ctx, tuple(points), extended=False)
     art, locs = assemble_self_dual_grs(a, c, params.label(), params.to_dict())
     trace = ConstructionTrace(ctx, params, lam=c, locators=locs, c=c,
-                              omega=omega, V_basis=basis, V=tuple(V))
+                              omega=omega, V_basis=basis)
     return art, trace
 
 

@@ -372,13 +372,22 @@ def _field_matrix(G: np.ndarray, q: int) -> np.ndarray:
 
 
 def artifact_from_dict(doc: dict) -> CodeArtifact:
-    """Strict inverse of artifact_to_dict: every field element must be an
-    encoding in [0, q), the points must be distinct, and the shapes must
-    agree with n, k and the extended flag.  G may also be a (k, n) int64
-    array, as `artifact_from_json` parses it."""
+    """Strict inverse of artifact_to_dict: the document must be an object
+    with every key but "construction", q must be p^d, the modulus must be
+    the deterministic one, written in ints, every field element
+    must be an encoding in [0, q), the points must be distinct, the weights
+    nonzero, and the shapes must agree with n, k and the extended flag.  G
+    may also be a (k, n) int64 array, as `artifact_from_json` parses it."""
+    if not isinstance(doc, dict):
+        raise MalformedArtifact(f"an artifact must be a JSON object, got {type(doc).__name__}")
+    missing = [key for key in ("q", "p", "d", "modulus", "n", "k", "a", "v", "G") if key not in doc]
+    if missing:
+        raise MalformedArtifact(f"required keys missing: {', '.join(missing)}")
     p, d, n, k = (_int_field(doc, key) for key in ("p", "d", "n", "k"))
-    ctx = make_field(p, d)
-    if list(ctx.modulus) != doc["modulus"]:
+    ctx = make_field(p, d)  # before p^d: an oversized d meets the field budget
+    if type(doc["q"]) is not int or doc["q"] != ctx.q:
+        raise MalformedArtifact(f"q must be p^d = {ctx.q}, got {doc['q']!r}")
+    if list(ctx.modulus) != doc["modulus"] or set(map(type, doc["modulus"])) != {int}:
         raise MalformedArtifact("stored modulus does not match the deterministic modulus")
     cons = doc.get("construction", {})
     if not isinstance(cons, dict):
@@ -391,7 +400,10 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
     a = EvalVector(ctx, points, extended)
     if not a.is_distinct():
         raise MalformedArtifact("a has a repeated point")
-    v = ScalingVector(ctx, _encodings(doc["v"], q, len(points), "v (len(a) entries)"))
+    weights = _encodings(doc["v"], q, len(points), "v (len(a) entries)")
+    if 0 in weights:
+        raise MalformedArtifact(f"v has a zero entry, at index {weights.index(0)}")
+    v = ScalingVector(ctx, weights)
     G = doc["G"]
     if not isinstance(G, np.ndarray):
         G = _matrix(G, q, k, n)

@@ -6,7 +6,7 @@ against it."""
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
+from itertools import chain, product
 
 from mdssd.constructions import _stride
 from mdssd.errors import UnsupportedTheorem
@@ -33,6 +33,29 @@ def locator(a, i: int) -> int:
         if j != i:
             out = ctx.mul_v(out, ctx.sub_v(ai, aj))
     return out
+
+
+def subfield_span(ctx, basis, sub_q: int) -> list[int]:
+    """Every combination of `basis` with coefficients in the subfield of
+    sub_q elements, the coefficient of basis[0] changing fastest: the order
+    in which families 4 and 5 list their spans."""
+    coeffs = ctx.subfield_elements_v(sub_q)
+    return [reduce(ctx.add_v, map(ctx.mul_v, reversed(cs), basis), 0)
+            for cs in product(coeffs, repeat=len(basis))]
+
+
+def grid_coordinates(ctx, params) -> list[int]:
+    """Family 4's S: the F_p-span of 1, gamma, ..., gamma^(e-1), where gamma
+    generates the subfield of r elements."""
+    gamma = ctx.subfield_generator_v(params.r)
+    return subfield_span(ctx, [ctx.pow_v(gamma, i) for i in range(params.e)], ctx.p)
+
+
+def root_subspace(ctx, params) -> list[int]:
+    """Family 5's V: the span of g, ..., g^e over the subfield of p^k
+    elements."""
+    basis = [ctx.pow_v(ctx.g_val, i) for i in range(1, params.e + 1)]
+    return subfield_span(ctx, basis, ctx.p**params.k_sub)
 
 
 def cyclotomic_locator(m: int, i: int, ctx) -> int:
@@ -66,7 +89,7 @@ def closed_form_locator(params, trace, i: int) -> int:
             ctx.mul_v(m % ctx.p, ctx.pow_v(ctx.g_val, stride * z * m)), trace.u[z]
         )
     if th == "T4":  # point S[k0] beta + S[j0]
-        S, beta = trace.S, trace.beta
+        S, beta = grid_coordinates(ctx, params), trace.beta
         dk, dj = ([ctx.sub_v(S[x0], s) for x, s in enumerate(S) if x != x0]
                   for x0 in divmod(i, len(S)))
         cross = (ctx.sub_v(ctx.mul_v(x, beta), y) for y in dj for x in dk)

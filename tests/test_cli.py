@@ -328,6 +328,14 @@ MALFORMED = {
     "n-negative": _set(("n",), -6),
     "extended-int": _set(("construction", "extended"), 1),
     "construction-list": _set(("construction",), []),
+    "q-wrong": _set(("q",), 25),
+    "q-str": _set(("q",), "nine"),
+    "q-missing": lambda doc: doc.pop("q"),
+    "a-missing": lambda doc: doc.pop("a"),
+    "G-missing": lambda doc: doc.pop("G"),
+    "v-zero": _set(("v", 1), 0),
+    "modulus-float": _set(("modulus",), lambda m: [float(c) for c in m]),
+    "modulus-bool": _set(("modulus", 1), False),
 }
 
 
@@ -358,6 +366,16 @@ def test_verify_malformed_artifact_exit_2(name, artifact_doc, tmp_path, capsys):
         assert "Traceback" not in err
         outcomes.append((code, rep, err))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("text", ["[1,2]", "5", "null", '"abc"'])
+def test_verify_non_object_document_exit_2(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2 and rep["error"].startswith(
+        "cannot load artifact: malformed artifact: an artifact must be a JSON object, got ")
+    assert "Traceback" not in err
 
 
 def _canonical(doc, row=None, col=None, text=None):
@@ -560,6 +578,16 @@ def test_verify_field_too_large_exit_3(artifact_doc, tmp_path, capsys):
     code, rep, err = run(capsys, "verify", "--in", str(path))
     assert code == 3 and "cannot load artifact" in rep["error"] and "budget" in rep["error"]
     assert "Traceback" not in err
+
+
+def test_verify_checks_q_after_the_field_budget(artifact_doc, tmp_path, capsys):
+    # over q = 3^(10^9), q and the modulus are never compared, and p^d never
+    # computed, because the field budget refuses d first
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(artifact_doc, p=3, d=10**9, q=1, modulus=[1])))
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    assert code == 3 and "cannot load artifact" in rep["error"] and "budget" in rep["error"]
+    assert len(rep["error"]) < 200 and "Traceback" not in err
 
 
 def test_composite_q_is_not_factored(capsys):

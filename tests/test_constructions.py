@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 import field_oracles as oracles
-from grs_oracles import closed_form_locator, locator
+from grs_oracles import closed_form_locator, locator, root_subspace
 from mdssd.constructions import (
     _HYPOTHESES,
     MATERIALIZE_BUDGET,
@@ -206,13 +206,16 @@ def test_t5_f9():
     assert check_self_dual(art)
     ctx = art.ctx
     assert oracles.order(ctx, trace.omega) == 2
-    # V meets the subfield only in 0
-    assert [u for u in trace.V if oracles.in_subfield(ctx, u, 3)] == [0]
+    # the points are omega^j + u over the subspace V, which meets the
+    # subfield only in 0
+    V = root_subspace(ctx, trace.params)
+    assert art.a.points == tuple(ctx.add_v(ctx.pow_v(trace.omega, j), u) for j in range(2) for u in V)
+    assert [u for u in V if oracles.in_subfield(ctx, u, 3)] == [0]
 
 
 def test_t5_e_zero_reduces_to_roots_of_unity():
     art, trace = build("T5", 7, 2, k_sub=2, t=4, e=0)
-    assert art.n == 8 and trace.V == (0,)
+    assert art.n == 8 and root_subspace(art.ctx, trace.params) == [0]
     assert check_self_dual(art)
 
 

@@ -30,6 +30,10 @@ before the coset constructors and the hypothesis checks were merged,
 - `prior_rules`: the prior-construction length sets of the census, each cut
   at q + 1, for every odd prime power q <= 20,000, recorded before the
   rules lost their redundant length tests;
+- `prior_rules_by_rule`: one digest per prior rule id of its length sets,
+  each cut at q + 1, for the odd prime powers in (20,000, 10^5] (every one
+  with d >= 2, and every tenth prime), recorded before the rules became one
+  table; a mismatch names the rule;
 - `clauses` and `rejections_sha256`: the distinct clause texts, and a digest
   of the clause with which `validate` rejects each call of a brute-force grid
   plus a few fixed invalid calls.  These texts reach the CLI's error JSON.
@@ -51,7 +55,7 @@ import numpy as np
 import pytest
 import sympy
 
-from mdssd.census import _field_ctx, _prior_rules, census_report
+from mdssd.census import CENSUS_BUDGET, _field_ctx, _prior_rules, census_report
 from mdssd.cli import main
 from mdssd.constructions import THEOREMS, construct_from_params, iter_valid_params, validate
 from mdssd.errors import HypothesisViolated
@@ -81,6 +85,7 @@ LARGE_CODES = (
 )
 ENUMERATION_Q = (9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 729, 6889, 22801)
 PRIOR_RULES_Q_MAX = 20_000
+PRIOR_RULES_PRIME_STRIDE = 10
 MODULI_Q_MAX = 1 << 20
 FIELD_CASES = ((3, 1), (1009, 1), (3, 2), (5, 2), (7, 3), (3, 4), (5, 4), (17, 2),
                (83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (1021, 2))
@@ -153,6 +158,26 @@ def prior_rules_digest() -> str:
         for rid, ns in sorted(_prior_rules(_field_ctx(q)).items()):
             lines.append(f"{q} {rid} {sorted(n for n in ns if n <= q + 1)}")
     return _sha("\n".join(lines))
+
+
+def prior_rules_high_q() -> list[int]:
+    """The odd prime powers in (PRIOR_RULES_Q_MAX, CENSUS_BUDGET] with d >= 2,
+    and every PRIOR_RULES_PRIME_STRIDE-th prime there, ascending."""
+    primes = list(sympy.primerange(PRIOR_RULES_Q_MAX + 1, CENSUS_BUDGET + 1))
+    powers = {p**d for p in sympy.primerange(3, math.isqrt(CENSUS_BUDGET) + 1)
+              for d in range(2, CENSUS_BUDGET.bit_length())
+              if PRIOR_RULES_Q_MAX < p**d <= CENSUS_BUDGET}
+    return sorted({*primes[::PRIOR_RULES_PRIME_STRIDE], *powers})
+
+
+def prior_rules_by_rule_digests() -> dict[str, str]:
+    """Per rule id, sha256 of one line per q of `prior_rules_high_q` whose
+    rules include it: q and the rule's lengths n <= q + 1, ascending."""
+    lines: dict[str, list[str]] = {}
+    for q in prior_rules_high_q():
+        for rid, ns in _prior_rules(_field_ctx(q)).items():
+            lines.setdefault(rid, []).append(f"{q} {sorted(n for n in ns if n <= q + 1)}")
+    return {rid: _sha("\n".join(qs)) for rid, qs in sorted(lines.items())}
 
 
 def cli_census_digest(args: tuple[str, ...]) -> str:
@@ -268,6 +293,12 @@ def test_census_report_matches_locked_digest(q, bound):
 
 def test_prior_rules_match_locked_digest():
     assert prior_rules_digest() == LOCKED["prior_rules"]
+
+
+def test_prior_rules_above_the_full_lock_match_per_rule_digests():
+    got, want = prior_rules_by_rule_digests(), LOCKED["prior_rules_by_rule"]
+    assert len(want) == 24
+    assert sorted(rid for rid in got.keys() | want.keys() if got.get(rid) != want.get(rid)) == []
 
 
 @pytest.mark.parametrize("args", CLI_CENSUS_ARGS, ids=" ".join)
