@@ -51,11 +51,14 @@ def _fail(code: int, message: str, out_path: str | None = None) -> int:
 
 def _verdict(report) -> int:
     """Exit 0 for a self-dual code whose MDS checks did not fail and whose
-    stored a and v agree with G; otherwise name the disagreeing column or
-    the singular minor, where found, and exit 4.  A report is self-dual only
-    at rank k."""
+    stored a and v agree with G; otherwise name the nonzero Gram entry, the
+    disagreeing column or the singular minor, where found, and exit 4.  A
+    report is self-dual only at rank k."""
     if report.self_dual and report.mds_ok is not False and report.stored_mismatch is None:
         return EXIT_OK
+    if report.nonzero_gram is not None:
+        i, j = report.nonzero_gram
+        print(f"nonzero Gram entry at ({i}, {j})", file=sys.stderr)
     if report.stored_mismatch is not None:
         which, column = report.stored_mismatch
         print(f"stored {which} disagrees with G at column {column}", file=sys.stderr)

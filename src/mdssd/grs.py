@@ -323,10 +323,23 @@ def _matrix_json(G: np.ndarray) -> list[bytes]:
     return pieces
 
 
+def _shown(value) -> str:
+    """repr(value), or, where that needs an int beyond the interpreter's
+    limit on decimal conversion, the int's sign and bit length, or the type
+    that holds it."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            sign = "a negative" if value < 0 else "an"
+            return f"{sign} integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to show"
+
+
 def _int_field(doc: dict, key: str) -> int:
     value = doc[key]
     if type(value) is not int or value < 1:
-        raise MalformedArtifact(f"{key} must be a positive integer, got {value!r}")
+        raise MalformedArtifact(f"{key} must be a positive integer, got {_shown(value)}")
     return value
 
 
@@ -386,7 +399,7 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
     p, d, n, k = (_int_field(doc, key) for key in ("p", "d", "n", "k"))
     ctx = make_field(p, d)  # before p^d: an oversized d meets the field budget
     if type(doc["q"]) is not int or doc["q"] != ctx.q:
-        raise MalformedArtifact(f"q must be p^d = {ctx.q}, got {doc['q']!r}")
+        raise MalformedArtifact(f"q must be p^d = {ctx.q}, got {_shown(doc['q'])}")
     if list(ctx.modulus) != doc["modulus"] or set(map(type, doc["modulus"])) != {int}:
         raise MalformedArtifact("stored modulus does not match the deterministic modulus")
     cons = doc.get("construction", {})
@@ -394,7 +407,7 @@ def artifact_from_dict(doc: dict) -> CodeArtifact:
         raise MalformedArtifact("construction must be an object")
     extended = cons.get("extended", False)
     if not isinstance(extended, bool):
-        raise MalformedArtifact(f"extended must be a boolean, got {extended!r}")
+        raise MalformedArtifact(f"extended must be a boolean, got {_shown(extended)}")
     q = ctx.q
     points = _encodings(doc["a"], q, n - extended, f"a (n = {n}, extended = {extended})")
     a = EvalVector(ctx, points, extended)

@@ -4,24 +4,32 @@ enumeration.  Nothing here reuses construction-side shortcuts; everything is
 recomputed from the generator matrix, which the kernels take as any
 array-like of encodings (an artifact holds it as one int64 array).
 
-Self-duality and rank k are first decided in O(kn) from the structure of G
-alone (`_grs_ratios`): the extended column, when the artifact is marked
-extended, is e_{k-1}; row 0 has no zero entry; the ratios
-a_j = G[1][j] / G[0][j] are distinct; and G[i+1][j] = a_j G[i][j]
-throughout.  Then G generates GRS_k(a, v) with v = row 0, or its extension:
-any k finite columns form a diagonally scaled Vandermonde matrix, so the
-rank is k, and G G^T is the Hankel matrix of the power sums
-sum_j v_j^2 a_j^s (plus 1 at s = 2k-2 when extended), zero exactly when its
-rows 0 and k-1 are.  `verify_artifact` then checks the stored v against
-row 0 and the stored a against the ratios, in O(n).  Any other G (or
-k = 1) falls back to elimination for the rank and, when the rank is k, the
-full Gram matrix, and the stored a and v are not read.
+Self-duality and rank k are decided from the structure of G, column by
+column (`_grs_columns`).  A finite column j is structured when G[0][j] is
+nonzero and G[i+1][j] = a_j G[i][j] down the column, with
+a_j = G[1][j] / G[0][j] its node; the last column of an artifact marked
+extended is structured when it is c e_{k-1}, c != 0, the node infinity.
+Structured columns with k pairwise distinct nodes form a scaled
+(projective) Vandermonde matrix, so they certify rank k; only with fewer
+does elimination decide the rank.  For self-duality the columns split
+into the structured S and the rest B, and G G^T = G_S G_S^T + G_B G_B^T.
+G_S G_S^T is the Hankel matrix of the sums P_s = sum_{j in S} v_j^2 a_j^s
+(plus c^2 at s = 2k-2), and its rows 0 and k-1 hold every P_s.  With B
+empty the code is self-dual exactly when they are zero; otherwise
+G_B G_B^T is compared with -P_{i+l}, row block by row block, in
+O(kn + k^2 |B|).  With S empty (k = 1, or no column of GRS form) that is
+the full Gram matrix.  When the rank is k and the code is not self-dual,
+the first nonzero entry of G G^T in row-major order is named.  When every
+finite column is structured with distinct nodes and the extended column is
+e_{k-1}, G generates GRS_k(a, v) with v = row 0, or its extension, and
+`verify_artifact` checks the stored v against row 0 and the stored a
+against the ratios, in O(n); otherwise the stored a and v are not read.
 
 The vectorized kernels are exact.  Products A B^T over F_q
-(`field_matmul_t`, behind both the Hankel rows and the full Gram matrix)
-are computed over the integers from the base-p digit planes by float64
-BLAS products, with the columns taken in chunks small enough that every
-float64 sum stays below 2^53, then reduced mod p and mod the field
+(`field_matmul_t`, behind both the Hankel rows and the row-block Gram
+check) are computed over the integers from the base-p digit planes by
+float64 BLAS products, with the columns taken in chunks small enough that
+every float64 sum stays below 2^53, then reduced mod p and mod the field
 modulus.  Rank, minors and codeword enumeration work on int32 logarithms to
 the base g, with the sentinel Z = 5(q-1), well away from [0, q-1), standing
 for zero.  Every update they make is one call of the fused kernel
@@ -34,9 +42,9 @@ from the table norm (reduction mod q-1, with cancelled sums and Z mapped to
 Z) finish the update.  Both integer tables are built once per field, on
 first use.  A rank step updates the whole trailing block: a row whose
 factor is zero gets a factor log of at least Z, which leaves it unchanged.
-On the fallback, rank k of a k x n matrix is certified by the leading
-k x k block when that block is nonsingular, and by the full matrix only
-otherwise.
+When elimination decides, rank k of a k x n matrix is certified by the
+leading k x k block when that block is nonsingular, and by the full matrix
+only otherwise.
 
 The exhaustive minors are decided from the systematic form.  Gauss-Jordan
 on the leading k x k block A turns G into [D | P] with D diagonal; if A is
@@ -107,10 +115,17 @@ def field_rank(ctx: FieldCtx, G) -> int:
 
 
 def _digit_planes(M: np.ndarray, p: int, d: int) -> np.ndarray:
-    """The d base-p digit planes of an encoding array, as float64."""
+    """The d base-p digit planes of an array of encodings in [0, q), as
+    float64.  The array is cast once, and each digit is peeled off as
+    x - p floor(x / p): the floor is exact for integers below 2^52, by the
+    argument of `field._reduce`, and q <= 2^20 here."""
     planes = np.empty((d,) + M.shape)
-    for i in range(d):
-        planes[i] = M // p**i % p
+    x = M.astype(np.float64)
+    for i in range(d - 1):
+        high = np.floor(x / p)
+        np.subtract(x, high * p, out=planes[i])
+        x = high
+    planes[d - 1] = x
     return planes
 
 
@@ -147,55 +162,78 @@ def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
     return np.tensordot(p ** np.arange(d, dtype=np.int64), C[:d], axes=1)
 
 
+def _gram_witness(ctx: FieldCtx, G, P: np.ndarray | None = None) -> tuple[int, int] | None:
+    """The first (i, l), in row-major order, where G G^T + H is nonzero, H
+    the Hankel matrix H[i][l] = P[i + l] of the 2k - 1 encodings P (zero
+    when P is None); None when G G^T = -H.
+
+    Rows are computed in blocks, so that the (2d - 1)-plane accumulator of
+    `field_matmul_t` holds about _BLOCK_ENTRIES entries, each from its
+    diagonal rightwards.  G G^T + H is symmetric: when the blocks above
+    are zero right of their diagonals, their rows are zero, so is every
+    entry left of the next block's diagonal, and that block's first nonzero
+    entry is the first in row-major order.  The first differing block ends
+    the check."""
+    G = np.asarray(G, dtype=np.int64)
+    k = len(G)
+    target = np.zeros(2 * k - 1, dtype=np.int64)
+    if P is not None:
+        exp, log = ctx.np_tables
+        q1 = ctx.q - 1
+        target = np.where(P != 0, exp[(log[P] + q1 // 2) % q1], 0)  # -P
+    rows = max(1, _BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
+    for top in range(0, k, rows):
+        block = field_matmul_t(ctx, G[top:top + rows], G[top:])
+        i, l = np.ogrid[:len(block), :k - top]
+        differs = block != target[2 * top + i + l]
+        if differs.any():
+            r, c = divmod(int(differs.argmax()), k - top)
+            return top + r, top + c
+    return None
+
+
 def gram_is_zero(ctx: FieldCtx, G) -> bool:
     """True iff G * G^T is the zero matrix, computed exactly by
-    `field_matmul_t`.  Rows of the Gram matrix are computed in blocks, so
-    that its (2d - 1)-plane accumulator holds about _BLOCK_ENTRIES entries.
-    G G^T is symmetric, so each row block is computed from its diagonal
-    rightwards, and the first nonzero block ends the check."""
-    Gn = np.asarray(G, dtype=np.int64)
-    k = len(Gn)
-    rows = max(1, _BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
-    return not any(field_matmul_t(ctx, Gn[top:top + rows], Gn[top:]).any()
-                   for top in range(0, k, rows))
+    `field_matmul_t`, one row block at a time (`_gram_witness`)."""
+    return _gram_witness(ctx, G) is None
 
 
-def _grs_ratios(art: CodeArtifact) -> np.ndarray | None:
-    """The ratios a_j = G[1][j] / G[0][j] of the finite columns, as
-    encodings, when G, read alone, is a generator matrix of GRS_k(a, v), or
-    of its extension when the artifact is marked extended: the last column
-    is e_{k-1} then, and every finite column j is v_j a_j^i down its rows i,
-    with v_j = G[0][j] nonzero and the a_j pairwise distinct.  None when G
-    has no such structure, and when k < 2, which has no row 1 to read the
-    a_j from.
+def _grs_columns(art: CodeArtifact) -> tuple[np.ndarray, np.ndarray]:
+    """(structured, ratios): a mask of the columns of G that have the GRS
+    form, and the ratios a_j = G[1][j] / G[0][j] of the finite columns, as
+    encodings (0 for a zero point; they name a node only where the column
+    is structured).  A finite column j is structured when v_j = G[0][j] is
+    nonzero and G[i+1][j] = a_j G[i][j] down its rows, so that it is
+    v_j (1, a_j, ..., a_j^(k-1)); the last column of an artifact marked
+    extended is structured when it is c e_{k-1} with c nonzero, the node
+    infinity.  No column is structured when k < 2, which has no row 1 to
+    read the a_j from.
 
-    The recurrence G[i+1][j] = a_j G[i][j] is tested on int32 logs in row
-    blocks of about _BLOCK_ENTRIES entries: log G[i+1][j] must be
-    log G[i][j] + log a_j mod q-1, which by induction from the nonzero
-    row 0 keeps every entry nonzero, and a column with a_j = 0 must be zero
-    below row 0.  Distinctness is one scatter into a q-entry mask."""
+    The recurrence is tested on int32 logs in row blocks of about
+    _BLOCK_ENTRIES entries: log G[i+1][j] must be log G[i][j] + log a_j
+    mod q-1, which by induction from a nonzero G[0][j] keeps every entry of
+    the column nonzero, and a column with a_j = 0 must be zero below
+    row 0.  A mismatch anywhere in a column marks that column alone."""
     ctx, k = art.ctx, art.k
     G = np.asarray(art.G, dtype=np.int64)
     finite = G.shape[1] - art.a.extended
-    if k < 2 or art.a.extended and (G[-1, -1] != 1 or G[:-1, -1].any()):
-        return None
+    structured = np.zeros(G.shape[1], dtype=bool)
+    if k < 2:
+        return structured, np.zeros(finite, dtype=np.int64)
+    if art.a.extended:
+        structured[-1] = G[-1, -1] != 0 and not G[:-1, -1].any()
     zero, q1 = ctx.log_zero, ctx.q - 1
     L = _logs(ctx, G[:2, :finite])
-    if (L[0] == zero).any():
-        return None
+    broken = L[0] == zero
     nonzero = L[1] != zero
     log_a = (L[1] - L[0]) % q1
     ratios = np.where(nonzero, ctx.np_tables[0][log_a], 0)
-    seen = np.zeros(ctx.q, dtype=bool)
-    seen[ratios] = True
-    if np.count_nonzero(seen) != finite:
-        return None
     rows = max(1, _BLOCK_ENTRIES // finite)
     for lo in range(0, k - 1, rows):
         L = _logs(ctx, G[lo:min(lo + rows, k - 1) + 1, :finite])
-        if (np.where(nonzero, (L[:-1] + log_a) % q1, zero) != L[1:]).any():
-            return None
-    return ratios
+        broken |= (np.where(nonzero, (L[:-1] + log_a) % q1, zero) != L[1:]).any(axis=0)
+    structured[:finite] = ~broken
+    return structured, ratios
 
 
 def _stored_disagreement(art: CodeArtifact, ratios: np.ndarray) -> tuple[str, int] | None:
@@ -227,10 +265,13 @@ class VerificationReport:
     # ("a" or "v", column): the first finite column where the stored a or v
     # disagrees with a G of GRS structure
     stored_mismatch: tuple[str, int] | None = None
+    # (i, j): the first nonzero entry of G G^T in row-major order, when the
+    # rank is k and the code is not self-dual
+    nonzero_gram: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
-        # singular_minor and stored_mismatch are intentionally excluded:
-        # artifact JSON must be bit-exact
+        # singular_minor, stored_mismatch and nonzero_gram are intentionally
+        # excluded: artifact JSON must be bit-exact
         out = {
             "self_dual": self.self_dual,
             "rank_ok": self.rank_ok,
@@ -257,23 +298,53 @@ def _rank_is_k(art: CodeArtifact) -> bool:
     return field_rank(art.ctx, G[:, :k]) == k or field_rank(art.ctx, G) == k
 
 
-def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None]:
-    """(rank G = k, the code is self-dual, the ratios a_j of `_grs_ratios`
-    or None), for G of shape (k, 2k).
+def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
+                                                  tuple[int, int] | None]:
+    """(rank G = k, the code is self-dual, the ratios a_j when all of G has
+    the GRS structure, the first nonzero entry of G G^T in row-major order
+    when the rank is k and the code is not self-dual), for G of shape
+    (k, 2k).  The ratios are given only when every finite column is
+    structured (`_grs_columns`) with pairwise distinct nodes and, when
+    extended, the last column is e_{k-1}: then G generates GRS_k(a, v) with
+    v = row 0, or its extension.
 
-    When G has the GRS structure, any k finite columns form a diagonally
-    scaled Vandermonde matrix with distinct nodes, so the rank is k, and
-    G G^T is Hankel: entry (i, l) is sum_j v_j^2 a_j^(i+l), plus 1 at
-    i = l = k-1 for the extended code.  It is zero exactly when its 2k - 1
-    antidiagonal sums are, and rows 0 and k-1 hold all of them.  Otherwise
-    the rank is decided by elimination and, only when it is k, G G^T in
-    full."""
-    ratios = _grs_ratios(art)
-    if ratios is not None:
-        G = np.asarray(art.G, dtype=np.int64)
-        return True, not field_matmul_t(art.ctx, G[[0, art.k - 1]], G).any(), ratios
-    rank_ok = _rank_is_k(art)
-    return rank_ok, rank_ok and gram_is_zero(art.ctx, art.G), None
+    Rank: any k structured columns with pairwise distinct nodes form a
+    scaled Vandermonde matrix, with the column at infinity as its
+    projective row, so k distinct nodes certify rank k.  Only with fewer
+    does elimination decide it.
+
+    Self-duality, at rank k: split the columns into the structured S and
+    the rest B, so G G^T = G_S G_S^T + G_B G_B^T.  G_S G_S^T is Hankel,
+    with antidiagonal sums P_s = sum_{j in S} v_j^2 a_j^s, plus c^2 at
+    s = 2k-2 from the column at infinity, and its rows 0 and k-1 hold every
+    P_s; distinct nodes are not needed for this.  With B empty the code is
+    self-dual exactly when every P_s is zero, and the first nonzero Gram
+    entry is (0, s) for the least nonzero P_s with s <= k-1, else
+    (s-k+1, k-1).  Otherwise G_B G_B^T is compared with -P_{i+l}, one row
+    block at a time, in O(k^2 |B|) (`_gram_witness`); with S empty, that is
+    the full Gram matrix."""
+    ctx, k = art.ctx, art.k
+    G = np.asarray(art.G, dtype=np.int64)
+    structured, ratios = _grs_columns(art)
+    finite = ratios.size
+    seen = np.zeros(ctx.q, dtype=bool)
+    seen[ratios[structured[:finite]]] = True
+    nodes = np.count_nonzero(seen)
+    whole = structured.all()
+    if nodes + structured[finite:].sum() < k and not _rank_is_k(art):
+        return False, False, None, None
+    S = G if whole else G[:, structured]
+    H = field_matmul_t(ctx, S[[0, k - 1]], S)
+    P = np.concatenate((H[0], H[1, 1:]))
+    if not whole:
+        witness = _gram_witness(ctx, G[:, ~structured], P)
+    elif not P.any():
+        witness = None
+    else:
+        s = int(np.flatnonzero(P)[0])
+        witness = (0, s) if s < k else (s - k + 1, k - 1)
+    known = whole and nodes == finite and (not art.a.extended or G[-1, -1] == 1)
+    return True, witness is None, ratios if known else None, witness
 
 
 def check_self_dual(art: CodeArtifact) -> bool:
@@ -396,7 +467,7 @@ def min_distance(art: CodeArtifact) -> int:
 
 def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
     _require_self_dual_shape(art)
-    rank_ok, sd, ratios = _self_dual_checks(art)
+    rank_ok, sd, ratios, gram = _self_dual_checks(art)
     stored = None if ratios is None else _stored_disagreement(art, ratios)
     mds_checked = "skipped_too_large"
     mds_ok: bool | None = None
@@ -410,4 +481,4 @@ def verify_artifact(art: CodeArtifact, mds: bool = True) -> VerificationReport:
                 singular = first_singular_minor(art)
         if art.ctx.q**art.k <= DISTANCE_BUDGET:
             dist = min_distance(art)
-    return VerificationReport(sd, rank_ok, mds_checked, dist, mds_ok, singular, stored)
+    return VerificationReport(sd, rank_ok, mds_checked, dist, mds_ok, singular, stored, gram)

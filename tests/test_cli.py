@@ -491,6 +491,22 @@ def test_verify_names_singular_minor(artifact_doc, tmp_path, capsys):
     assert code == 4 and "singular minor" not in err
 
 
+def test_verify_names_the_first_nonzero_gram_entry(artifact_doc, tmp_path, capsys):
+    # G[2][0] of the [6, 3] F_9 code is 0; a 1 there changes only Gram
+    # entries (2, l) and (l, 2) with G[l][0] != 0, the first being (0, 2)
+    doc = json.loads(json.dumps(artifact_doc))
+    assert doc["G"][2][0] == 0 and doc["G"][0][0] != 0
+    doc["G"][2][0] = 1
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--no-mds",)):
+        code, rep, err = run(capsys, "verify", "--in", str(path), *extra)
+        assert code == 4 and rep["self_dual"] is False and rep["rank_ok"] is True
+        assert "Gram" not in json.dumps(rep)  # the report's bytes keep their form
+        named = "nonzero Gram entry at (0, 2)"
+        assert named in err and err.index(named) < err.index("verification failed")
+
+
 @pytest.mark.parametrize("key,change,named", [
     ("v", lambda v: [1] * len(v), "stored v disagrees with G at column 1"),
     ("a", lambda a: [a[0], a[2], a[1], *a[3:]], "stored a disagrees with G at column 1"),

@@ -196,6 +196,25 @@ def test_artifact_from_dict_names_first_offending_row(bad, error):
         artifact_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value,shown", [
+    ("n", -10**5000, "n must be a positive integer, got a negative integer of 16610 bits"),
+    ("q", 10**5000, "q must be p^d = 9, got an integer of 16610 bits"),
+    ("extended", 10**5000, "extended must be a boolean, got an integer of 16610 bits"),
+], ids=["n", "q", "extended"])
+def test_artifact_from_dict_words_huge_ints_by_bit_length(key, value, shown):
+    # repr of an int beyond the interpreter's decimal limit raises
+    # ValueError itself; the loader must still raise MalformedArtifact
+    art, _ = build("T1ii", 3, 2, m=2, t=2)
+    doc = artifact_to_dict(art)
+    if key == "extended":
+        doc["construction"] = dict(doc["construction"], extended=value)
+    else:
+        doc[key] = value
+    with pytest.raises(MalformedArtifact) as raised:
+        artifact_from_dict(doc)
+    assert str(raised.value) == f"malformed artifact: {shown}"
+
+
 def test_artifact_from_dict_g_is_a_read_only_k_by_n_array():
     art, _ = build("T1ii", 3, 2, m=2, t=2)
     back = artifact_from_dict(artifact_to_dict(art))

@@ -19,7 +19,7 @@ from mdssd.field import make_field
 from mdssd.grs import CodeArtifact, EvalVector, ScalingVector, grs_generator_matrix
 from mdssd.verify import (
     VerificationReport,
-    _grs_ratios,
+    _grs_columns,
     _rank_is_k,
     _self_dual_checks,
     _stored_disagreement,
@@ -150,9 +150,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(verify, name)
 
-    def counted(ctx, G):
+    def counted(ctx, G, *rest):
         calls.append(np.shape(G))
-        return real(ctx, G)
+        return real(ctx, G, *rest)
 
     monkeypatch.setattr(verify, name, counted)
     return calls
@@ -169,28 +169,33 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
     corrupted[1][1] = good.ctx.add_v(corrupted[1][1], 3)
     zero = [[0] * good.n for _ in range(good.k)]
     repeated = [[1] + [0] * (good.n - 1)] * good.k
-    # (G, Gram = 0, expected report, field_rank calls, gram_is_zero calls);
-    # the valid G has the GRS structure, which certifies both verdicts
-    # without elimination or the full Gram matrix; the corrupted G has a
-    # singular leading 3 x 3 block
+    # (G, Gram = 0, expected report, field_rank calls, shapes passed to the
+    # row-block Gram check); the valid G has the GRS structure, which
+    # certifies both verdicts without elimination or a row-block Gram; in
+    # the corrupted G, column 1 becomes 3 (1, 2, 4), still structured but
+    # at the node of column 2, so its 5 distinct nodes certify rank 3 and
+    # the Hankel rows decide; the other two have fewer than 3 structured
+    # columns
     cases = [
-        (G, True, {"self_dual": True, "rank_ok": True}, 0, 0),
-        (corrupted, False, {"self_dual": False, "rank_ok": True}, 2, 1),
-        (repeated, False, {"self_dual": False, "rank_ok": False}, 2, 0),
-        (zero, True, {"self_dual": False, "rank_ok": False}, 2, 0),
+        (G, True, {"self_dual": True, "rank_ok": True}, 0, []),
+        (corrupted, False, {"self_dual": False, "rank_ok": True}, 0, []),
+        (repeated, False, {"self_dual": False, "rank_ok": False}, 2, []),
+        (zero, True, {"self_dual": False, "rank_ok": False}, 2, []),
     ]
     for matrix, gram_zero, _, _, _ in cases:
         assert gram_is_zero(good.ctx, matrix) == gram_zero
     calls = _count_calls(monkeypatch, "field_rank")
     gram_calls = _count_calls(monkeypatch, "gram_is_zero")
-    for matrix, _, report, n_calls, n_gram_calls in cases:
+    block_calls = _count_calls(monkeypatch, "_gram_witness")
+    for matrix, _, report, n_calls, blocks in cases:
         calls.clear()
         gram_calls.clear()
+        block_calls.clear()
         rep = verify_artifact(_with_G(good, matrix), mds=False)
         assert rep.to_dict() == {**report, "mds_checked": "skipped_too_large"}
         # at most one k x k and one full-width elimination, in that order
         assert calls == [(good.k, good.k), (good.k, good.n)][:n_calls]
-        assert len(gram_calls) == n_gram_calls
+        assert gram_calls == [] and block_calls == blocks
 
 
 # --- vectorized kernels against scalar oracles ---
@@ -487,10 +492,12 @@ def _oracle_matmul_t(ctx, A, B):
     return out
 
 
-@pytest.mark.parametrize("p,d", KERNEL_FIELDS)
+@pytest.mark.parametrize("p,d", KERNEL_FIELDS + [(1021, 2), (3, 12)])
 @pytest.mark.parametrize("block_entries", [None, 8])
 def test_field_matmul_t_matches_scalar_oracle(p, d, block_entries, monkeypatch):
-    # 8-entry blocks put the columns of every product into several chunks
+    # 8-entry blocks put the columns of every product into several chunks;
+    # 1021^2 and 3^12, near the table budget, and entries at and near q - 1
+    # test the digit split at the top of its range
     import mdssd.verify as verify
 
     if block_entries:
@@ -501,6 +508,9 @@ def test_field_matmul_t_matches_scalar_oracle(p, d, block_entries, monkeypatch):
         k, n = rng.randint(1, 7), rng.randint(1, 14)
         A, B = _random_matrix(ctx, rng, 2, n), _random_matrix(ctx, rng, k, n)
         assert field_matmul_t(ctx, A, B).tolist() == _oracle_matmul_t(ctx, A, B)
+    top = [[ctx.q - 1 - rng.randrange(min(ctx.q, 4)) for _ in range(9)] for _ in range(3)]
+    top[0] = [ctx.q - 1] * 9
+    assert field_matmul_t(ctx, top, top).tolist() == _oracle_matmul_t(ctx, top, top)
 
 
 def test_field_matmul_t_multi_chunk_is_exact():
@@ -935,12 +945,12 @@ def _assert_structure_matches_direct(art):
     for name, G, structure in _structure_cases(art):
         copy = _with_G(art, G)
         structure = structure and art.k >= 2
-        ratios = _grs_ratios(copy)
-        assert (ratios is not None) == structure, name
         checks = _self_dual_checks(copy)
+        ratios = checks[2]
+        assert (ratios is not None) == structure, name
         assert checks[:2] == _direct_checks(copy), name
         if structure:
-            assert checks[2].tolist() == ratios.tolist(), name
+            assert ratios.tolist() == _grs_columns(copy)[1].tolist(), name
             expected = None if name == "as built" else (
                 "v" if G[0][j] != art.G[0][j] else "a", j)
             assert _stored_disagreement(copy, ratios) == expected, name
@@ -992,15 +1002,18 @@ def test_structure_in_small_row_blocks_matches_direct(p, d, monkeypatch):
 
 
 def test_self_dual_checks_fall_back_at_k_1(monkeypatch):
+    # no column is structured at k = 1: elimination decides the rank, and
+    # the row-block check sees all of G, as gram_is_zero does
     ctx = make_field(5, 1)
     calls = _count_calls(monkeypatch, "field_rank")
-    gram_calls = _count_calls(monkeypatch, "gram_is_zero")
+    gram_calls = _count_calls(monkeypatch, "_gram_witness")
     # 1 + 2^2 = 0 in F_5, and 1 + 1 != 0
     for weights, self_dual in (((1, 2), True), ((1, 1), False)):
         art = _plain_artifact(ctx, (1, 2), weights, 1)
         calls.clear()
         gram_calls.clear()
-        assert _self_dual_checks(art) == (True, self_dual, None)
+        witness = None if self_dual else (0, 0)
+        assert _self_dual_checks(art) == (True, self_dual, None, witness)
         assert calls == [(1, 1)] and gram_calls == [(1, 2)]
         assert _direct_checks(art) == (True, self_dual)
 
@@ -1019,5 +1032,171 @@ def test_self_dual_checks_read_the_last_hankel_row(k):
             break
     else:
         pytest.fail("no such code found")
-    assert _grs_ratios(art).tolist() == list(art.a.points)
+    assert _self_dual_checks(art)[2].tolist() == list(art.a.points)
     assert _self_dual_checks(art)[:2] == (True, False) == _direct_checks(art)
+
+
+# --- the column certificate: structured columns plus a correction ---
+
+def _oracle_gram_witness(ctx, G):
+    """The first nonzero entry of G G^T in row-major order, by scalar
+    products, or None."""
+    for i, u in enumerate(G):
+        for l, w in enumerate(G):
+            acc = 0
+            for x, y in zip(u, w):
+                acc = ctx.add_v(acc, ctx.mul_v(x, y))
+            if acc:
+                return i, l
+    return None
+
+
+def _gram_witness_by_product(ctx, G):
+    """The same, from the full product G G^T of `field_matmul_t`."""
+    nonzero = np.argwhere(field_matmul_t(ctx, G, G))
+    return tuple(map(int, nonzero[0])) if len(nonzero) else None
+
+
+def _corrupted_copies(art, rng):
+    """(name, G) for copies of the G of `art`: 1-3 random columns each with
+    one entry changed, scaled by a random nonzero c, replaced by random
+    values, or zeroed; a column moved onto the node of another; every
+    finite column moved onto max(1, k-1) nodes, and onto max(1, k-2) nodes
+    with two random columns, so that fewer than k distinct nodes remain;
+    and, when extended, the column at infinity broken or rescaled."""
+    ctx, k, n = art.ctx, art.k, art.n
+    G = np.asarray(art.G).tolist()
+    points = art.a.points
+    finite = len(points)
+    copies = []
+    for count in range(1, min(3, n) + 1):
+        cols = rng.sample(range(n), count)
+        for kind in ("entry changed", "scaled", "random", "zero"):
+            M = [row[:] for row in G]
+            c = rng.randrange(1, ctx.q)
+            for j in cols:
+                if kind == "entry changed":
+                    i = rng.randrange(k)
+                    M[i][j] = ctx.add_v(M[i][j], rng.randrange(1, ctx.q))
+                    continue
+                for row in M:
+                    row[j] = (ctx.mul_v(c, row[j]) if kind == "scaled"
+                              else rng.randrange(ctx.q) if kind == "random" else 0)
+            copies.append((f"{count} {kind}", M))
+    if finite >= 2:
+        j1, j2 = rng.sample(range(finite), 2)
+        copies.append(("same node", _rebuilt_column(ctx, G, j2, points[j1])))
+    for name, nodes, spoiled in (("few nodes", max(1, k - 1), 0),
+                                 ("few nodes and random columns", max(1, k - 2), 2)):
+        M = G
+        for j in range(finite):
+            M = _rebuilt_column(ctx, M, j, points[j % nodes])
+        for j in rng.sample(range(n), min(spoiled, n)):
+            for row in M:
+                row[j] = rng.randrange(ctx.q)
+        copies.append((name, M))
+    if art.a.extended:
+        broken = [row[:] for row in G]
+        broken[0][-1] = 1
+        rescaled = [row[:] for row in G]
+        rescaled[-1][-1] = ctx.g_val
+        copies += [("broken extended column", broken), ("rescaled extended column", rescaled)]
+    return copies
+
+
+def _assert_column_certificate(art, rng, monkeypatch, witness_oracle=_oracle_gram_witness):
+    """On every corrupted copy, `_self_dual_checks` gives the rank and
+    self-duality verdicts of direct elimination and the full Gram matrix,
+    and at rank k without self-duality, the oracle's first nonzero Gram
+    entry; the same in row blocks of 16 entries.  The ratios come exactly
+    when the scalar oracle finds all of G GRS, with distinct nodes and
+    e_{k-1}, and are its points."""
+    import mdssd.verify as verify
+
+    for name, G in _corrupted_copies(art, rng):
+        copy = _with_G(art, G)
+        rank_ok, self_dual = _direct_checks(copy)
+        witness = witness_oracle(art.ctx, G) if rank_ok else None
+        assert self_dual == (rank_ok and witness is None), name
+        points = _oracle_grs_points(art.ctx, G, art.a.extended) if art.k >= 2 else None
+        for block_entries in (None, 16):
+            with monkeypatch.context() as patch:
+                if block_entries:
+                    patch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
+                checks = _self_dual_checks(copy)
+            assert checks[:2] == (rank_ok, self_dual), (name, block_entries)
+            assert checks[3] == witness, (name, block_entries)
+            ratios = None if checks[2] is None else checks[2].tolist()
+            assert ratios == points, (name, block_entries)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 2), (3, 4), (11, 2), (13, 2), (17, 2)])
+def test_column_certificate_matches_direct_on_corrupted_sweep(p, d, monkeypatch):
+    arts = _sweep_artifacts(p, d, 16)
+    assert {1, 2} <= {art.k for art in arts}
+    rng = random.Random(p * 100 + d)
+    for art in arts:
+        _assert_column_certificate(art, rng, monkeypatch)
+
+
+@pytest.mark.parametrize("theorem,p,d,params", [
+    ("T1i", 151, 2, {"m": 6, "t": 71}),
+    ("T2", 151, 2, {"m": 15, "t": 25}),
+    ("T4", 3, 10, {"e": 2}),
+    ("T1i", 3, 10, {"m": 44, "t": 4}),
+])
+def test_column_certificate_matches_direct_on_large_codes(theorem, p, d, params, monkeypatch):
+    art, _ = build(theorem, p, d, **params)
+    _assert_column_certificate(art, random.Random(art.n), monkeypatch, _gram_witness_by_product)
+
+
+def test_column_certificate_at_k_1_and_2(monkeypatch):
+    # k = 1 has no structured column; at k = 2 a column is structured
+    # whenever its row-0 entry is nonzero
+    ctx = make_field(13, 1)
+    rng = random.Random(5)
+    for k in (1, 2):
+        for _ in range(20):
+            art = _plain_artifact(ctx, rng.sample(range(13), 2 * k),
+                                  [rng.randrange(1, 13) for _ in range(2 * k)], k)
+            _assert_column_certificate(art, rng, monkeypatch)
+            assert _grs_columns(art)[0].all() == (k == 2)
+
+
+def test_gram_witness_is_the_first_nonzero_entry_on_one_entry_changes():
+    # every one-entry change of every sweep artifact over F_25: the named
+    # entry is nonzero, and every earlier one, in row-major order, is zero
+    for art in _sweep_artifacts(5, 2, 16):
+        ctx, G = art.ctx, np.asarray(art.G).tolist()
+        for i in range(art.k):
+            for j in range(art.n):
+                changed = [row[:] for row in G]
+                changed[i][j] = ctx.add_v(changed[i][j], 1)
+                rank_ok, self_dual, _, witness = _self_dual_checks(_with_G(art, changed))
+                if not rank_ok or self_dual:
+                    assert witness is None
+                    continue
+                assert witness == _oracle_gram_witness(ctx, changed), (art.n, i, j)
+
+
+def test_one_entry_change_at_n_426_skips_elimination_and_full_gram(monkeypatch, tmp_path,
+                                                                   capsys):
+    from mdssd.cli import main
+    from mdssd.grs import artifact_to_dict
+
+    art, _ = build("T1i", 151, 2, m=6, t=71)
+    doc = artifact_to_dict(art)
+    doc["G"][100][200] = art.ctx.add_v(doc["G"][100][200], 1)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_calls(monkeypatch, "field_rank")
+    gram_calls = _count_calls(monkeypatch, "gram_is_zero")
+    block_calls = _count_calls(monkeypatch, "_gram_witness")
+    assert main(["verify", "--in", str(path), "--no-mds"]) == 4
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"self_dual": False, "rank_ok": True,
+                               "mds_checked": "skipped_too_large"}
+    assert calls == [] and gram_calls == []
+    # only the broken column 200 goes through the row-block check
+    assert block_calls == [(art.k, 1)]
+    assert err.splitlines()[0].startswith("nonzero Gram entry at (")
