@@ -11,8 +11,16 @@ condition by hand, so each can be compared on its own with an independent
 oracle.
 
 New-family lengths come from the same parameter enumeration the construction
-layer uses, so every claimed length is constructible by definition; the
-report optionally verifies small lengths end to end ("spot checks").
+layer uses, so every claimed length is constructible by definition.  The
+report optionally witnesses every new length up to a bound ("spot checks"):
+the first tuple of that length, in enumeration order, whose code is
+self-dual.  A spot check reads only the code's (a, v), and never holds G:
+`constructions._points_and_weights` stops once v is computed, with no G and
+no construction trace, and `verify.power_sum_verdict` certifies rank k from
+pairwise distinct points and nonzero weights, then self-duality from the
+power sums P_s = sum_j v_j^2 a_j^s (P_{n-2} = -1 for the extended code),
+computed from GRS rows made from the logs of (a, v) one row block at a time.
+A failed spot check names the first power sum that is off.
 """
 
 from __future__ import annotations
@@ -20,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
 import sympy
 
-from .constructions import ConstructionParams, construct_from_params, params_of, valid_param_arrays
+from .constructions import ConstructionParams, _points_and_weights, valid_param_arrays
 from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed, TooLargeToMaterialize
-from .field import make_field, odd_prime_power
-from .verify import check_self_dual
+from .field import FieldCtx, make_field, odd_prime_power
+from .verify import power_sum_verdict
 
 CENSUS_BUDGET = 10**5
 
@@ -132,13 +141,18 @@ def _prior_rules(cx: CensusCtx) -> dict[str, set[int]]:
 
 # --- this package's families ---
 
+# (theorem, its accepted columns with an even n up to the bound, row)
+_Tuple = tuple[str, dict[str, np.ndarray], int]
+
+
 def _new_rules(cx: CensusCtx, spot_check_bound: int
-               ) -> tuple[dict[str, set[int]], dict[int, list[ConstructionParams]]]:
+               ) -> tuple[dict[str, set[int]], dict[int, list[_Tuple]]]:
     """Per-family length sets, read from the length column of each family's
     accepted tuples, and for each even length up to the bound the tuples that
-    give it, in enumeration order."""
+    give it, in enumeration order, as rows of the accepted int64 columns; a
+    ConstructionParams is made only for a tuple that is tried (`_params`)."""
     rules: dict[str, set[int]] = {}
-    by_length: dict[int, list[ConstructionParams]] = {}
+    by_length: dict[int, list[_Tuple]] = {}
     # no length exceeds q + 1; the clamp keeps the comparison within int64
     bound = min(spot_check_bound, cx.q + 1)
     for th, columns in valid_param_arrays(cx.p, cx.d, cx.q + 1).items():
@@ -147,9 +161,34 @@ def _new_rules(cx: CensusCtx, spot_check_bound: int
         if even.any():
             rules[f"new:{th}"] = set(n[even].tolist())
         small = even & (n <= bound)
-        for pr in params_of(th, cx.p, cx.d, {key: col[small] for key, col in columns.items()}):
-            by_length.setdefault(pr.n, []).append(pr)
+        if small.any():
+            kept = {key: col[small] for key, col in columns.items()}
+            for row, length in enumerate(kept["n"].tolist()):
+                by_length.setdefault(length, []).append((th, kept, row))
     return rules, by_length
+
+
+def _params(cx: CensusCtx, tup: _Tuple) -> ConstructionParams:
+    th, columns, row = tup
+    return ConstructionParams(th, cx.p, cx.d,
+                              **{key: int(col[row]) for key, col in columns.items()})
+
+
+def _spot_check(ctx: FieldCtx, pr: ConstructionParams) -> str | None:
+    """None when the tuple gives a self-dual code, judged by the power sums
+    of its (a, v); otherwise why not, naming the first nonzero power sum."""
+    try:
+        a, v = _points_and_weights(ctx, pr)
+    except TooLargeToMaterialize:  # every tuple for n is too long
+        raise
+    except MdssdError as ex:  # try the next tuple
+        return f"{pr.label()}: {ex}"
+    rank, s = power_sum_verdict(a, v)
+    if rank and s is None:
+        return None
+    witness = "rank not certified" if not rank else \
+        f"P_{s} != {-1 if a.extended and s == a.n - 2 else 0}"
+    return f"{pr.label()}: constructed code is not self-dual ({witness})"
 
 
 @dataclass
@@ -216,23 +255,15 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     if spot_check_bound:
         ctx = make_field(cx.p, cx.d)
         for n in sorted(candidates):
-            witnessed = None
             failure = "no parameter tuple yields this length"
-            for pr in candidates[n]:
-                try:
-                    art, _ = construct_from_params(ctx, pr)
-                except TooLargeToMaterialize:  # every tuple for n is too long
-                    raise
-                except MdssdError as ex:  # try the next tuple
-                    failure = f"{pr.label()}: {ex}"
-                    continue
-                if check_self_dual(art):
-                    witnessed = pr.label()
+            for tup in candidates[n]:
+                pr = _params(cx, tup)
+                failure = _spot_check(ctx, pr)
+                if failure is None:
+                    spot_checks[n] = f"ok:{pr.label()}"
                     break
-                failure = f"{pr.label()}: constructed code is not self-dual"
-            if witnessed is None:
+            else:
                 raise SpotCheckFailed(n, failure)
-            spot_checks[n] = f"ok:{witnessed}"
 
     return CensusReport(
         q,

@@ -8,6 +8,13 @@ lambda.  Family 4 is a translated subspace grid, family 5 subfield-subspace
 translates of roots of unity; both take their subspace from one span,
 `_span`.  All of them delegate to the assembly engines in `grs`.
 
+The families stop at (a, lambda): each gives its evaluation vector, its
+lambda (none for the extended code) and its trace fields, the last computed
+only on demand.  `build` and `construct_from_params` assemble the artifact,
+with G, and the trace.  `_points_and_weights`, the census's entry, stops
+once the weights v are computed: it builds no G and no trace, so no
+locator list and no `_u_products`.
+
 Each hypothesis is written once, in one clause table: per theorem, rows of
 (clause text, failing condition) in checking order, and the length n.  The
 conditions use only %, //, comparisons, & and | and a gcd, so two
@@ -47,6 +54,7 @@ from .grs import (
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
     locator_logs,
+    self_dual_weights,
 )
 
 ODD_Q_CLAUSE = "q is a power of an odd prime"
@@ -121,6 +129,16 @@ class ConstructionTrace:
 
 
 Built = tuple[CodeArtifact, ConstructionTrace]
+
+
+class _Evaluation(NamedTuple):
+    """What a family gives the assembly: the evaluation vector, lambda (None
+    for the extended code), and the family's own trace fields, computed only
+    when called."""
+
+    a: EvalVector
+    lam: int | None
+    trace_fields: Callable[[], dict]
 
 
 # --- hypotheses: one clause table, two evaluators ---
@@ -312,9 +330,9 @@ def _check_budget(params: ConstructionParams) -> None:
         raise TooLargeToMaterialize(params.n, MATERIALIZE_BUDGET)
 
 
-def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> Built:
+def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     """T1i, T1ii, T2, T3i and T3ii.  The "ii" variants put 0 first; T1ii, T2
-    and T3ii assemble the extended code."""
+    and T3ii give the extended code."""
     th, m, t, r = params.theorem, params.m, params.t, params.r
     stride = _stride(params)
     parity = "any"
@@ -331,15 +349,11 @@ def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> Built:
         points = [0] + points
     a = EvalVector(ctx, tuple(points), extended=th in ("T1ii", "T2", "T3ii"))
     lam = None
-    if a.extended:
-        art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
-    else:
+    if not a.extended:
         lam = 1 if th == "T3i" else ctx.pow_v(ctx.g_val, (r + 1) * (t - 1) // 2 - m * A)
-        art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, I=I, A=A, lam=lam, locators=locs,
-                              u=_u_products(ctx, stride, m, I),
-                              xi_s=None if params.s is None else ctx.root_of_unity_v(params.s))
-    return art, trace
+    return _Evaluation(a, lam, lambda: {
+        "I": I, "A": A, "u": _u_products(ctx, stride, m, I),
+        "xi_s": None if params.s is None else ctx.root_of_unity_v(params.s)})
 
 
 # --- families 4-5: spans over a subfield ---
@@ -355,7 +369,7 @@ def _span(ctx: FieldCtx, basis, coeffs) -> list[int]:
 
 # --- family 4: subspace grid alpha_k * beta + alpha_j ---
 
-def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
+def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     r = params.r
     gamma = ctx.subfield_generator_v(r)
     basis = tuple(ctx.pow_v(gamma, i) for i in range(params.e))
@@ -367,14 +381,12 @@ def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> Built:
         for aj in alphas
     ]
     a = EvalVector(ctx, tuple(points), extended=True)
-    art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, locators=locs, beta=beta, V_basis=basis)
-    return art, trace
+    return _Evaluation(a, None, lambda: {"beta": beta, "V_basis": basis})
 
 
 # --- family 5: subfield-subspace translates of 2t-th roots of unity ---
 
-def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> Built:
+def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     t = params.t
     sub_q = ctx.p**params.k_sub
     omega = ctx.pow_v(ctx.subfield_generator_v(sub_q), (sub_q - 1) // (2 * t))
@@ -388,17 +400,33 @@ def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> Built:
     c = reduce(ctx.mul_v, chain((u for u in V if u),
                                 (ctx.sub_v(ctx.add_v(1, u), w) for u in V for w in roots[1:])), 1)
     a = EvalVector(ctx, tuple(points), extended=False)
-    art, locs = assemble_self_dual_grs(a, c, params.label(), params.to_dict())
-    trace = ConstructionTrace(ctx, params, lam=c, locators=locs, c=c,
-                              omega=omega, V_basis=basis)
-    return art, trace
+    return _Evaluation(a, c, lambda: {"c": c, "omega": omega, "V_basis": basis})
 
 
 _FAMILIES = {"T4": _subspace_grid, "T5": _root_translates}
 
 
-def _construct(ctx: FieldCtx, params: ConstructionParams) -> Built:
+def _evaluation(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     return _FAMILIES.get(params.theorem, _coset_union)(ctx, params)
+
+
+def _construct(ctx: FieldCtx, params: ConstructionParams) -> Built:
+    a, lam, trace_fields = _evaluation(ctx, params)
+    if a.extended:
+        art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
+    else:
+        art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict())
+    return art, ConstructionTrace(ctx, params, lam=lam, locators=locs, **trace_fields())
+
+
+def _points_and_weights(ctx: FieldCtx, params: ConstructionParams
+                        ) -> tuple[EvalVector, tuple[int, ...]]:
+    """(a, v) of the code that `construct_from_params` builds, and nothing
+    more: no G, no locator list and no trace.  Census spot checks judge the
+    code from these alone."""
+    _check_budget(params)
+    a, lam, _ = _evaluation(ctx, params)
+    return a, self_dual_weights(a, lam)
 
 
 def build(theorem: str, p: int, d: int, **kw) -> Built:
@@ -497,14 +525,10 @@ def valid_param_arrays(p: int, d: int, n_max: int) -> dict[str, dict[str, np.nda
     return {th: _accepted(th, p, d, n_max) for th in THEOREMS}
 
 
-def params_of(theorem: str, p: int, d: int, columns: dict[str, np.ndarray]):
-    """A ConstructionParams for each row of `valid_param_arrays` columns."""
-    for row in zip(*(col.tolist() for col in columns.values())):
-        yield ConstructionParams(theorem, p, d, **dict(zip(columns, row)))
-
-
 def iter_valid_params(p: int, d: int, n_max: int):
     """Yield every ConstructionParams with n <= n_max, deterministically
-    ordered by (theorem, parameters); see `valid_param_arrays`."""
+    ordered by (theorem, parameters), one per row of the columns of
+    `valid_param_arrays`."""
     for th, columns in valid_param_arrays(p, d, n_max).items():
-        yield from params_of(th, p, d, columns)
+        for row in zip(*(col.tolist() for col in columns.values())):
+            yield ConstructionParams(th, p, d, **dict(zip(columns, row)))

@@ -12,15 +12,19 @@ log(a_i - a_j) = log a_i + zech[log a_j - log a_i + (q-1)/2], so every
 locator is one row sum of Zech lookups mod q-1.  A target g^l is a square
 exactly when l is even, and the roots of 1/g^l are g^h and g^(h + (q-1)/2)
 with h = (-l mod (q-1))/2; the weight is the smaller encoding of the two.
-This log form is the one definition of the canonical root.  Row i of G has
-logs log v_j + i log a_j, and G is one read-only int64 array of shape
-(k, n).
+This log form is the one definition of the canonical root; `self_dual_weights`
+gives the weights alone, without G or the list of locators.  Row i of G has
+logs log v_j + i log a_j; `grs_rows` makes any set of such rows, for G,
+which is one read-only int64 array of shape (k, n), and for the power sums
+of census spot checks, which never hold G.
 
 G's JSON text is written and read on arrays as well.  `to_json` writes an
 array under "G" from its decimal digits, byte for byte as `json.dumps`
 writes the lists, and `artifact_from_json` parses the writer's canonical
-form of G straight into int64; any other text goes through `json.loads`
-and `artifact_from_dict`'s strict list checks, which word every error.
+form of G straight into int64, signed entries included, so that a negative
+entry meets the range check there; any other text goes through
+`json.loads` and `artifact_from_dict`'s strict list checks, which word every
+error.
 """
 
 from __future__ import annotations
@@ -144,23 +148,42 @@ def all_locators(a: EvalVector) -> list[int]:
     return a.ctx.np_tables[0][_log_locators(a)].tolist()
 
 
-def _generator_rows(a: EvalVector, v: ScalingVector, k: int, n: int) -> np.ndarray:
-    """(k, n) array whose row i is v_j a_j^i on the finite points, from logs:
-    row i has logs log v_j + i log a_j, in row blocks of about _BLOCK_ENTRIES
-    entries.  Columns with a_j = 0 hold v_j in row 0 and zero below; columns
-    past the finite points are zero."""
+def grs_rows(a: EvalVector, weights):
+    """rows(exponents): for each exponent i of an int64 array, the row
+    v_j a_j^i over the finite points, for nonzero weights v, as one int64
+    array.  Row i has logs log v_j + i log a_j, and a zero point a_j holds
+    v_j at i = 0 and zero at i > 0.  Rows 0..k-1 are those of the generator
+    matrix of GRS_k(a, v); rows past k-1 serve the power sums of `verify`."""
     ctx = a.ctx
     exp, log = ctx.np_tables
     points = np.array(a.points, dtype=np.int64)
-    log_a, log_v = log[points], log[np.array(v.weights, dtype=np.int64)]
-    G = np.zeros((k, n), dtype=np.int64)
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, k, rows):
-        L = np.arange(lo, min(lo + rows, k), dtype=np.int64)[:, None] * log_a
+    log_a, log_v = log[points], log[np.array(weights, dtype=np.int64)]
+    zero_points = np.flatnonzero(points == 0)
+
+    def rows(exponents: np.ndarray) -> np.ndarray:
+        L = exponents[:, None] * log_a
         L += log_v
         L %= ctx.q - 1
-        G[lo:lo + rows, :points.size] = exp[L]
-    G[1:, np.flatnonzero(points == 0)] = 0
+        R = exp[L]
+        R[:, zero_points] *= exponents[:, None] == 0
+        return R
+
+    return rows
+
+
+def _generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
+    """The read-only (k, n) generator matrix: rows 0..k-1 of `grs_rows` on
+    the finite points, made in row blocks of about _BLOCK_ENTRIES entries,
+    and, when a is extended, a last column that is zero except for a 1 in
+    row k-1 (the x^{k-1} coefficient)."""
+    rows = grs_rows(a, v.weights)
+    G = np.zeros((k, a.n), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // a.n)
+    for lo in range(0, k, step):
+        G[lo:lo + step, :len(a.points)] = rows(np.arange(lo, min(lo + step, k)))
+    if a.extended:
+        G[k - 1, -1] = 1
+    G.flags.writeable = False
     return G
 
 
@@ -171,9 +194,7 @@ def grs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     n = len(a.points)
     if len(v.weights) != n or not 1 <= k <= n:
         raise DimensionMismatch(f"need len(v) = n and 1 <= k <= n, got n={n}, k={k}")
-    G = _generator_rows(a, v, k, n)
-    G.flags.writeable = False
-    return G
+    return _generator_matrix(a, v, k)
 
 
 def xgrs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
@@ -184,10 +205,7 @@ def xgrs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray
     n = a.n
     if len(v.weights) != n - 1 or not 1 <= k <= n:
         raise DimensionMismatch(f"need len(v) = n-1 and 1 <= k <= n, got n={n}, k={k}")
-    G = _generator_rows(a, v, k, n)
-    G[k - 1, -1] = 1
-    G.flags.writeable = False
-    return G
+    return _generator_matrix(a, v, k)
 
 
 def _square_root_weights(ctx: FieldCtx, target_logs: np.ndarray) -> tuple[int, ...]:
@@ -229,22 +247,37 @@ def assemble_self_dual_xgrs(
 
 def _assemble(a: EvalVector, lam: int | None, label: str, params: dict | None
               ) -> tuple[CodeArtifact, list[int]]:
-    """The body of both assemblies; lam is None for the extended code, whose
-    targets are -L(a_i) = g^(log L(a_i) + (q-1)/2)."""
-    ctx = a.ctx
-    n = a.n
-    if n % 2 != 0:
-        raise OddLength(n)
+    """The body of both assemblies; lam is None for the extended code."""
+    _require_assemblable(a, lam)
+    locs = all_locators(a)
+    v = ScalingVector(a.ctx, _weights(a, lam, a.ctx.np_tables[1][locs]))
+    k = a.n // 2
+    G = (xgrs_generator_matrix if a.extended else grs_generator_matrix)(a, v, k)
+    return CodeArtifact(a.ctx, a, v, k, G, label, params or {}), locs
+
+
+def self_dual_weights(a: EvalVector, lam: int | None) -> tuple[int, ...]:
+    """The weights v of the assemblies (lam is None for the extended code),
+    without G or the list of locators: the locators stay logs."""
+    _require_assemblable(a, lam)
+    return _weights(a, lam, _log_locators(a))
+
+
+def _require_assemblable(a: EvalVector, lam: int | None) -> None:
+    if a.n % 2 != 0:
+        raise OddLength(a.n)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     a.require_distinct()
-    locs = all_locators(a)
-    log = ctx.np_tables[1]
-    shift = (ctx.q - 1) // 2 if a.extended else log[lam]
-    v = ScalingVector(ctx, _square_root_weights(ctx, log[locs] + shift))
-    k = n // 2
-    G = (xgrs_generator_matrix if a.extended else grs_generator_matrix)(a, v, k)
-    return CodeArtifact(ctx, a, v, k, G, label, params or {}), locs
+
+
+def _weights(a: EvalVector, lam: int | None, log_locs: np.ndarray) -> tuple[int, ...]:
+    """v_i = sqrt(1 / (lam L(a_i))), or, for the extended code, whose
+    targets are -L(a_i) = g^(log L(a_i) + (q-1)/2), v_i = sqrt(-1 / L(a_i)),
+    from the logs of the locators."""
+    ctx = a.ctx
+    shift = (ctx.q - 1) // 2 if a.extended else ctx.np_tables[1][lam]
+    return _square_root_weights(ctx, log_locs + shift)
 
 
 # --- JSON artifact form (bit-exact across platforms) ---
@@ -437,24 +470,32 @@ def artifact_from_json(text: str) -> CodeArtifact:
     return artifact_from_dict({**doc, "G": G})
 
 
-# G's text as `_canonical_parts` hands it to np.fromstring: digits and ","
-# stay, the brackets of "],[" become spaces, which it skips around a ",",
+# G's text as `_canonical_parts` hands it to np.fromstring: digits, "-" and
+# "," stay, the brackets of "],[" become spaces, which it skips around a ",",
 # and every other byte becomes NUL.
-_G_TEXT = bytes(c if c in b"0123456789," else 32 if c in b"[]" else 0 for c in range(256))
+_G_TEXT = bytes(c if c in b"-0123456789," else 32 if c in b"[]" else 0 for c in range(256))
+
+# np.fromstring saturates an entry beyond int64 to this value.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
     """(the other fields, G) for text in the writer's canonical form, or None.
 
     The form starts '{"G":[[' ("G" sorts before every lowercase key), every
-    "]" of G is followed by ",[" and the last by "],".  The checks run
-    cheapest first: one pass over G's text for its characters, then the
-    rest must parse, hold no second "G" and give G's row count as k and an
-    int n, every entry must be a nonempty run of digits, k * n of them, and
-    each row must hold n.  Only then is G parsed, and the digits of the
-    values must add up to the digits of the text, which rules out leading
-    zeros and entries beyond int64.  Every entry is then a JSON int, so
-    json.loads(text) gives the same document."""
+    "]" of G is followed by ",[" and the last by "],".  An entry may be
+    signed: a "-" must directly precede its digits, at the entry's start,
+    so that a negative entry (a tampered copy) meets the range check here
+    too.  The checks run cheapest first: one pass over G's text for its
+    characters and the places of its signs, then the rest must parse, hold
+    no second "G" and give G's row count as k and an int n, every entry
+    must be a nonempty run of digits, k * n of them, and each row must hold
+    n.  Only then is G parsed, and the digits of the values' magnitudes must
+    add up to the digits of the text, which rules out leading zeros ("-07"
+    as well as "07"; "-0" is 0); no value may be the int64 maximum, to which
+    np.fromstring saturates every entry beyond int64, whatever its sign.
+    Every entry is then a JSON int, so json.loads(text) gives the same
+    document."""
     if not text.startswith('{"G":[[') or not text.isascii():
         return None
     row_ends = []
@@ -467,6 +508,14 @@ def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
     flat = text[7:end].encode().translate(_G_TEXT)
     if b"\0" in flat:
         return None
+    chars = np.frombuffer(flat, dtype=np.uint8)
+    digit = chars - ord("0") < 10
+    # each "-" starts an entry, after a "," or a bracket's space; then no
+    # entry holds two runs of digits, and with k * n runs below, each holds
+    # one, after at most one "-"
+    signs = np.flatnonzero(chars[1:] == ord("-"))
+    if signs.size and not np.isin(chars[signs], (ord(","), ord(" "))).all():
+        return None
     try:
         doc = json.loads("{" + text[end + 3:])
     except (ValueError, RecursionError):
@@ -474,8 +523,6 @@ def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
     k, n = doc.get("k"), doc.get("n")
     if "G" in doc or type(k) is not int or type(n) is not int or k != len(row_ends) + 1:
         return None
-    chars = np.frombuffer(flat, dtype=np.uint8)
-    digit = chars - ord("0") < 10
     runs = np.count_nonzero(digit[1:] > digit[:-1]) + np.count_nonzero(digit[:1])
     # a space is one of a "],[", each of whose "[" follows a "]"
     if runs != k * n or np.count_nonzero(chars == ord(" ")) != 2 * (k - 1):
@@ -485,10 +532,13 @@ def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
     if commas.size != k * n - 1 or not np.array_equal(commas[n - 1::n], np.add(row_ends, 1)):
         return None
     G = np.fromstring(flat, dtype=np.int64, sep=",")
-    digits, power, top = G.size, 10, int(G.max())
-    while power <= top:
-        digits += np.count_nonzero(G >= power)
+    if G.size != k * n:
+        return None
+    top, bottom = int(G.max()), int(G.min())
+    digits, power = G.size, 10
+    while power <= max(top, -bottom):
+        digits += np.count_nonzero(G >= power) + np.count_nonzero(G <= -power)
         power *= 10
-    if G.size != k * n or digits != np.count_nonzero(digit):
+    if top == _INT64_MAX or digits != np.count_nonzero(digit):
         return None
     return doc, G.reshape(k, n)

@@ -2,7 +2,8 @@
 rank), MDS-ness by exhaustive minors, and minimum distance by full codeword
 enumeration.  Nothing here reuses construction-side shortcuts; everything is
 recomputed from the generator matrix, which the kernels take as any
-array-like of encodings (an artifact holds it as one int64 array).
+array-like of encodings (an artifact holds it as one int64 array), or, for
+census spot checks, from a code's (a, v) alone (`power_sum_verdict`).
 
 Self-duality and rank k are decided from the structure of G, column by
 column (`_grs_columns`).  A finite column j is structured when G[0][j] is
@@ -14,8 +15,15 @@ Structured columns with k pairwise distinct nodes form a scaled
 does elimination decide the rank.  For self-duality the columns split
 into the structured S and the rest B, and G G^T = G_S G_S^T + G_B G_B^T.
 G_S G_S^T is the Hankel matrix of the sums P_s = sum_{j in S} v_j^2 a_j^s
-(plus c^2 at s = 2k-2), and its rows 0 and k-1 hold every P_s.  With B
-empty the code is self-dual exactly when they are zero; otherwise
+(plus c^2 at s = 2k-2), and its rows 0 and k-1 hold every P_s.  One helper,
+`_power_sums`, computes them from GRS rows R_i = (v_j a_j^i)_j as
+P_{i+l} = R_i . R_l, in row blocks, and it has two sources of rows: here
+the structured columns of G, paired as rows {0, k-1} with rows 0..k-1; and
+in `power_sum_verdict`, for census spot checks, rows made from the logs of
+a and v, paired as about sqrt(2k) baby rows with as many giant rows.  That
+entry checks rank first, from pairwise distinct points and nonzero
+weights, and never builds G.  With B empty the code is self-dual exactly
+when they are zero; otherwise
 G_B G_B^T is compared with -P_{i+l}, row block by row block, in
 O(kn + k^2 |B|).  With S empty (k = 1, or no column of GRS form) that is
 the full Gram matrix.  When the rank is k and the code is not self-dual,
@@ -26,7 +34,7 @@ e_{k-1}, G generates GRS_k(a, v) with v = row 0, or its extension, and
 against the ratios, in O(n); otherwise the stored a and v are not read.
 
 The vectorized kernels are exact.  Products A B^T over F_q
-(`field_matmul_t`, behind both the Hankel rows and the row-block Gram
+(`field_matmul_t`, behind both the power sums and the row-block Gram
 check) are computed over the integers from the base-p digit planes by
 float64 BLAS products, with the columns taken in chunks small enough that
 every float64 sum stays below 2^53, then reduced mod p and mod the field
@@ -67,12 +75,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
 from .field import FieldCtx
-from .grs import _BLOCK_ENTRIES, CodeArtifact
+from .grs import _BLOCK_ENTRIES, CodeArtifact, EvalVector, grs_rows
 
 MINORS_BUDGET_N = 16
 DISTANCE_BUDGET = 1 << 22
@@ -134,7 +143,8 @@ def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
 
     A and B split into d base-p digit planes A_i and B_j, so A B^T is the
     polynomial sum_s C_s x^s with C_s = sum_{i+j=s} A_i B_j^T, reduced mod
-    the monic field modulus.  Each A_i B_j^T is one float64 BLAS product,
+    the monic field modulus.  The products A_i B_j^T of one i and every j
+    are one float64 BLAS product, against the planes of B stacked, each
     added into C_{i+j} in int64.  Over m columns its entries are sums of
     nonnegative integers of at most m (p-1)^2, so the columns go in chunks
     of m <= (2^53 - 1) / (p-1)^2: every float64 partial sum is then an exact
@@ -150,9 +160,11 @@ def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
     C = np.zeros((2 * d - 1, len(A), len(B)), dtype=np.int64)
     for lo in range(0, n, chunk):
         planes_a, planes_b = (_digit_planes(M[:, lo:lo + chunk], p, d) for M in (A, B))
+        stacked_b = planes_b.reshape(d * len(B), -1).T
         for i in range(d):
-            for j in range(d):
-                C[i + j] += (planes_a[i] @ planes_b[j].T).astype(np.int64)
+            # A_i B_j^T for every j at once, added into C_{i+j}
+            AB = (planes_a[i] @ stacked_b).astype(np.int64).reshape(len(A), d, len(B))
+            C[i:i + d] += AB.transpose(1, 0, 2)
         C %= p
     # x^d = -(f_0 + ... + f_{d-1} x^{d-1}) for the monic modulus f
     f = np.array(ctx.modulus[:d], dtype=np.int64)[:, None, None]
@@ -190,6 +202,61 @@ def _gram_witness(ctx: FieldCtx, G, P: np.ndarray | None = None) -> tuple[int, i
             r, c = divmod(int(differs.argmax()), k - top)
             return top + r, top + c
     return None
+
+
+def _power_sums(ctx: FieldCtx, count: int, left: tuple[np.ndarray, np.ndarray],
+                right) -> np.ndarray:
+    """P_0 .. P_{count-1}, as encodings, from GRS rows R_i[j] = v_j a_j^i:
+    P_{i+l} = R_i . R_l for the rows i of `left` and l of each block of
+    `right`, each given as (exponents, rows), whose sums must cover
+    0 .. count-1; larger sums are dropped.  Over finite points
+    R_i . R_l = sum_j v_j^2 a_j^(i+l) depends on i + l alone; a column at
+    infinity, c e_{k-1}, adds c^2 to R_{k-1} . R_{k-1} only, so with it
+    s = 2k-2 must come from that pair alone.  Each block of `right` meets
+    the rows of `left` in one `field_matmul_t`."""
+    i, L = left
+    P = np.empty(count, dtype=np.int64)
+    for l, R in right:
+        s = np.add.outer(i, l)
+        kept = s < count
+        P[s[kept]] = field_matmul_t(ctx, L, R)[kept]
+    return P
+
+
+def power_sum_verdict(a: EvalVector, weights) -> tuple[bool, int | None]:
+    """(rank k, s) for GRS_k(a, v) with k = n/2, or its extension when a is
+    marked extended, from a and the weights v alone: s is the least s with
+    P_s = sum_j v_j^2 a_j^s nonzero (for the extension, P_{n-2} != -1, the
+    column at infinity being e_{k-1}), None when the code is self-dual.
+    The rank is checked first: with pairwise distinct points, infinity at
+    most once, and nonzero weights, every k columns form a scaled
+    (projective) Vandermonde matrix, so the rank is k (and the code MDS);
+    otherwise nothing is certified, (False, None).
+
+    The rows are made from the logs of a and v (`grs.grs_rows`), over the
+    finite points; locators, lambda and the families' closed forms are not
+    read, and G is never built.  Since P_s depends on s alone, the 2k - 1
+    sums need only t baby rows i < t and about 2k/t giant rows l = 0, t,
+    2t, ..., with t about sqrt(2k): O(sqrt(k) n) entries instead of k n.
+    t is cut so that the baby rows hold at most half of _BLOCK_ENTRIES, and
+    the giant rows are made in blocks of about _BLOCK_ENTRIES entries."""
+    k, finite = a.n // 2, len(a.points)
+    if a.n != 2 * k or len(weights) != finite:
+        raise DimensionMismatch(f"self-dual codes need n = 2k and len(v) = {finite}, "
+                                f"got n={a.n}, len(v)={len(weights)}")
+    if k < 1 or not a.is_distinct() or 0 in weights:
+        return False, None
+    count = 2 * k - 1
+    t = max(1, min(isqrt(count - 1) + 1, _BLOCK_ENTRIES // (2 * finite)))
+    rows = grs_rows(a, weights)
+    baby, giant = np.arange(t), np.arange(0, count, t)
+    step = max(1, _BLOCK_ENTRIES // finite)
+    blocks = (giant[lo:lo + step] for lo in range(0, giant.size, step))
+    P = _power_sums(a.ctx, count, (baby, rows(baby)), ((l, rows(l)) for l in blocks))
+    if a.extended:
+        P[-1] = a.ctx.add_v(int(P[-1]), 1)
+    nonzero = np.flatnonzero(P)
+    return True, int(nonzero[0]) if nonzero.size else None
 
 
 def gram_is_zero(ctx: FieldCtx, G) -> bool:
@@ -317,12 +384,12 @@ def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
     the rest B, so G G^T = G_S G_S^T + G_B G_B^T.  G_S G_S^T is Hankel,
     with antidiagonal sums P_s = sum_{j in S} v_j^2 a_j^s, plus c^2 at
     s = 2k-2 from the column at infinity, and its rows 0 and k-1 hold every
-    P_s; distinct nodes are not needed for this.  With B empty the code is
-    self-dual exactly when every P_s is zero, and the first nonzero Gram
-    entry is (0, s) for the least nonzero P_s with s <= k-1, else
-    (s-k+1, k-1).  Otherwise G_B G_B^T is compared with -P_{i+l}, one row
-    block at a time, in O(k^2 |B|) (`_gram_witness`); with S empty, that is
-    the full Gram matrix."""
+    P_s (`_power_sums`); distinct nodes are not needed for this.  With B
+    empty the code is self-dual exactly when every P_s is zero, and the
+    first nonzero Gram entry is (0, s) for the least nonzero P_s with
+    s <= k-1, else (s-k+1, k-1).  Otherwise G_B G_B^T is compared with
+    -P_{i+l}, one row block at a time, in O(k^2 |B|) (`_gram_witness`);
+    with S empty, that is the full Gram matrix."""
     ctx, k = art.ctx, art.k
     G = np.asarray(art.G, dtype=np.int64)
     structured, ratios = _grs_columns(art)
@@ -334,8 +401,8 @@ def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
     if nodes + structured[finite:].sum() < k and not _rank_is_k(art):
         return False, False, None, None
     S = G if whole else G[:, structured]
-    H = field_matmul_t(ctx, S[[0, k - 1]], S)
-    P = np.concatenate((H[0], H[1, 1:]))
+    ends = np.array([0, k - 1])
+    P = _power_sums(ctx, 2 * k - 1, (ends, S[ends]), [(np.arange(k), S)])
     if not whole:
         witness = _gram_witness(ctx, G[:, ~structured], P)
     elif not P.any():

@@ -113,6 +113,74 @@ def test_spot_check_lets_programming_errors_through(monkeypatch):
     def broken(ctx, params):
         raise IndexError("bug in a constructor")
 
-    monkeypatch.setattr(census, "construct_from_params", broken)
+    monkeypatch.setattr(census, "_points_and_weights", broken)
     with pytest.raises(IndexError, match="bug in a constructor"):
         census_report(25, spot_check_bound=16)
+
+
+def _break_every_code(monkeypatch, change):
+    """Make every spot check judge (a, v) after `change(ctx, points, weights)`."""
+    import mdssd.census as census
+
+    real = census._points_and_weights
+
+    def broken(ctx, params):
+        a, v = real(ctx, params)
+        points, weights = change(ctx, list(a.points), list(v))
+        return type(a)(ctx, tuple(points), a.extended), tuple(weights)
+
+    monkeypatch.setattr(census, "_points_and_weights", broken)
+
+
+def test_failed_spot_check_names_the_first_nonzero_power_sum(monkeypatch):
+    from mdssd.errors import SpotCheckFailed
+
+    # one weight times g: P_0 changes by (g^2 - 1) v_0^2
+    _break_every_code(monkeypatch, lambda ctx, a, v: (a, [ctx.mul_v(v[0], ctx.g_val), *v[1:]]))
+    with pytest.raises(SpotCheckFailed) as err:
+        census_report(25, spot_check_bound=16)
+    # the failure named is that of the last tuple tried for the length
+    assert str(err.value) == ("claimed length n = 2 could not be realized: "
+                              "T5(t=1,e=0,k=2): constructed code is not self-dual (P_0 != 0)")
+
+
+def test_failed_spot_check_names_p_1_for_a_moved_point(monkeypatch):
+    from mdssd.errors import SpotCheckFailed
+
+    # a point moved to a value outside a: P_0 stays zero and P_1 changes by
+    # v_0^2 (a_0' - a_0); at n = 2 the code does not depend on a
+    def move(ctx, a, v):
+        return [min(set(range(ctx.q)) - set(a)), *a[1:]], v
+
+    _break_every_code(monkeypatch, move)
+    with pytest.raises(SpotCheckFailed) as err:
+        census_report(25, spot_check_bound=16)
+    assert str(err.value).startswith("claimed length n = 4 could not be realized: ")
+    assert str(err.value).endswith(": constructed code is not self-dual (P_1 != 0)")
+
+
+def test_failed_spot_check_of_an_extended_code_names_p_n_2(monkeypatch):
+    import mdssd.census as census
+    from mdssd.constructions import validate
+    from mdssd.field import make_field
+
+    # every weight times g: the lower sums stay zero, P_{n-2} becomes -g^2
+    _break_every_code(monkeypatch, lambda ctx, a, v: (a, [ctx.mul_v(w, ctx.g_val) for w in v]))
+    pr = validate("T2", 7, 2, m=3, t=3)
+    assert census._spot_check(make_field(7, 2), pr) == (
+        "T2(m=3,t=3): constructed code is not self-dual (P_8 != -1)")
+
+
+def test_spot_check_builds_no_generator_matrix_and_no_trace(monkeypatch):
+    import mdssd.constructions as constructions
+    import mdssd.grs as grs
+
+    def refuse(*args, **kw):
+        raise AssertionError("a spot check reached the artifact path")
+
+    for module, name in ((constructions, "_u_products"), (constructions, "assemble_self_dual_grs"),
+                         (constructions, "assemble_self_dual_xgrs"), (grs, "all_locators"),
+                         (grs, "_generator_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    rep = census_report(6889, spot_check_bound=128)
+    assert len(rep.spot_checks) == 64

@@ -393,11 +393,21 @@ def _second_g(doc):
     return to_json(doc)[:-1] + ',"G":' + to_json({"G": G})[5:-1] + "}"
 
 
+def _split_entry(doc):
+    """G[1][2] written as "1-2" and G[1][3] left empty, so that the text
+    has as many runs of digits, and as many commas, as canonical text."""
+    doc = json.loads(json.dumps(doc))
+    doc["G"][1][2], doc["G"][1][3] = 777777, 888888
+    return to_json(doc).replace("777777", "1-2", 1).replace("888888", "", 1)
+
+
 def _ragged(doc):
     doc = json.loads(json.dumps(doc))
     doc["G"][1].append(doc["G"][0].pop())
     return to_json(doc)
 
+
+_OUTSIDE_ROW_1 = "malformed artifact: G row 1 has an entry outside [0, 9)"
 
 # Texts that look canonical, with the exit code and the start of the error
 # that the strict path gives them (None: the report of the valid artifact).
@@ -409,15 +419,31 @@ CANONICAL_LOOKING = {
                   "malformed artifact: G row 1 must be a list of 6 entries"),
     "double-comma": (lambda doc: _canonical(doc, 1, 2, ""), 2, "Expecting value"),
     "stray-bracket": (lambda doc: _canonical(doc, 1, 2, "[3"), 2, "Expecting"),
-    "beyond-int64": (lambda doc: _canonical(doc, 1, 2, str(2**70)), 2,
-                     "malformed artifact: G row 1 has an entry outside [0, 9)"),
+    "beyond-int64": (lambda doc: _canonical(doc, 1, 2, str(2**70)), 2, _OUTSIDE_ROW_1),
     "ragged-rows": (_ragged, 2, "malformed artifact: G row 0 must be a list of 6 entries"),
     "extra-row": (lambda doc: to_json({**doc, "G": [*doc["G"], doc["G"][0]]}), 2,
                   "malformed artifact: G must be a list of k = 3 rows"),
-    "second-G": (_second_g, 2, "malformed artifact: G row 1 has an entry outside [0, 9)"),
+    "second-G": (_second_g, 2, _OUTSIDE_ROW_1),
     "trailing-bytes": (lambda doc: to_json(doc) + "}", 2, "Extra data"),
     "space-in-G": (lambda doc: to_json(doc).replace("],[", "], [", 1), 0, None),
+    "negative": (lambda doc: _canonical(doc, 1, 2, "-3"), 2, _OUTSIDE_ROW_1),
+    "negative-first": (lambda doc: _canonical(doc, 0, 0, "-3"), 2,
+                       "malformed artifact: G row 0 has an entry outside [0, 9)"),
+    "lone-minus": (lambda doc: _canonical(doc, 1, 2, "-"), 2, "Expecting value"),
+    "double-minus": (lambda doc: _canonical(doc, 1, 2, "--1"), 2, "Expecting value"),
+    "inner-minus": (lambda doc: _canonical(doc, 1, 2, "1-2"), 2, "Expecting ',' delimiter"),
+    "inner-minus-and-empty": (_split_entry, 2, "Expecting ',' delimiter"),
+    "trailing-minus": (lambda doc: _canonical(doc, 2, 5, "1-"), 2, "Expecting ',' delimiter"),
+    "minus-leading-zero": (lambda doc: _canonical(doc, 1, 2, "-07"), 2,
+                           "Expecting ',' delimiter"),
+    "int64-min": (lambda doc: _canonical(doc, 1, 2, str(-2**63)), 2, _OUTSIDE_ROW_1),
+    "below-int64": (lambda doc: _canonical(doc, 1, 2, str(-2**63 - 1)), 2, _OUTSIDE_ROW_1),
+    "far-below-int64": (lambda doc: _canonical(doc, 1, 2, str(-2**70)), 2, _OUTSIDE_ROW_1),
 }
+
+# The texts that the canonical reader itself parses; every other one falls
+# back to the strict path.
+CANONICAL_PARSED = {"minus-zero", "negative", "negative-first", "int64-min"}
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_LOOKING))
@@ -438,6 +464,19 @@ def test_verify_canonical_looking_text_ends_as_on_the_strict_path(name, artifact
     path.write_text(make(artifact_doc))
     monkeypatch.setattr(grs, "_canonical_parts", lambda text: None)
     assert run(capsys, "verify", "--in", str(path)) == (code, rep, err)
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_LOOKING))
+def test_canonical_reader_parses_signed_entries_only_where_json_does(name, artifact_doc):
+    from mdssd.grs import _canonical_parts
+
+    text = CANONICAL_LOOKING[name][0](artifact_doc)
+    parts = _canonical_parts(text)
+    assert (parts is not None) == (name in CANONICAL_PARSED)
+    if parts is not None:
+        doc = json.loads(text)
+        assert parts[0] == {key: val for key, val in doc.items() if key != "G"}
+        assert parts[1].tolist() == doc["G"]
 
 
 @pytest.mark.parametrize("text", [

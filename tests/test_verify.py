@@ -30,6 +30,7 @@ from mdssd.verify import (
     first_singular_minor,
     gram_is_zero,
     min_distance,
+    power_sum_verdict,
     verify_artifact,
 )
 
@@ -1200,3 +1201,164 @@ def test_one_entry_change_at_n_426_skips_elimination_and_full_gram(monkeypatch, 
     # only the broken column 200 goes through the row-block check
     assert block_calls == [(art.k, 1)]
     assert err.splitlines()[0].startswith("nonzero Gram entry at (")
+
+
+# --- self-duality from (a, v) alone: the power sums ---
+
+def _grs_matrix_by_definition(ctx, points, weights, k, extended):
+    """Row i of G is v_j a_j^i by scalar products, whatever the points and
+    weights; the extended column is e_{k-1}."""
+    G = [[ctx.mul_v(w, ctx.pow_v(x, i)) for x, w in zip(points, weights)] for i in range(k)]
+    if extended:
+        for i, row in enumerate(G):
+            row.append(int(i == k - 1))
+    return G
+
+
+def _verdict_on_G(art, G=None):
+    """(rank k, the least s with P_s nonzero, None when self-dual) as
+    `_self_dual_checks` finds them on G: the first nonzero Gram entry (i, l)
+    of a GRS matrix is on the antidiagonal s = i + l."""
+    rank_ok, self_dual, _, witness = _self_dual_checks(art if G is None else _with_G(art, G))
+    assert self_dual == (rank_ok and witness is None)
+    return rank_ok, None if witness is None else sum(witness)
+
+
+def _assert_power_sums_match_G(art, points, weights, monkeypatch, G=None):
+    """power_sum_verdict on (points, weights), in the default row blocks
+    and in blocks of 16 entries, against `_self_dual_checks` on the G of
+    these points and weights (by definition unless given).  A repeated point
+    or a zero weight is never certified."""
+    import mdssd.grs as grs
+    import mdssd.verify as verify
+
+    a = EvalVector(art.ctx, tuple(points), art.a.extended)
+    if len(set(points)) < len(points) or 0 in weights:
+        expected = (False, None)
+    else:
+        if G is None:
+            G = _grs_matrix_by_definition(art.ctx, points, weights, art.k, art.a.extended)
+        expected = _verdict_on_G(art, G)
+        assert expected[0]
+    for block_entries in (None, 16):
+        with monkeypatch.context() as patch:
+            if block_entries:
+                patch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
+                patch.setattr(grs, "_BLOCK_ENTRIES", block_entries)
+            assert power_sum_verdict(a, weights) == expected, (points, weights, block_entries)
+    return expected
+
+
+def _one_entry_corruptions(art, rng):
+    """(points, weights) with one entry of a or of v changed: a point moved
+    to a value outside a, onto another point, and to 0; a weight multiplied
+    by g, negated, and zeroed."""
+    ctx = art.ctx
+    points, weights = list(art.a.points), list(art.v.weights)
+    j = rng.randrange(len(points))
+    fresh = [x for x in range(ctx.q) if x not in points]
+    out = []
+    for value in (rng.choice(fresh) if fresh else None, points[j - 1], 0):
+        if value is not None and value != points[j]:
+            out.append((points[:j] + [value] + points[j + 1:], weights))
+    for value in (ctx.mul_v(weights[j], ctx.g_val), ctx.sub_v(0, weights[j]), 0):
+        out.append((points, weights[:j] + [value] + weights[j + 1:]))
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 2), (3, 4), (11, 2), (13, 2), (17, 2)])
+def test_power_sums_match_G_on_the_sweep_and_its_corruptions(p, d, monkeypatch):
+    arts = _sweep_artifacts(p, d, 16)
+    assert {1, 2} <= {art.k for art in arts}
+    assert {False, True} == {art.a.extended for art in arts}
+    rng = random.Random(p * 100 + d)
+    verdicts = set()
+    for art in arts:
+        built = _assert_power_sums_match_G(art, art.a.points, art.v.weights, monkeypatch,
+                                           np.asarray(art.G).tolist())
+        assert built == (True, None)
+        for points, weights in _one_entry_corruptions(art, rng):
+            verdicts.add(_assert_power_sums_match_G(art, points, weights, monkeypatch))
+    # self-dual, not certified, and both P_0 and P_1 first nonzero occur
+    assert {(True, None), (False, None), (True, 0), (True, 1)} <= verdicts
+
+
+def test_power_sums_at_k_1_and_with_a_zero_point(monkeypatch):
+    # k = 1: G = (v_0 v_1) does not show a, so only the rank test refuses a
+    # repeated point; a zero point adds v_j^2 to P_0 alone
+    ctx = make_field(5, 1)
+    art = _plain_artifact(ctx, (1, 2), (1, 2), 1)
+    assert _assert_power_sums_match_G(art, (1, 2), (1, 2), monkeypatch) == (True, None)
+    assert _assert_power_sums_match_G(art, (0, 2), (1, 2), monkeypatch) == (True, None)
+    assert _assert_power_sums_match_G(art, (1, 2), (1, 1), monkeypatch) == (True, 0)
+    assert check_self_dual(_with_G(art, [[1, 2]]))  # G alone is self-dual here
+    assert _assert_power_sums_match_G(art, (2, 2), (1, 2), monkeypatch) == (False, None)
+    assert _assert_power_sums_match_G(art, (1, 2), (1, 0), monkeypatch) == (False, None)
+
+
+def test_power_sums_name_the_last_sum_of_an_extended_code(monkeypatch):
+    # every finite weight times c, c^2 != 1: the sums below n-2 stay zero,
+    # and P_{n-2} becomes -c^2 instead of -1
+    art, _ = build("T2", 7, 2, m=3, t=3)
+    assert art.a.extended
+    c = art.ctx.g_val
+    weights = [art.ctx.mul_v(c, w) for w in art.v.weights]
+    assert _assert_power_sums_match_G(art, art.a.points, weights, monkeypatch) \
+        == (True, art.n - 2)
+
+
+@pytest.mark.parametrize("theorem,p,d,params", [
+    ("T1i", 151, 2, {"m": 6, "t": 71}),
+    ("T2", 151, 2, {"m": 15, "t": 25}),
+    ("T4", 3, 10, {"e": 2}),
+    ("T1i", 3, 10, {"m": 44, "t": 4}),
+])
+def test_power_sums_match_G_on_large_codes(theorem, p, d, params, monkeypatch):
+    art, _ = build(theorem, p, d, **params)
+    G = np.asarray(art.G)
+    assert _assert_power_sums_match_G(art, art.a.points, art.v.weights, monkeypatch, G) \
+        == (True, None)
+
+
+@pytest.mark.parametrize("q", [83**2, 151**2])
+def test_power_sums_match_G_on_the_census_spot_check_codes(q, monkeypatch):
+    from mdssd.census import census_report
+    from mdssd.field import odd_prime_power
+
+    p, d = odd_prime_power(q)
+    spot_checks = census_report(q, 128).spot_checks
+    assert len(spot_checks) == 64
+    for n, verdict in spot_checks.items():
+        theorem, _, args = verdict.removeprefix("ok:").rstrip(")").partition("(")
+        params = {("k_sub" if key == "k" else key): int(val)
+                  for key, val in (item.split("=") for item in args.split(","))}
+        art, _ = build(theorem, p, d, **params)
+        assert art.n == n
+        assert _assert_power_sums_match_G(art, art.a.points, art.v.weights, monkeypatch,
+                                          np.asarray(art.G)) == (True, None)
+
+
+def test_power_sums_make_about_sqrt_k_rows_in_bounded_blocks(monkeypatch):
+    # T2 n = 1006, k = 503: 32 baby rows against 32 giant rows of the 1005
+    # finite points, where G has 503 rows; with 4096-entry blocks, 2 baby
+    # rows against blocks of 4 giant rows, none above the block size
+    import mdssd.grs as grs
+    import mdssd.verify as verify
+
+    art, _ = build("T2", 151, 2, m=15, t=67)
+    shapes = []
+    real = verify.field_matmul_t
+
+    def recorded(ctx, A, B):
+        shapes.append((A.shape, B.shape))
+        return real(ctx, A, B)
+
+    monkeypatch.setattr(verify, "field_matmul_t", recorded)
+    assert power_sum_verdict(art.a, art.v.weights) == (True, None)
+    assert shapes == [((32, 1005), (32, 1005))]
+    shapes.clear()
+    for module in (verify, grs):
+        monkeypatch.setattr(module, "_BLOCK_ENTRIES", 4096)
+    assert power_sum_verdict(art.a, art.v.weights) == (True, None)
+    assert {A for A, _ in shapes} == {(2, 1005)} and len(shapes) == 126
+    assert max(B[0] for _, B in shapes) * 1005 <= 4096
