@@ -255,15 +255,17 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
     if spot_check_bound:
         ctx = make_field(cx.p, cx.d)
         for n in sorted(candidates):
-            failure = "no parameter tuple yields this length"
+            # the failure named is that of the first tuple tried
+            failure = None
             for tup in candidates[n]:
                 pr = _params(cx, tup)
-                failure = _spot_check(ctx, pr)
-                if failure is None:
+                found = _spot_check(ctx, pr)
+                if found is None:
                     spot_checks[n] = f"ok:{pr.label()}"
                     break
+                failure = failure or found
             else:
-                raise SpotCheckFailed(n, failure)
+                raise SpotCheckFailed(n, failure or "no parameter tuple yields this length")
 
     return CensusReport(
         q,

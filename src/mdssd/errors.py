@@ -87,6 +87,12 @@ class OddLength(CannotCarryOut):
         super().__init__(f"self-dual codes require even length, got n = {n}")
 
 
+class InvalidLambda(MdssdError, ValueError):
+    def __init__(self, lam: object, q: int):
+        shown = _quantity(lam) if type(lam) is int else repr(lam)
+        super().__init__(f"lambda must be a nonzero field element in [1, {q}), got {shown}")
+
+
 class SquareConditionViolated(CannotCarryOut):
     def __init__(self, index: int):
         super().__init__(f"square condition fails at evaluation point index {index}")

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     DuplicatePoint,
+    InvalidLambda,
     MalformedArtifact,
     OddLength,
     SquareConditionViolated,
@@ -266,8 +267,8 @@ def self_dual_weights(a: EvalVector, lam: int | None) -> tuple[int, ...]:
 def _require_assemblable(a: EvalVector, lam: int | None) -> None:
     if a.n % 2 != 0:
         raise OddLength(a.n)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
+    if not a.extended and not (isinstance(lam, (int, np.integer)) and 0 < lam < a.ctx.q):
+        raise InvalidLambda(lam, a.ctx.q)
     a.require_distinct()
 
 

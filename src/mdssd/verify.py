@@ -63,19 +63,19 @@ ch. 11, Thm 8): the k-subset S = ([k] \\ R) + (k + C) has
 det G_S = +-det(A) det P[R, C] / (product of D over R), and
 S <-> (R, C) with |R| = |C| = j is a bijection, since
 sum_j C(k, j) C(n-k, j) = C(n, k).  So the check stays exhaustive over every
-k-subset.  The j x j minors of P are eliminated in lockstep, one (B, j, j)
-log array per chunk, with the pairs in the lexicographic order of S; the
-witness is the least first singular S over the sizes j.  Enumeration visits
-only the (q^k - 1)/(q - 1) coefficient vectors whose last nonzero entry is
-1; this is exhaustive because every nonzero codeword is a nonzero multiple
-of exactly one of them, with the same weight.
+k-subset.  The minors P[R, C] form one tree of Schur complements, node
+(R, C) one pivot below (R - max R, C - max C), so one batched rank-1
+update per size j decides them all; the witness is the least singular S.
+Enumeration visits only the (q^k - 1)/(q - 1) coefficient vectors whose
+last nonzero entry is 1; this is exhaustive because every nonzero codeword
+is a nonzero multiple of exactly one of them, with the same weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -419,28 +419,28 @@ def check_self_dual(art: CodeArtifact) -> bool:
     return _self_dual_checks(art)[1]
 
 
-def _singular_minors(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
-    """Singularity of each k x k log matrix of the batch M (B, k, k), by
-    eliminating all of them in lockstep.  The rule is that of `field_rank`:
-    the pivot is the first nonzero entry of the column, and -(f/piv) * pivot
-    row is added into each other row by one batched `log_muladd`.  Only the
-    trailing block is kept after each step, so M shrinks to (B, k-1, k-1)
-    and so on.  A minor with no pivot in some column is singular; its later
-    steps run on meaningless but in-range logs and cannot clear that
-    verdict."""
-    zero, q1 = ctx.log_zero, ctx.q - 1
-    batch = np.arange(M.shape[0])
-    singular = np.zeros(M.shape[0], dtype=bool)
-    while M.shape[1]:
-        nz = M[:, :, 0] != zero
-        singular |= ~nz.any(axis=1)
-        piv = nz.argmax(axis=1)
-        top = M[batch, piv]
-        # row 0 moves into the pivot row's place, and the pivot row into top
-        M[batch, piv] = M[:, 0]
-        f = M[:, 1:, 0] + (q1 // 2 - top[:, :1]) % q1
-        M = ctx.log_muladd(M[:, 1:, 1:], f, top[:, 1:])
-    return singular
+def _subsets(size: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The j-subsets T of range(size) in colexicographic order, as (parent,
+    top, bits): the index of T - max T among the (j-1)-subsets, max T, and
+    the bitmask of T.  In this order the subsets with one maximum form a
+    run, and T - max T has the rank of T within its run."""
+    sets = np.array(list(combinations(range(size - 1, -1, -1), j)), dtype=np.intp)[::-1, ::-1]
+    top = sets[:, -1]
+    return np.arange(len(sets)) - np.searchsorted(top, top), top, (1 << sets).sum(axis=1)
+
+
+def _minor_tree(k: int, m: int):
+    """The nodes (R, C) of the minors tree of a k x m matrix, one level
+    j = 1 .. min(k, m) at a time, as (rp, r, cp, c, key): the rows R are the
+    j-subsets of range(k), and rp and r give, per R, the index of its parent
+    R - max R and max R (`_subsets`); cp and c do the same for the columns
+    C.  The sets with children, whose maximum is below k-1 (or m-1), come
+    first.  key is the grid of (the complement of R in k bits) * 2^m + C, as
+    bitmasks.  Nothing is kept between calls."""
+    for j in range(1, min(k, m) + 1):
+        rows = _subsets(k, j)
+        (rp, r, rbits), (cp, c, cbits) = rows, rows if m == k else _subsets(m, j)
+        yield rp, r, cp, c, ((((1 << k) - 1) ^ rbits) << m)[:, None] | cbits
 
 
 def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
@@ -457,10 +457,22 @@ def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
     leaves +-(product of D over [k] \\ R) * det P[R, C].  This is a
     bijection between the k-subsets and the pairs (R, C) of equal size,
     sum_j C(k, j) C(n-k, j) = C(n, k), so S is singular exactly when
-    P[R, C] is.  For each size j = 1 .. min(k, n-k) the j x j minors of P
-    are stacked, in chunks of at most _BLOCK_ENTRIES log entries, with the
-    pairs in the lexicographic order of S; the first singular one is the
-    first S of that size, and the witness is the least over the sizes."""
+    P[R, C] is.
+
+    The pairs form a tree of Schur complements (`_minor_tree`) over P', P
+    with its rows and columns reversed, so that a node's key is the bitmask
+    of its S with bit n-1-s for s in S: the larger key, the smaller S.
+    Node (R, C) comes from (R - max R, C - max C) by pivoting on entry
+    (max R, max C) of the parent's Schur complement, so det P'[R, C] =
+    det P'[parent] * pivot: below a nonsingular parent, a node is singular
+    exactly when its pivot is zero.  A node keeps its Schur complement on
+    the rows and columns from j on, where its descendants pivot, so a level
+    is one gather of the pivots and one batched rank-1 `log_muladd` on a
+    (rows, columns, k-j, m-j) block, over the nodes with children.  A child
+    trades a column of D for one of P, so its S follows its parent's: the
+    least singular S has no singular ancestor and is flagged, and the logs
+    below a zero pivot, meaningless but in range, flag only later S.  The
+    witness is the flagged node with the largest key."""
     n, k = art.n, art.k
     if n > MINORS_BUDGET_N:
         raise TooLarge(f"n = {n} > {MINORS_BUDGET_N} for exhaustive minors")
@@ -478,26 +490,22 @@ def first_singular_minor(art: CodeArtifact) -> tuple[int, ...] | None:
         f = L[:, i] + (q1 // 2 - int(L[i, i])) % q1
         f[i] = zero
         L[:, i + 1:] = ctx.log_muladd(L[:, i + 1:], f, L[i, i + 1:])
-    P = L[:, k:]
-    best = None
-    for j in range(1, min(k, n - k) + 1):
-        # A precedes B in lexicographic order exactly when the least element
-        # of their symmetric difference lies in A, so complementing reverses
-        # the order: R in reverse order puts [k] \ R in lexicographic order
-        rows = np.array(list(combinations(range(k), j))[::-1], dtype=np.intp)
-        cols = np.array(list(combinations(range(n - k), j)), dtype=np.intp)
-        pairs = len(rows) * len(cols)
-        block = max(1, _BLOCK_ENTRIES // (j * j))
-        for lo in range(0, pairs, block):
-            r, c = np.divmod(np.arange(lo, min(lo + block, pairs)), len(cols))
-            singular = _singular_minors(ctx, P[rows[r][:, :, None], cols[c][:, None, :]])
-            if singular.any():
-                at = int(singular.argmax())
-                R = set(rows[r[at]].tolist())
-                S = (*(i for i in range(k) if i not in R), *(k + int(x) for x in cols[c[at]]))
-                best = S if best is None else min(best, S)
-                break
-    return best
+    m = n - k
+    block = np.flip(L[:, k:])[None, None]  # P', the root's Schur complement
+    best = 0
+    for j, (rp, r, cp, c, key) in enumerate(_minor_tree(k, m), 1):
+        # the parents' blocks start at row and column j-1
+        rp, r, c = rp[:, None], r[:, None] - (j - 1), c - (j - 1)
+        pivot = block[rp, cp, r, c]
+        singular = pivot == zero
+        if singular.any():
+            best = max(best, int(key[singular].max()))
+        if j < min(k, m):
+            rows, cols = comb(k - 1, j), comb(m - 1, j)
+            rp, r, cp, c = rp[:rows], r[:rows], cp[:cols], c[:cols]
+            f = block[rp, cp, 1:, c] + ((q1 // 2 - pivot[:rows, :cols]) % q1)[..., None]
+            block = ctx.log_muladd(block[rp, cp, 1:, 1:], f, block[rp, cp, r, 1:])
+    return tuple(i for i in range(n) if best >> (n - 1 - i) & 1) or None
 
 
 def check_mds_minors(art: CodeArtifact) -> bool:

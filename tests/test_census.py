@@ -139,9 +139,9 @@ def test_failed_spot_check_names_the_first_nonzero_power_sum(monkeypatch):
     _break_every_code(monkeypatch, lambda ctx, a, v: (a, [ctx.mul_v(v[0], ctx.g_val), *v[1:]]))
     with pytest.raises(SpotCheckFailed) as err:
         census_report(25, spot_check_bound=16)
-    # the failure named is that of the last tuple tried for the length
+    # the failure named is that of the first tuple tried for the length
     assert str(err.value) == ("claimed length n = 2 could not be realized: "
-                              "T5(t=1,e=0,k=2): constructed code is not self-dual (P_0 != 0)")
+                              "T1i(m=1,t=2): constructed code is not self-dual (P_0 != 0)")
 
 
 def test_failed_spot_check_names_p_1_for_a_moved_point(monkeypatch):

@@ -26,7 +26,7 @@ def run(capsys, *argv):
 EXIT_CODES = {
     "MdssdError": 2, "NonPrime": 2, "EvenCharacteristic": 2, "DegreeZero": 2,
     "MalformedArtifact": 2, "HypothesisViolated": 2, "UnsupportedTheorem": 2,
-    "EvenQ": 2,
+    "EvenQ": 2, "InvalidLambda": 2,
     "CannotCarryOut": 3, "FieldTooLarge": 3, "TooLargeToMaterialize": 3,
     "TooLargeToValidate": 3, "TooLarge": 3, "BudgetExceeded": 3,
     "NotEnoughCosets": 3, "ParityInfeasible": 3, "SquareConditionViolated": 3,

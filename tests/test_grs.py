@@ -19,6 +19,7 @@ from mdssd.constructions import build
 from mdssd.errors import (
     DimensionMismatch,
     DuplicatePoint,
+    InvalidLambda,
     MalformedArtifact,
     MdssdError,
     OddLength,
@@ -124,6 +125,19 @@ def test_assemble_grs_guards():
         assemble_self_dual_grs(EvalVector(ctx, (0, 1)), 0)
     with pytest.raises(DimensionMismatch):
         assemble_self_dual_grs(EvalVector(ctx, (0, 1), extended=True), 1)
+
+
+@pytest.mark.parametrize("lam", [None, 0, -1, 25, 2**64, 10**5000, 1.0, "1"],
+                         ids=["None", "0", "-1", "q", "2^64", "10^5000", "float", "str"])
+def test_plain_assembly_refuses_lambda_outside_the_field(lam):
+    ctx = make_field(5, 2)
+    a = EvalVector(ctx, (1, 2, 3, 4))
+    for assemble in (assemble_self_dual_grs, grs.self_dual_weights):
+        with pytest.raises(InvalidLambda, match=r"nonzero field element in \[1, 25\), got ") as err:
+            assemble(a, lam)
+        assert err.value.exit_code == 2
+    # the extended code takes no lambda
+    assert grs.self_dual_weights(EvalVector(ctx, (1, 2, 3), extended=True), None)
 
 
 def test_assemble_grs_square_condition_failure_names_index():

@@ -36,7 +36,12 @@ before the coset constructors and the hypothesis checks were merged,
   table; a mismatch names the rule;
 - `clauses` and `rejections_sha256`: the distinct clause texts, and a digest
   of the clause with which `validate` rejects each call of a brute-force grid
-  plus a few fixed invalid calls.  These texts reach the CLI's error JSON.
+  plus a few fixed invalid calls.  These texts reach the CLI's error JSON;
+- `minors`: the witness of `first_singular_minor`, per sweep q, for every
+  sweep artifact with n <= 16 and three seeded one-entry corruptions of
+  each, and, under "matrices", for seeded k x n matrices with k < n from the
+  generators of `test_verify.py`, recorded at commit c690e47, before the
+  minors scan became one tree of Schur complements.
 
 The grid is also the completeness check of the enumeration: the tuples it
 accepts with n <= n_max are exactly those `iter_valid_params` yields.
@@ -49,6 +54,7 @@ import hashlib
 import io
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +67,14 @@ from mdssd.constructions import THEOREMS, construct_from_params, iter_valid_para
 from mdssd.errors import HypothesisViolated
 from mdssd.field import _find_modulus, make_field
 from mdssd.grs import _canonical_parts, artifact_from_json, artifact_record, artifact_to_dict, to_json
+from mdssd.verify import first_singular_minor
+from test_verify import (
+    MINOR_FIELDS,
+    _grs_matrices,
+    _matrix_artifact,
+    _random_minor_matrix,
+    _zero_heavy_matrix,
+)
 
 LOCKED = json.loads((Path(__file__).parent / "locked_digests.json").read_text())
 
@@ -87,6 +101,9 @@ ENUMERATION_Q = (9, 25, 27, 49, 81, 121, 125, 169, 243, 289, 729, 6889, 22801)
 PRIOR_RULES_Q_MAX = 20_000
 PRIOR_RULES_PRIME_STRIDE = 10
 MODULI_Q_MAX = 1 << 20
+MINORS_N_MAX = 16
+MINORS_CORRUPTIONS = 3
+MINORS_MATRICES = 20
 FIELD_CASES = ((3, 1), (1009, 1), (3, 2), (5, 2), (7, 3), (3, 4), (5, 4), (17, 2),
                (83, 2), (151, 2), (3, 10), (3, 12), (5, 8), (1021, 2))
 GRID_FIELDS = ((3, 2), (5, 2), (7, 2), (3, 4), (13, 2), (3, 3), (13, 1))
@@ -135,6 +152,48 @@ def sweep_digests() -> list[list[str]]:
             art, trace = construct_from_params(ctx, pr)
             doc = to_json(artifact_to_dict(art, trace.to_dict()))
             out.append([f"q={q} {pr.label()}", _sha(doc)])
+    return out
+
+
+def _minors_line(name: str, ctx, G) -> str:
+    return f"{name} {first_singular_minor(_matrix_artifact(ctx, G))}"
+
+
+def minors_digests() -> dict[str, str]:
+    """Per sweep q, sha256 of one line "label witness" per artifact with
+    n <= MINORS_N_MAX, each followed by one line per seeded one-entry
+    corruption, which adds a random nonzero element to one entry; under
+    "matrices", sha256 of one line per seeded k x n matrix, 1 <= k < n <= 16
+    (GRS ones and their corruptions with n <= q), over MINOR_FIELDS."""
+    out = {}
+    for q in SWEEP_Q:
+        (p, d), = sympy.factorint(q).items()
+        ctx = make_field(p, d)
+        rng = random.Random(q)
+        lines = []
+        for pr in iter_valid_params(p, d, MINORS_N_MAX):
+            art, _ = construct_from_params(ctx, pr)
+            G = art.G.tolist()
+            lines.append(_minors_line(pr.label(), ctx, G))
+            for _ in range(MINORS_CORRUPTIONS):
+                r, c = rng.randrange(art.k), rng.randrange(art.n)
+                bad = [row[:] for row in G]
+                bad[r][c] = ctx.add_v(bad[r][c], rng.randrange(1, q))
+                lines.append(_minors_line(f"{pr.label()} G[{r}][{c}]", ctx, bad))
+        out[str(q)] = _sha("\n".join(lines))
+    lines = []
+    for p, d in MINOR_FIELDS:
+        ctx = make_field(p, d)
+        rng = random.Random(p * 100 + d)
+        for i in range(MINORS_MATRICES):
+            n = rng.randint(2, MINORS_N_MAX)
+            k = rng.randint(1, n - 1)
+            lines.append(_minors_line(f"{p},{d} random {i}", ctx, _random_minor_matrix(ctx, rng, k, n)))
+            lines.append(_minors_line(f"{p},{d} zeros {i}", ctx, _zero_heavy_matrix(ctx, rng, k, n)))
+            n = rng.randint(2, min(ctx.q, MINORS_N_MAX))
+            for j, G in enumerate(_grs_matrices(ctx, rng, rng.randint(1, n - 1), n)):
+                lines.append(_minors_line(f"{p},{d} grs {i}.{j}", ctx, G))
+    out["matrices"] = _sha("\n".join(lines))
     return out
 
 
@@ -278,6 +337,11 @@ def test_large_construct_output_writes_and_reads_back_as_its_lists(q, theorem, p
     doc, _ = _canonical_parts(text)
     art = artifact_from_json(text)
     assert to_json(artifact_to_dict(art, doc["trace"], doc["verification"])) + "\n" == text
+
+
+def test_minor_witnesses_match_locked_digests():
+    got, want = minors_digests(), LOCKED["minors"]
+    assert sorted(key for key in got.keys() | want.keys() if got.get(key) != want.get(key)) == []
 
 
 @pytest.mark.parametrize("q", ENUMERATION_Q)

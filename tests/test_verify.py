@@ -18,6 +18,7 @@ from mdssd.errors import DimensionMismatch, TooLarge
 from mdssd.field import make_field
 from mdssd.grs import CodeArtifact, EvalVector, ScalingVector, grs_generator_matrix
 from mdssd.verify import (
+    MINORS_BUDGET_N,
     VerificationReport,
     _grs_columns,
     _rank_is_k,
@@ -673,7 +674,8 @@ def test_minors_edge_shapes_match_scalar_oracle(p, d):
 
 @pytest.mark.parametrize("p,d", MINOR_FIELDS)
 def test_minors_in_small_blocks_match_scalar_oracle(p, d, monkeypatch):
-    # a few subsets per block: blocks are many, and the last one is partial
+    # the minors tree is not split into blocks: tiny blocks elsewhere must
+    # not change a witness
     import mdssd.verify as verify
 
     monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 20)
@@ -741,30 +743,36 @@ def test_minors_of_systematic_forms_match_scalar_oracle(p, d):
             assert singular == [((1, 3), (1, 3))]
 
 
-@pytest.mark.parametrize("p,d", [(3, 3), (151, 2)])
-def test_minors_with_every_size_in_several_chunks_match_scalar_oracle(p, d, monkeypatch):
+def _assert_minor_tree(k, n):
+    """The keys of all levels name each k-subset but (0, ..., k-1) once, each
+    node's parent is the kept node of R and C less their maxima, and no
+    level array exceeds _BLOCK_ENTRIES entries."""
     import mdssd.verify as verify
 
-    sizes = []
-    singular_minors = verify._singular_minors
+    m = n - k
+    keys, kept = [], np.array([[(1 << n) - (1 << m)]])
+    for j, (rp, r, cp, c, key) in enumerate(verify._minor_tree(k, m), 1):
+        assert (kept[rp[:, None], cp] == (key | (1 << (m + r))[:, None]) ^ (1 << c)).all()
+        rows, cols = np.count_nonzero(r < k - 1), np.count_nonzero(c < m - 1)
+        assert key.size <= verify._BLOCK_ENTRIES
+        assert rows * cols * (k - j) * (m - j) <= verify._BLOCK_ENTRIES
+        kept = key[:rows, :cols]
+        keys += key.ravel().tolist()
+    subsets = [sum(1 << (n - 1 - s) for s in S) for S in combinations(range(n), k)]
+    assert sorted(keys) == sorted(subsets[1:])
 
-    def recorded(ctx, M):
-        sizes.append(M.shape[1])
-        return singular_minors(ctx, M)
 
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 8)
-    monkeypatch.setattr(verify, "_singular_minors", recorded)
+@pytest.mark.parametrize("p,d", [(3, 3), (151, 2)])
+def test_minor_tree_names_every_subset_once_and_matches_scalar_oracle(p, d):
+    for n in range(1, MINORS_BUDGET_N + 1):
+        for k in range(1, n + 1):
+            _assert_minor_tree(k, n)
     ctx = make_field(p, d)
     k, n = 5, 10
     for _, G, _ in _systematic_cases(ctx, k, n):
         _assert_minors_match_oracle(ctx, G)
     for G in _grs_matrices(ctx, random.Random(p), k, n):
         _assert_minors_match_oracle(ctx, G)
-    # a fully nonsingular scan puts every size j = 1 .. 5 in several chunks
-    sizes.clear()
-    _assert_minors_match_oracle(ctx, _systematic_cases(ctx, k, n)[0][1])
-    assert all(sizes.count(j) > 1 for j in range(1, k + 1))
-    assert sorted(set(sizes)) == list(range(1, k + 1))
 
 
 def test_first_singular_minor_names_the_witness():
