@@ -131,7 +131,7 @@ class TooLargeToValidate(CannotCarryOut):
 
 class UnsupportedTheorem(MdssdError):
     def __init__(self, theorem: str):
-        super().__init__(f"no closed-form locator for construction {theorem!r}")
+        super().__init__(f"unknown construction {theorem!r}")
 
 
 # --- verification ---

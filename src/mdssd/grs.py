@@ -14,9 +14,9 @@ exactly when l is even, and the roots of 1/g^l are g^h and g^(h + (q-1)/2)
 with h = (-l mod (q-1))/2; the weight is the smaller encoding of the two.
 This log form is the one definition of the canonical root; `self_dual_weights`
 gives the weights alone, without G or the list of locators.  Row i of G has
-logs log v_j + i log a_j; `grs_rows` makes any set of such rows, for G,
-which is one read-only int64 array of shape (k, n), and for the power sums
-of census spot checks, which never hold G.
+logs log v_j + i log a_j; `grs_rows` makes any set of such rows from
+arrays of points and weights, for G, which is one read-only int64 array of
+shape (k, n), and for the power sums of `verify`, which never hold G.
 
 G's JSON text is written and read on arrays as well.  `to_json` writes an
 array under "G" from its decimal digits, byte for byte as `json.dumps`
@@ -61,10 +61,6 @@ class EvalVector:
     def is_distinct(self) -> bool:
         return len(set(self.points)) == len(self.points)
 
-    def require_distinct(self) -> None:
-        if not self.is_distinct():
-            raise DuplicatePoint()
-
 
 @dataclass(frozen=True)
 class ScalingVector:
@@ -102,10 +98,10 @@ class CodeArtifact:
         return self.a.n
 
 
-# Entries per row block (4 MB as 8-byte values) of the locator kernel and
-# of G here, and of the Gram, digit-plane, structure-test and minors blocks
-# in `verify`, so that their memory does not grow with n^2, d * k * n or
-# C(n, k).
+# Entries per row block (4 MB as 8-byte values) of the locator kernel, of
+# GRS rows (G's and those of the power sums in `verify`) and of G's JSON
+# text here, and of the Gram, digit-plane and structure-test blocks in
+# `verify`, so that their memory does not grow with n^2 or d * k * n.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -149,24 +145,24 @@ def all_locators(a: EvalVector) -> list[int]:
     return a.ctx.np_tables[0][_log_locators(a)].tolist()
 
 
-def grs_rows(a: EvalVector, weights):
+def grs_rows(ctx: FieldCtx, points: np.ndarray, weights: np.ndarray):
     """rows(exponents): for each exponent i of an int64 array, the row
-    v_j a_j^i over the finite points, for nonzero weights v, as one int64
-    array.  Row i has logs log v_j + i log a_j, and a zero point a_j holds
-    v_j at i = 0 and zero at i > 0.  Rows 0..k-1 are those of the generator
-    matrix of GRS_k(a, v); rows past k-1 serve the power sums of `verify`."""
-    ctx = a.ctx
+    v_j a_j^i, for int64 arrays of finite points a and nonzero weights v,
+    as one int64 array.  Row i has logs log v_j + i log a_j, and a zero
+    point a_j holds v_j at i = 0 and zero at i > 0.  Rows 0..k-1 are those
+    of the generator matrix of GRS_k(a, v); rows past k-1 serve the power
+    sums of `verify`."""
     exp, log = ctx.np_tables
-    points = np.array(a.points, dtype=np.int64)
-    log_a, log_v = log[points], log[np.array(weights, dtype=np.int64)]
-    zero_points = np.flatnonzero(points == 0)
+    log_a, log_v = log[points], log[weights]
+    zero_points = (points == 0).nonzero()[0]
 
     def rows(exponents: np.ndarray) -> np.ndarray:
         L = exponents[:, None] * log_a
         L += log_v
         L %= ctx.q - 1
         R = exp[L]
-        R[:, zero_points] *= exponents[:, None] == 0
+        if zero_points.size:
+            R[:, zero_points] *= exponents[:, None] == 0
         return R
 
     return rows
@@ -177,7 +173,8 @@ def _generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     the finite points, made in row blocks of about _BLOCK_ENTRIES entries,
     and, when a is extended, a last column that is zero except for a 1 in
     row k-1 (the x^{k-1} coefficient)."""
-    rows = grs_rows(a, v.weights)
+    rows = grs_rows(a.ctx, np.array(a.points, dtype=np.int64),
+                    np.array(v.weights, dtype=np.int64))
     G = np.zeros((k, a.n), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // a.n)
     for lo in range(0, k, step):
@@ -269,7 +266,8 @@ def _require_assemblable(a: EvalVector, lam: int | None) -> None:
         raise OddLength(a.n)
     if not a.extended and not (isinstance(lam, (int, np.integer)) and 0 < lam < a.ctx.q):
         raise InvalidLambda(lam, a.ctx.q)
-    a.require_distinct()
+    if not a.is_distinct():
+        raise DuplicatePoint()
 
 
 def _weights(a: EvalVector, lam: int | None, log_locs: np.ndarray) -> tuple[int, ...]:

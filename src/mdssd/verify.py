@@ -15,23 +15,23 @@ Structured columns with k pairwise distinct nodes form a scaled
 does elimination decide the rank.  For self-duality the columns split
 into the structured S and the rest B, and G G^T = G_S G_S^T + G_B G_B^T.
 G_S G_S^T is the Hankel matrix of the sums P_s = sum_{j in S} v_j^2 a_j^s
-(plus c^2 at s = 2k-2), and its rows 0 and k-1 hold every P_s.  One helper,
-`_power_sums`, computes them from GRS rows R_i = (v_j a_j^i)_j as
-P_{i+l} = R_i . R_l, in row blocks, and it has two sources of rows: here
-the structured columns of G, paired as rows {0, k-1} with rows 0..k-1; and
-in `power_sum_verdict`, for census spot checks, rows made from the logs of
-a and v, paired as about sqrt(2k) baby rows with as many giant rows.  That
-entry checks rank first, from pairwise distinct points and nonzero
-weights, and never builds G.  With B empty the code is self-dual exactly
-when they are zero; otherwise
-G_B G_B^T is compared with -P_{i+l}, row block by row block, in
-O(kn + k^2 |B|).  With S empty (k = 1, or no column of GRS form) that is
-the full Gram matrix.  When the rank is k and the code is not self-dual,
-the first nonzero entry of G G^T in row-major order is named.  When every
-finite column is structured with distinct nodes and the extended column is
-e_{k-1}, G generates GRS_k(a, v) with v = row 0, or its extension, and
-`verify_artifact` checks the stored v against row 0 and the stored a
-against the ratios, in O(n); otherwise the stored a and v are not read.
+(plus c^2 at s = 2k-2).  One engine, `_power_sums`, computes them from
+nodes and weights alone, as P_{i+l} = R_i . R_l over about sqrt(2k) baby
+and as many giant GRS rows R_i = (v_j a_j^i)_j, made anew in row blocks
+by `grs.grs_rows`.  Here each structured column hands it its node and
+v_j = G[0][j]; the structure test reads G on its own logs, never through
+`grs_rows`, which built G.  For census spot checks, `power_sum_verdict`
+hands it the code's (a, v), after checking rank from pairwise distinct
+points and nonzero weights, and never builds G.  With B empty the code is
+self-dual exactly when every P_s is zero; otherwise G_B G_B^T is compared
+with -P_{i+l}, row block by row block, in O(kn + k^2 |B|).  With S empty
+(k = 1, or no column of GRS form) that is the full Gram matrix.  When the
+rank is k and the code is not self-dual, the first nonzero entry of G G^T
+in row-major order is named.  When every finite column is structured with
+distinct nodes and the extended column is e_{k-1}, G generates
+GRS_k(a, v) with v = row 0, or its extension, and `verify_artifact`
+checks the stored v against row 0 and the stored a against the ratios, in
+O(n); otherwise the stored a and v are not read.
 
 The vectorized kernels are exact.  Products A B^T over F_q
 (`field_matmul_t`, behind both the power sums and the row-block Gram
@@ -81,7 +81,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, TooLarge
 from .field import FieldCtx
-from .grs import _BLOCK_ENTRIES, CodeArtifact, EvalVector, grs_rows
+from . import grs
+from .grs import _BLOCK_ENTRIES, CodeArtifact, EvalVector
 
 MINORS_BUDGET_N = 16
 DISTANCE_BUDGET = 1 << 22
@@ -171,7 +172,10 @@ def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
     for s in range(2 * d - 2, d - 1, -1):
         C[s - d:s] -= f * C[s]
         C[s - d:s] %= p
-    return np.tensordot(p ** np.arange(d, dtype=np.int64), C[:d], axes=1)
+    out = C[d - 1]
+    for s in range(d - 2, -1, -1):
+        out = out * p + C[s]
+    return out
 
 
 def _gram_witness(ctx: FieldCtx, G, P: np.ndarray | None = None) -> tuple[int, int] | None:
@@ -204,22 +208,31 @@ def _gram_witness(ctx: FieldCtx, G, P: np.ndarray | None = None) -> tuple[int, i
     return None
 
 
-def _power_sums(ctx: FieldCtx, count: int, left: tuple[np.ndarray, np.ndarray],
-                right) -> np.ndarray:
-    """P_0 .. P_{count-1}, as encodings, from GRS rows R_i[j] = v_j a_j^i:
-    P_{i+l} = R_i . R_l for the rows i of `left` and l of each block of
-    `right`, each given as (exponents, rows), whose sums must cover
-    0 .. count-1; larger sums are dropped.  Over finite points
-    R_i . R_l = sum_j v_j^2 a_j^(i+l) depends on i + l alone; a column at
-    infinity, c e_{k-1}, adds c^2 to R_{k-1} . R_{k-1} only, so with it
-    s = 2k-2 must come from that pair alone.  Each block of `right` meets
-    the rows of `left` in one `field_matmul_t`."""
-    i, L = left
-    P = np.empty(count, dtype=np.int64)
-    for l, R in right:
-        s = np.add.outer(i, l)
-        kept = s < count
-        P[s[kept]] = field_matmul_t(ctx, L, R)[kept]
+def _power_sums(ctx: FieldCtx, k: int, points: np.ndarray, weights: np.ndarray,
+                c: int) -> np.ndarray:
+    """P_0 .. P_{2k-2}, as encodings, the antidiagonal sums of G G^T for
+    the generator matrix G (not made) of GRS_k(a, v) on finite points a
+    with weights v, int64 arrays of encodings, and a column c e_{k-1} at
+    infinity when c != 0: P_s = sum_j v_j^2 a_j^s, plus c^2 at s = 2k-2.
+
+    With GRS rows R_i = (v_j a_j^i)_j (`grs.grs_rows`), P_{i+l} = R_i . R_l
+    depends on i + l alone, so the sums need only t baby rows i < t and
+    about 2k/t giant rows l = 0, t, 2t, ..., with t about sqrt(2k):
+    O(sqrt(k) n) entries instead of k n.  The rows come in the row blocks
+    of `grs`, as G's do: the baby rows hold at most half of
+    grs._BLOCK_ENTRIES, and each block of giant rows about that many
+    entries and one `field_matmul_t`."""
+    count, finite = 2 * k - 1, max(1, points.size)
+    t = max(1, min(isqrt(count - 1) + 1, grs._BLOCK_ENTRIES // (2 * finite)))
+    rows = grs.grs_rows(ctx, points, weights)
+    baby, giant = rows(np.arange(t)), np.arange(0, count, t)
+    step = max(1, grs._BLOCK_ENTRIES // finite)
+    # entry (i, l) of a block is P_{giant[l] + i}, so its transpose, read
+    # row by row, is the run of sums from the block's first giant row on
+    P = np.concatenate([field_matmul_t(ctx, baby, rows(giant[lo:lo + step])).T.ravel()
+                        for lo in range(0, giant.size, step)])[:count]
+    if c:
+        P[-1] = ctx.add_v(int(P[-1]), ctx.mul_v(c, c))
     return P
 
 
@@ -231,30 +244,17 @@ def power_sum_verdict(a: EvalVector, weights) -> tuple[bool, int | None]:
     The rank is checked first: with pairwise distinct points, infinity at
     most once, and nonzero weights, every k columns form a scaled
     (projective) Vandermonde matrix, so the rank is k (and the code MDS);
-    otherwise nothing is certified, (False, None).
-
-    The rows are made from the logs of a and v (`grs.grs_rows`), over the
-    finite points; locators, lambda and the families' closed forms are not
-    read, and G is never built.  Since P_s depends on s alone, the 2k - 1
-    sums need only t baby rows i < t and about 2k/t giant rows l = 0, t,
-    2t, ..., with t about sqrt(2k): O(sqrt(k) n) entries instead of k n.
-    t is cut so that the baby rows hold at most half of _BLOCK_ENTRIES, and
-    the giant rows are made in blocks of about _BLOCK_ENTRIES entries."""
+    otherwise nothing is certified, (False, None).  Locators, lambda and
+    the families' closed forms are not read, and G is never built
+    (`_power_sums`)."""
     k, finite = a.n // 2, len(a.points)
     if a.n != 2 * k or len(weights) != finite:
         raise DimensionMismatch(f"self-dual codes need n = 2k and len(v) = {finite}, "
                                 f"got n={a.n}, len(v)={len(weights)}")
     if k < 1 or not a.is_distinct() or 0 in weights:
         return False, None
-    count = 2 * k - 1
-    t = max(1, min(isqrt(count - 1) + 1, _BLOCK_ENTRIES // (2 * finite)))
-    rows = grs_rows(a, weights)
-    baby, giant = np.arange(t), np.arange(0, count, t)
-    step = max(1, _BLOCK_ENTRIES // finite)
-    blocks = (giant[lo:lo + step] for lo in range(0, giant.size, step))
-    P = _power_sums(a.ctx, count, (baby, rows(baby)), ((l, rows(l)) for l in blocks))
-    if a.extended:
-        P[-1] = a.ctx.add_v(int(P[-1]), 1)
+    P = _power_sums(a.ctx, k, np.array(a.points, dtype=np.int64),
+                    np.array(weights, dtype=np.int64), int(a.extended))
     nonzero = np.flatnonzero(P)
     return True, int(nonzero[0]) if nonzero.size else None
 
@@ -383,26 +383,26 @@ def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
     Self-duality, at rank k: split the columns into the structured S and
     the rest B, so G G^T = G_S G_S^T + G_B G_B^T.  G_S G_S^T is Hankel,
     with antidiagonal sums P_s = sum_{j in S} v_j^2 a_j^s, plus c^2 at
-    s = 2k-2 from the column at infinity, and its rows 0 and k-1 hold every
-    P_s (`_power_sums`); distinct nodes are not needed for this.  With B
-    empty the code is self-dual exactly when every P_s is zero, and the
-    first nonzero Gram entry is (0, s) for the least nonzero P_s with
-    s <= k-1, else (s-k+1, k-1).  Otherwise G_B G_B^T is compared with
-    -P_{i+l}, one row block at a time, in O(k^2 |B|) (`_gram_witness`);
+    s = 2k-2 from the column at infinity c e_{k-1}.  Each column proved
+    structured hands its node (the ratio) and v_j = G[0][j] to
+    `_power_sums`, so G_S is not read again; distinct nodes are not needed
+    for this.  With B empty the code is self-dual exactly when every P_s is
+    zero, and the first nonzero Gram entry is (0, s) for the least nonzero
+    P_s with s <= k-1, else (s-k+1, k-1).  Otherwise G_B G_B^T is compared
+    with -P_{i+l}, one row block at a time, in O(k^2 |B|) (`_gram_witness`);
     with S empty, that is the full Gram matrix."""
     ctx, k = art.ctx, art.k
     G = np.asarray(art.G, dtype=np.int64)
     structured, ratios = _grs_columns(art)
     finite = ratios.size
+    S, infinity = structured[:finite], art.a.extended and bool(structured[-1])
     seen = np.zeros(ctx.q, dtype=bool)
-    seen[ratios[structured[:finite]]] = True
+    seen[ratios[S]] = True
     nodes = np.count_nonzero(seen)
     whole = structured.all()
-    if nodes + structured[finite:].sum() < k and not _rank_is_k(art):
+    if nodes + infinity < k and not _rank_is_k(art):
         return False, False, None, None
-    S = G if whole else G[:, structured]
-    ends = np.array([0, k - 1])
-    P = _power_sums(ctx, 2 * k - 1, (ends, S[ends]), [(np.arange(k), S)])
+    P = _power_sums(ctx, k, ratios[S], G[0, :finite][S], int(G[-1, -1]) if infinity else 0)
     if not whole:
         witness = _gram_witness(ctx, G[:, ~structured], P)
     elif not P.any():

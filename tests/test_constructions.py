@@ -56,7 +56,7 @@ def test_validate_rejects_even_characteristic_and_nonprime():
 
 
 def test_unsupported_theorem():
-    with pytest.raises(UnsupportedTheorem):
+    with pytest.raises(UnsupportedTheorem, match="unknown construction 'T9'"):
         validate("T9", 3, 2, m=2, t=1)
 
 

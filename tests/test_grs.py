@@ -52,7 +52,7 @@ def test_eval_vector_basics():
     dup = EvalVector(ctx, (1, 1))
     assert not dup.is_distinct()
     with pytest.raises(DuplicatePoint):
-        dup.require_distinct()
+        assemble_self_dual_grs(dup, 1)
 
 
 def test_scaling_vector_rejects_zero_weight():

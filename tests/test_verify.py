@@ -1223,20 +1223,24 @@ def _grs_matrix_by_definition(ctx, points, weights, k, extended):
     return G
 
 
-def _verdict_on_G(art, G=None):
-    """(rank k, the least s with P_s nonzero, None when self-dual) as
-    `_self_dual_checks` finds them on G: the first nonzero Gram entry (i, l)
-    of a GRS matrix is on the antidiagonal s = i + l."""
-    rank_ok, self_dual, _, witness = _self_dual_checks(art if G is None else _with_G(art, G))
+def _verdict_on_G(art, G, witness_oracle):
+    """(rank k, the least s with P_s nonzero, None when self-dual) on G, by
+    elimination and the full Gram matrix (`_direct_checks`), which share no
+    code with the power sums, and the oracle's first nonzero Gram entry
+    (i, l): for a GRS matrix it is on the antidiagonal s = i + l."""
+    rank_ok, self_dual = _direct_checks(_with_G(art, G))
+    witness = None if self_dual or not rank_ok else witness_oracle(art.ctx, G)
     assert self_dual == (rank_ok and witness is None)
     return rank_ok, None if witness is None else sum(witness)
 
 
-def _assert_power_sums_match_G(art, points, weights, monkeypatch, G=None):
+def _assert_power_sums_match_G(art, points, weights, monkeypatch, G=None,
+                               witness_oracle=_oracle_gram_witness):
     """power_sum_verdict on (points, weights), in the default row blocks
-    and in blocks of 16 entries, against `_self_dual_checks` on the G of
-    these points and weights (by definition unless given).  A repeated point
-    or a zero weight is never certified."""
+    and in blocks of 16 entries, against elimination, the full Gram matrix
+    and the witness oracle on the G of these points and weights (by
+    definition unless given).  A repeated point or a zero weight is never
+    certified."""
     import mdssd.grs as grs
     import mdssd.verify as verify
 
@@ -1246,7 +1250,7 @@ def _assert_power_sums_match_G(art, points, weights, monkeypatch, G=None):
     else:
         if G is None:
             G = _grs_matrix_by_definition(art.ctx, points, weights, art.k, art.a.extended)
-        expected = _verdict_on_G(art, G)
+        expected = _verdict_on_G(art, G, witness_oracle)
         assert expected[0]
     for block_entries in (None, 16):
         with monkeypatch.context() as patch:
@@ -1324,8 +1328,8 @@ def test_power_sums_name_the_last_sum_of_an_extended_code(monkeypatch):
 def test_power_sums_match_G_on_large_codes(theorem, p, d, params, monkeypatch):
     art, _ = build(theorem, p, d, **params)
     G = np.asarray(art.G)
-    assert _assert_power_sums_match_G(art, art.a.points, art.v.weights, monkeypatch, G) \
-        == (True, None)
+    assert _assert_power_sums_match_G(art, art.a.points, art.v.weights, monkeypatch, G,
+                                      _gram_witness_by_product) == (True, None)
 
 
 @pytest.mark.parametrize("q", [83**2, 151**2])
@@ -1343,13 +1347,16 @@ def test_power_sums_match_G_on_the_census_spot_check_codes(q, monkeypatch):
         art, _ = build(theorem, p, d, **params)
         assert art.n == n
         assert _assert_power_sums_match_G(art, art.a.points, art.v.weights, monkeypatch,
-                                          np.asarray(art.G)) == (True, None)
+                                          np.asarray(art.G), _gram_witness_by_product) \
+            == (True, None)
 
 
-def test_power_sums_make_about_sqrt_k_rows_in_bounded_blocks(monkeypatch):
-    # T2 n = 1006, k = 503: 32 baby rows against 32 giant rows of the 1005
-    # finite points, where G has 503 rows; with 4096-entry blocks, 2 baby
-    # rows against blocks of 4 giant rows, none above the block size
+def _assert_about_sqrt_k_rows_in_bounded_blocks(monkeypatch, certifies):
+    """T2 n = 1006, k = 503: 32 baby rows against 32 giant rows of the 1005
+    finite points, where G has 503 rows; with 4096-entry blocks, 2 baby
+    rows against blocks of 4 giant rows, none above the block size.
+    `certifies(art)` runs the check and says whether it certified the
+    code."""
     import mdssd.grs as grs
     import mdssd.verify as verify
 
@@ -1362,11 +1369,23 @@ def test_power_sums_make_about_sqrt_k_rows_in_bounded_blocks(monkeypatch):
         return real(ctx, A, B)
 
     monkeypatch.setattr(verify, "field_matmul_t", recorded)
-    assert power_sum_verdict(art.a, art.v.weights) == (True, None)
+    assert certifies(art)
     assert shapes == [((32, 1005), (32, 1005))]
     shapes.clear()
     for module in (verify, grs):
         monkeypatch.setattr(module, "_BLOCK_ENTRIES", 4096)
-    assert power_sum_verdict(art.a, art.v.weights) == (True, None)
+    assert certifies(art)
     assert {A for A, _ in shapes} == {(2, 1005)} and len(shapes) == 126
     assert max(B[0] for _, B in shapes) * 1005 <= 4096
+
+
+def test_power_sums_make_about_sqrt_k_rows_in_bounded_blocks(monkeypatch):
+    _assert_about_sqrt_k_rows_in_bounded_blocks(
+        monkeypatch, lambda art: power_sum_verdict(art.a, art.v.weights) == (True, None))
+
+
+def test_self_dual_checks_make_about_sqrt_k_rows_in_bounded_blocks(monkeypatch):
+    # G's structured columns hand their nodes and weights to the same power
+    # sums, so no product reads G's 503 rows
+    _assert_about_sqrt_k_rows_in_bounded_blocks(
+        monkeypatch, lambda art: _self_dual_checks(art)[:2] == (True, True))
