@@ -19,7 +19,7 @@ self-dual.  A spot check reads only the code's (a, v), and never holds G:
 no construction trace, and `verify.power_sum_verdict` certifies rank k from
 pairwise distinct points and nonzero weights, then self-duality from the
 power sums P_s = sum_j v_j^2 a_j^s (P_{n-2} = -1 for the extended code),
-computed from GRS rows made from the logs of (a, v) one row block at a time.
+computed from two slabs of about sqrt(2k) GRS rows made from (a, v).
 A failed spot check names the first power sum that is off.
 """
 

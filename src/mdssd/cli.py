@@ -99,11 +99,8 @@ def cmd_field_info(args) -> int:
 
 def cmd_construct(args) -> int:
     p, d = _resolve_pd(args)
-    kw = {}
-    for key, dest in (("m", "m"), ("t", "t"), ("s", "s"), ("e", "e"), ("k", "k_sub")):
-        val = getattr(args, key)
-        if val is not None:
-            kw[dest] = val
+    kw = {key: getattr(args, key) for key in ("m", "t", "s", "e", "k_sub")
+          if getattr(args, key) is not None}
     art, trace = build(args.theorem, p, d, **kw)
     report = verify_artifact(art, mds=not args.no_mds)
     _emit(artifact_record(art, trace.to_dict(), report.to_dict()), args.out)
@@ -171,7 +168,8 @@ def make_parser() -> argparse.ArgumentParser:
     co.add_argument("--t", type=int)
     co.add_argument("--s", type=int)
     co.add_argument("--e", type=int)
-    co.add_argument("--k", type=int, help="subfield degree (family 5)")
+    co.add_argument("--k", type=int, dest="k_sub", metavar="K",
+                    help="subfield degree (family 5)")
     co.add_argument("--no-mds", action="store_true",
                     help="skip the MDS checks in the embedded report")
     co.add_argument("--out", help="write the artifact here instead of stdout")

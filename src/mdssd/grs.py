@@ -98,10 +98,11 @@ class CodeArtifact:
         return self.a.n
 
 
-# Entries per row block (4 MB as 8-byte values) of the locator kernel, of
-# GRS rows (G's and those of the power sums in `verify`) and of G's JSON
-# text here, and of the Gram, digit-plane and structure-test blocks in
-# `verify`, so that their memory does not grow with n^2 or d * k * n.
+# The one block size, in entries (4 MB as int64), so that no working set
+# grows with n^2 or d k n.  Read at call time by the locator kernel, G's
+# rows and G's JSON text here, and by the digit-plane, Gram, structure-test
+# and codeword blocks of `verify`; not by its power sums, whose two slabs
+# of about sqrt(2k) rows stay far below G.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -173,6 +174,9 @@ def _generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     the finite points, made in row blocks of about _BLOCK_ENTRIES entries,
     and, when a is extended, a last column that is zero except for a 1 in
     row k-1 (the x^{k-1} coefficient)."""
+    if len(v.weights) != len(a.points) or not 1 <= k <= a.n:
+        raise DimensionMismatch(f"need len(v) = len(a.points) and 1 <= k <= n, "
+                                f"got n={a.n}, len(v)={len(v.weights)}, k={k}")
     rows = grs_rows(a.ctx, np.array(a.points, dtype=np.int64),
                     np.array(v.weights, dtype=np.int64))
     G = np.zeros((k, a.n), dtype=np.int64)
@@ -189,9 +193,6 @@ def grs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     """Row i holds v_j * a_j^i, 0 <= i < k, as a read-only (k, n) array."""
     if a.extended:
         raise DimensionMismatch("use xgrs_generator_matrix for extended codes")
-    n = len(a.points)
-    if len(v.weights) != n or not 1 <= k <= n:
-        raise DimensionMismatch(f"need len(v) = n and 1 <= k <= n, got n={n}, k={k}")
     return _generator_matrix(a, v, k)
 
 
@@ -200,9 +201,6 @@ def xgrs_generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray
     is zero except for a 1 in row k-1 (the x^{k-1} coefficient)."""
     if not a.extended:
         raise DimensionMismatch("evaluation vector is not marked extended")
-    n = a.n
-    if len(v.weights) != n - 1 or not 1 <= k <= n:
-        raise DimensionMismatch(f"need len(v) = n-1 and 1 <= k <= n, got n={n}, k={k}")
     return _generator_matrix(a, v, k)
 
 

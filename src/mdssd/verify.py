@@ -16,29 +16,30 @@ does elimination decide the rank.  For self-duality the columns split
 into the structured S and the rest B, and G G^T = G_S G_S^T + G_B G_B^T.
 G_S G_S^T is the Hankel matrix of the sums P_s = sum_{j in S} v_j^2 a_j^s
 (plus c^2 at s = 2k-2).  One engine, `_power_sums`, computes them from
-nodes and weights alone, as P_{i+l} = R_i . R_l over about sqrt(2k) baby
-and as many giant GRS rows R_i = (v_j a_j^i)_j, made anew in row blocks
-by `grs.grs_rows`.  Here each structured column hands it its node and
-v_j = G[0][j]; the structure test reads G on its own logs, never through
-`grs_rows`, which built G.  For census spot checks, `power_sum_verdict`
-hands it the code's (a, v), after checking rank from pairwise distinct
-points and nonzero weights, and never builds G.  With B empty the code is
-self-dual exactly when every P_s is zero; otherwise G_B G_B^T is compared
-with -P_{i+l}, row block by row block, in O(kn + k^2 |B|).  With S empty
-(k = 1, or no column of GRS form) that is the full Gram matrix.  When the
-rank is k and the code is not self-dual, the first nonzero entry of G G^T
-in row-major order is named.  When every finite column is structured with
-distinct nodes and the extended column is e_{k-1}, G generates
-GRS_k(a, v) with v = row 0, or its extension, and `verify_artifact`
-checks the stored v against row 0 and the stored a against the ratios, in
-O(n); otherwise the stored a and v are not read.
+nodes and weights alone, as P_{i+l} = R_i . R_l of two slabs of about
+sqrt(2k) GRS rows R_i = (v_j a_j^i)_j, baby and giant, made anew by
+`grs.grs_rows`: one product, no block size.  Here each structured column
+hands it its node and v_j = G[0][j]; the structure test reads G on its
+own logs, never through `grs_rows`, which built G.  For census spot
+checks, `power_sum_verdict` hands it the code's (a, v), after checking
+rank from pairwise distinct points and nonzero weights, and never builds
+G.  With B empty the code is self-dual exactly when every P_s is zero;
+otherwise G_B G_B^T is compared with -P_{i+l}, row block by row block, in
+O(kn + k^2 |B|).  With S empty (k = 1, or no column of GRS form) that is
+the full Gram matrix.  When the rank is k and the code is not self-dual,
+the first nonzero entry of G G^T in row-major order is named.  When every
+finite column is structured with distinct nodes and the extended column is
+e_{k-1}, G generates GRS_k(a, v) with v = row 0, or its extension, and
+`verify_artifact` checks the stored v against row 0 and the stored a
+against the ratios, in O(n); otherwise the stored a and v are not read.
 
 The vectorized kernels are exact.  Products A B^T over F_q
 (`field_matmul_t`, behind both the power sums and the row-block Gram
 check) are computed over the integers from the base-p digit planes by
 float64 BLAS products, with the columns taken in chunks small enough that
 every float64 sum stays below 2^53, then reduced mod p and mod the field
-modulus.  Rank, minors and codeword enumeration work on int32 logarithms to
+modulus.  Every block here is sized by `grs._BLOCK_ENTRIES`, read at call
+time.  Rank, minors and codeword enumeration work on int32 logarithms to
 the base g, with the sentinel Z = 5(q-1), well away from [0, q-1), standing
 for zero.  Every update they make is one call of the fused kernel
 `FieldCtx.log_muladd`, A <- A + F (x) R, which allows leading batch axes.
@@ -82,7 +83,7 @@ import numpy as np
 from .errors import DimensionMismatch, TooLarge
 from .field import FieldCtx
 from . import grs
-from .grs import _BLOCK_ENTRIES, CodeArtifact, EvalVector
+from .grs import CodeArtifact, EvalVector
 
 MINORS_BUDGET_N = 16
 DISTANCE_BUDGET = 1 << 22
@@ -151,13 +152,13 @@ def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
     of m <= (2^53 - 1) / (p-1)^2: every float64 partial sum is then an exact
     integer.  C is reduced mod p after each chunk, so it stays below
     p + d * 2^53 < 2^63.  The chunks are also narrow enough that the planes
-    of B hold about _BLOCK_ENTRIES entries."""
+    of B hold about grs._BLOCK_ENTRIES entries."""
     p, d = ctx.p, ctx.d
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     n = A.shape[1]
     chunk = min((_EXACT_FLOAT - 1) // (p - 1) ** 2,
-                max(1, _BLOCK_ENTRIES // (d * max(len(A), len(B)))))
+                max(1, grs._BLOCK_ENTRIES // (d * max(len(A), len(B)))))
     C = np.zeros((2 * d - 1, len(A), len(B)), dtype=np.int64)
     for lo in range(0, n, chunk):
         planes_a, planes_b = (_digit_planes(M[:, lo:lo + chunk], p, d) for M in (A, B))
@@ -178,13 +179,13 @@ def field_matmul_t(ctx: FieldCtx, A, B) -> np.ndarray:
     return out
 
 
-def _gram_witness(ctx: FieldCtx, G, P: np.ndarray | None = None) -> tuple[int, int] | None:
+def _gram_witness(ctx: FieldCtx, G, P: np.ndarray) -> tuple[int, int] | None:
     """The first (i, l), in row-major order, where G G^T + H is nonzero, H
-    the Hankel matrix H[i][l] = P[i + l] of the 2k - 1 encodings P (zero
-    when P is None); None when G G^T = -H.
+    the Hankel matrix H[i][l] = P[i + l] of the 2k - 1 encodings P; None
+    when G G^T = -H.
 
     Rows are computed in blocks, so that the (2d - 1)-plane accumulator of
-    `field_matmul_t` holds about _BLOCK_ENTRIES entries, each from its
+    `field_matmul_t` holds about grs._BLOCK_ENTRIES entries, each from its
     diagonal rightwards.  G G^T + H is symmetric: when the blocks above
     are zero right of their diagonals, their rows are zero, so is every
     entry left of the next block's diagonal, and that block's first nonzero
@@ -192,12 +193,10 @@ def _gram_witness(ctx: FieldCtx, G, P: np.ndarray | None = None) -> tuple[int, i
     the check."""
     G = np.asarray(G, dtype=np.int64)
     k = len(G)
-    target = np.zeros(2 * k - 1, dtype=np.int64)
-    if P is not None:
-        exp, log = ctx.np_tables
-        q1 = ctx.q - 1
-        target = np.where(P != 0, exp[(log[P] + q1 // 2) % q1], 0)  # -P
-    rows = max(1, _BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
+    exp, log = ctx.np_tables
+    q1 = ctx.q - 1
+    target = np.where(P != 0, exp[(log[P] + q1 // 2) % q1], 0)  # -P
+    rows = max(1, grs._BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
     for top in range(0, k, rows):
         block = field_matmul_t(ctx, G[top:top + rows], G[top:])
         i, l = np.ogrid[:len(block), :k - top]
@@ -216,21 +215,16 @@ def _power_sums(ctx: FieldCtx, k: int, points: np.ndarray, weights: np.ndarray,
     infinity when c != 0: P_s = sum_j v_j^2 a_j^s, plus c^2 at s = 2k-2.
 
     With GRS rows R_i = (v_j a_j^i)_j (`grs.grs_rows`), P_{i+l} = R_i . R_l
-    depends on i + l alone, so the sums need only t baby rows i < t and
-    about 2k/t giant rows l = 0, t, 2t, ..., with t about sqrt(2k):
-    O(sqrt(k) n) entries instead of k n.  The rows come in the row blocks
-    of `grs`, as G's do: the baby rows hold at most half of
-    grs._BLOCK_ENTRIES, and each block of giant rows about that many
-    entries and one `field_matmul_t`."""
-    count, finite = 2 * k - 1, max(1, points.size)
-    t = max(1, min(isqrt(count - 1) + 1, grs._BLOCK_ENTRIES // (2 * finite)))
+    depends on i + l alone, so the sums need only the t = isqrt(2k-2) + 1
+    baby rows i < t and the giant rows l = 0, t, 2t, ... below 2k - 1, at
+    most t of them as t^2 >= 2k - 1: one `field_matmul_t` of two t-row
+    slabs, 2 t n entries instead of G's k n, and no block size."""
+    count = 2 * k - 1
+    t = isqrt(count - 1) + 1
     rows = grs.grs_rows(ctx, points, weights)
-    baby, giant = rows(np.arange(t)), np.arange(0, count, t)
-    step = max(1, grs._BLOCK_ENTRIES // finite)
-    # entry (i, l) of a block is P_{giant[l] + i}, so its transpose, read
-    # row by row, is the run of sums from the block's first giant row on
-    P = np.concatenate([field_matmul_t(ctx, baby, rows(giant[lo:lo + step])).T.ravel()
-                        for lo in range(0, giant.size, step)])[:count]
+    # entry (i, l) of the product is P_{lt + i}, so its transpose, read row
+    # by row, is the run of sums from P_0 on
+    P = field_matmul_t(ctx, rows(np.arange(t)), rows(np.arange(0, count, t))).T.ravel()[:count]
     if c:
         P[-1] = ctx.add_v(int(P[-1]), ctx.mul_v(c, c))
     return P
@@ -262,7 +256,7 @@ def power_sum_verdict(a: EvalVector, weights) -> tuple[bool, int | None]:
 def gram_is_zero(ctx: FieldCtx, G) -> bool:
     """True iff G * G^T is the zero matrix, computed exactly by
     `field_matmul_t`, one row block at a time (`_gram_witness`)."""
-    return _gram_witness(ctx, G) is None
+    return _gram_witness(ctx, G, np.zeros(2 * len(G) - 1, dtype=np.int64)) is None
 
 
 def _grs_columns(art: CodeArtifact) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +271,7 @@ def _grs_columns(art: CodeArtifact) -> tuple[np.ndarray, np.ndarray]:
     read the a_j from.
 
     The recurrence is tested on int32 logs in row blocks of about
-    _BLOCK_ENTRIES entries: log G[i+1][j] must be log G[i][j] + log a_j
+    grs._BLOCK_ENTRIES entries: log G[i+1][j] must be log G[i][j] + log a_j
     mod q-1, which by induction from a nonzero G[0][j] keeps every entry of
     the column nonzero, and a column with a_j = 0 must be zero below
     row 0.  A mismatch anywhere in a column marks that column alone."""
@@ -295,7 +289,7 @@ def _grs_columns(art: CodeArtifact) -> tuple[np.ndarray, np.ndarray]:
     nonzero = L[1] != zero
     log_a = (L[1] - L[0]) % q1
     ratios = np.where(nonzero, ctx.np_tables[0][log_a], 0)
-    rows = max(1, _BLOCK_ENTRIES // finite)
+    rows = max(1, grs._BLOCK_ENTRIES // finite)
     for lo in range(0, k - 1, rows):
         L = _logs(ctx, G[lo:min(lo + rows, k - 1) + 1, :finite])
         broken |= (np.where(nonzero, (L[:-1] + log_a) % q1, zero) != L[1:]).any(axis=0)
@@ -526,7 +520,7 @@ def min_distance(art: CodeArtifact) -> int:
         raise TooLarge(f"q^k = {total} > {DISTANCE_BUDGET} for codeword enumeration")
     LG = _logs(ctx, np.asarray(art.G, dtype=np.int64))
     best = n + 1
-    chunk = 1 << 16
+    chunk = max(1, grs._BLOCK_ENTRIES // n)
     for lead in range(k):
         count = q**lead
         for start in range(0, count, chunk):

@@ -118,6 +118,30 @@ def test_spot_check_lets_programming_errors_through(monkeypatch):
         census_report(25, spot_check_bound=16)
 
 
+def test_spot_check_skips_a_tuple_that_cannot_be_constructed(monkeypatch):
+    import mdssd.census as census
+    from mdssd.errors import ParityInfeasible, SpotCheckFailed
+
+    real = census._points_and_weights
+    refused = {"T1i(m=1,t=2)"}
+
+    def refusing(ctx, params):
+        if params.label() in refused:
+            raise ParityInfeasible(f"refused {params.label()}")
+        return real(ctx, params)
+
+    monkeypatch.setattr(census, "_points_and_weights", refusing)
+    # n = 2 tries T1i(m=1,t=2) first; the next tuple witnesses the length
+    assert census_report(25, spot_check_bound=2).spot_checks == {2: "ok:T1i(m=2,t=1)"}
+    refused |= {"T1i(m=2,t=1)", "T5(t=1,e=0,k=1)", "T5(t=1,e=0,k=2)"}
+    with pytest.raises(SpotCheckFailed) as err:
+        census_report(25, spot_check_bound=2)
+    # every tuple raised: the failure named is the first tuple's error
+    assert str(err.value) == (
+        "claimed length n = 2 could not be realized: T1i(m=1,t=2): "
+        "no representative set with the required parity: refused T1i(m=1,t=2)")
+
+
 def _break_every_code(monkeypatch, change):
     """Make every spot check judge (a, v) after `change(ctx, points, weights)`."""
     import mdssd.census as census

@@ -187,6 +187,18 @@ def test_verify_corrupted_artifact_exit_4(tmp_path, capsys):
     assert "failed" in err
 
 
+def test_verify_well_formed_artifact_with_n_not_2k_exit_4(artifact_doc, tmp_path, capsys):
+    # a [5, 2] artifact loads, then fails verification: no self-dual code
+    # has n != 2k
+    doc = {**artifact_doc, "n": 5, "k": 2, "construction": {"label": "grs", "extended": False},
+           "a": [1, 2, 3, 4, 5], "v": [1] * 5, "G": [[1] * 5, [1, 2, 3, 4, 5]]}
+    path = tmp_path / "art.json"
+    path.write_text(json.dumps(doc))
+    code, rep, err = run(capsys, "verify", "--in", str(path))
+    message = "self-dual codes need n = 2k, got n=5, k=2"
+    assert (code, rep, err) == (4, {"error": message}, message + "\n")
+
+
 def test_verify_truncated_json_exit_2(tmp_path, capsys):
     bad = tmp_path / "trunc.json"
     bad.write_text('{"q": 9, "p": 3,')

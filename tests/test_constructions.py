@@ -144,6 +144,10 @@ def test_select_coset_reps_parity_infeasible():
     # stride 2, m 2: the even-index scan revisits the same coset immediately
     with pytest.raises(ParityInfeasible):
         select_coset_reps(ctx, 2, 2, 2, "all_even")
+    # two cosets in all, so a third index never comes, whatever its parity
+    for parity, want in (("A_even", 0), ("A_odd", 1)):
+        with pytest.raises(ParityInfeasible, match=rf"no final index gives A ≡ {want} \(mod 2\)"):
+            select_coset_reps(ctx, 2, 2, 3, parity)
 
 
 def test_select_coset_reps_exhaustion():

@@ -82,6 +82,24 @@ def test_extended_matrix_final_column():
         grs_generator_matrix(a, v, 2)
 
 
+def test_generator_matrices_refuse_the_wrong_flag_len_v_or_k():
+    # each function checks its extended flag; len(v) = len(a.points) and
+    # 1 <= k <= n are checked once, for both
+    ctx = make_field(3, 2)
+    plain = EvalVector(ctx, (1, 2, 3, 4))
+    with pytest.raises(DimensionMismatch, match="not marked extended"):
+        xgrs_generator_matrix(plain, ScalingVector(ctx, (1,) * 4), 2)
+    with pytest.raises(DimensionMismatch, match="needs the extended flag set"):
+        assemble_self_dual_xgrs(plain)
+    for a, make in ((plain, grs_generator_matrix),
+                    (EvalVector(ctx, (1, 2, 3), extended=True), xgrs_generator_matrix)):
+        finite = len(a.points)
+        for count, k in ((finite - 1, 2), (finite + 1, 2), (finite, 0), (finite, a.n + 1)):
+            with pytest.raises(DimensionMismatch, match=r"need len\(v\)"):
+                make(a, ScalingVector(ctx, (1,) * count), k)
+        assert make(a, ScalingVector(ctx, (1,) * finite), a.n).shape == (a.n, a.n)
+
+
 def test_locator_brute_force_small():
     ctx = make_field(7, 1)
     a = EvalVector(ctx, (1, 2, 4))
@@ -234,6 +252,10 @@ def test_artifact_from_dict_g_is_a_read_only_k_by_n_array():
     back = artifact_from_dict(artifact_to_dict(art))
     assert back.G.shape == (3, 6) and back.G.dtype == np.int64
     assert not back.G.flags.writeable and back.G.tolist() == art.G.tolist()
+    doc = artifact_to_dict(art)
+    for G in (art.G.astype(np.int32), art.G[:2], art.G.T):
+        with pytest.raises(MalformedArtifact, match=re.escape("G must be a (3, 6) int64 array")):
+            artifact_from_dict({**doc, "G": G})
 
 
 def _with_g(ctx, G):

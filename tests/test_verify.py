@@ -68,6 +68,18 @@ def test_check_self_dual_rejects_wrong_shape():
     art = _plain_artifact(ctx, (1, 2, 3), (1, 1, 1), 2)
     with pytest.raises(DimensionMismatch):
         check_self_dual(art)
+    # n = 2k, but G is not (k, n)
+    art = _plain_artifact(ctx, (1, 2, 3, 4), (1, 1, 1, 1), 2)
+    for G in (np.asarray(art.G)[:, :3], np.asarray(art.G)[:1]):
+        with pytest.raises(DimensionMismatch, match=r"does not match \(k, n\)"):
+            check_self_dual(_with_G(art, G))
+
+
+def test_power_sum_verdict_refuses_odd_n_and_a_weight_count_off_len_a():
+    ctx = make_field(7, 1)
+    for points, weights in (((1, 2, 3), (1, 1, 1)), ((1, 2, 3, 4), (1, 1, 1))):
+        with pytest.raises(DimensionMismatch, match="self-dual codes need n = 2k"):
+            power_sum_verdict(EvalVector(ctx, points), weights)
 
 
 def test_check_self_dual_rejects_non_self_dual():
@@ -440,9 +452,9 @@ def test_rank_is_k_matches_scalar_oracle(p, d):
 def test_gram_in_small_blocks_matches_scalar_oracle(p, d, monkeypatch):
     # blocks of a few entries split every Gram check into many row blocks
     # and column chunks
-    import mdssd.verify as verify
+    import mdssd.grs as grs
 
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 40)
+    monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 40)
     ctx = make_field(p, d)
     rng = random.Random(p * 100 + d)
     for k in (2, 4, 6):
@@ -500,10 +512,10 @@ def test_field_matmul_t_matches_scalar_oracle(p, d, block_entries, monkeypatch):
     # 8-entry blocks put the columns of every product into several chunks;
     # 1021^2 and 3^12, near the table budget, and entries at and near q - 1
     # test the digit split at the top of its range
-    import mdssd.verify as verify
+    import mdssd.grs as grs
 
     if block_entries:
-        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(grs, "_BLOCK_ENTRIES", block_entries)
     ctx = make_field(p, d)
     rng = random.Random(p * 100 + d + 2)
     for _ in range(10):
@@ -676,9 +688,9 @@ def test_minors_edge_shapes_match_scalar_oracle(p, d):
 def test_minors_in_small_blocks_match_scalar_oracle(p, d, monkeypatch):
     # the minors tree is not split into blocks: tiny blocks elsewhere must
     # not change a witness
-    import mdssd.verify as verify
+    import mdssd.grs as grs
 
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 20)
+    monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 20)
     ctx = make_field(p, d)
     rng = random.Random(p * 100 + d)
     for _ in range(10):
@@ -746,7 +758,8 @@ def test_minors_of_systematic_forms_match_scalar_oracle(p, d):
 def _assert_minor_tree(k, n):
     """The keys of all levels name each k-subset but (0, ..., k-1) once, each
     node's parent is the kept node of R and C less their maxima, and no
-    level array exceeds _BLOCK_ENTRIES entries."""
+    level array exceeds grs._BLOCK_ENTRIES entries."""
+    import mdssd.grs as grs
     import mdssd.verify as verify
 
     m = n - k
@@ -754,8 +767,8 @@ def _assert_minor_tree(k, n):
     for j, (rp, r, cp, c, key) in enumerate(verify._minor_tree(k, m), 1):
         assert (kept[rp[:, None], cp] == (key | (1 << (m + r))[:, None]) ^ (1 << c)).all()
         rows, cols = np.count_nonzero(r < k - 1), np.count_nonzero(c < m - 1)
-        assert key.size <= verify._BLOCK_ENTRIES
-        assert rows * cols * (k - j) * (m - j) <= verify._BLOCK_ENTRIES
+        assert key.size <= grs._BLOCK_ENTRIES
+        assert rows * cols * (k - j) * (m - j) <= grs._BLOCK_ENTRIES
         kept = key[:rows, :cols]
         keys += key.ravel().tolist()
     subsets = [sum(1 << (n - 1 - s) for s in S) for S in combinations(range(n), k)]
@@ -1001,12 +1014,12 @@ def test_self_dual_checks_match_direct_on_large_codes(theorem, p, d, params):
 @pytest.mark.parametrize("p,d", [(3, 2), (13, 2)])
 def test_structure_in_small_row_blocks_matches_direct(p, d, monkeypatch):
     # 16-entry blocks test the recurrence a row or two at a time
-    import mdssd.verify as verify
+    import mdssd.grs as grs
 
     arts = _sweep_artifacts(p, d, 16)
     assert max(art.k for art in arts) >= 4
     expected = [_assert_structure_matches_direct(art) for art in arts]
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16)
+    monkeypatch.setattr(grs, "_BLOCK_ENTRIES", 16)
     assert [_assert_structure_matches_direct(art) for art in arts] == expected
 
 
@@ -1120,7 +1133,7 @@ def _assert_column_certificate(art, rng, monkeypatch, witness_oracle=_oracle_gra
     entry; the same in row blocks of 16 entries.  The ratios come exactly
     when the scalar oracle finds all of G GRS, with distinct nodes and
     e_{k-1}, and are its points."""
-    import mdssd.verify as verify
+    import mdssd.grs as grs
 
     for name, G in _corrupted_copies(art, rng):
         copy = _with_G(art, G)
@@ -1131,7 +1144,7 @@ def _assert_column_certificate(art, rng, monkeypatch, witness_oracle=_oracle_gra
         for block_entries in (None, 16):
             with monkeypatch.context() as patch:
                 if block_entries:
-                    patch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
+                    patch.setattr(grs, "_BLOCK_ENTRIES", block_entries)
                 checks = _self_dual_checks(copy)
             assert checks[:2] == (rank_ok, self_dual), (name, block_entries)
             assert checks[3] == witness, (name, block_entries)
@@ -1242,7 +1255,6 @@ def _assert_power_sums_match_G(art, points, weights, monkeypatch, G=None,
     definition unless given).  A repeated point or a zero weight is never
     certified."""
     import mdssd.grs as grs
-    import mdssd.verify as verify
 
     a = EvalVector(art.ctx, tuple(points), art.a.extended)
     if len(set(points)) < len(points) or 0 in weights:
@@ -1255,7 +1267,6 @@ def _assert_power_sums_match_G(art, points, weights, monkeypatch, G=None,
     for block_entries in (None, 16):
         with monkeypatch.context() as patch:
             if block_entries:
-                patch.setattr(verify, "_BLOCK_ENTRIES", block_entries)
                 patch.setattr(grs, "_BLOCK_ENTRIES", block_entries)
             assert power_sum_verdict(a, weights) == expected, (points, weights, block_entries)
     return expected
@@ -1352,11 +1363,11 @@ def test_power_sums_match_G_on_the_census_spot_check_codes(q, monkeypatch):
 
 
 def _assert_about_sqrt_k_rows_in_bounded_blocks(monkeypatch, certifies):
-    """T2 n = 1006, k = 503: 32 baby rows against 32 giant rows of the 1005
-    finite points, where G has 503 rows; with 4096-entry blocks, 2 baby
-    rows against blocks of 4 giant rows, none above the block size.
-    `certifies(art)` runs the check and says whether it certified the
-    code."""
+    """T2 n = 1006, k = 503: one product of 32 baby rows against 32 giant
+    rows of the 1005 finite points, where G has 503 rows, at the default
+    block size and at 4096 entries alike: the power sums read no block
+    size.  `certifies(art)` runs the check and says whether it certified
+    the code."""
     import mdssd.grs as grs
     import mdssd.verify as verify
 
@@ -1369,14 +1380,12 @@ def _assert_about_sqrt_k_rows_in_bounded_blocks(monkeypatch, certifies):
         return real(ctx, A, B)
 
     monkeypatch.setattr(verify, "field_matmul_t", recorded)
-    assert certifies(art)
-    assert shapes == [((32, 1005), (32, 1005))]
-    shapes.clear()
-    for module in (verify, grs):
-        monkeypatch.setattr(module, "_BLOCK_ENTRIES", 4096)
-    assert certifies(art)
-    assert {A for A, _ in shapes} == {(2, 1005)} and len(shapes) == 126
-    assert max(B[0] for _, B in shapes) * 1005 <= 4096
+    for block_entries in (None, 4096):
+        if block_entries:
+            monkeypatch.setattr(grs, "_BLOCK_ENTRIES", block_entries)
+        shapes.clear()
+        assert certifies(art), block_entries
+        assert shapes == [((32, 1005), (32, 1005))], block_entries
 
 
 def test_power_sums_make_about_sqrt_k_rows_in_bounded_blocks(monkeypatch):
