@@ -9,11 +9,16 @@ translates of roots of unity; both take their subspace from one span,
 `_span`.  All of them delegate to the assembly engines in `grs`.
 
 The families stop at (a, lambda): each gives its evaluation vector, its
-lambda (none for the extended code) and its trace fields, the last computed
-only on demand.  `build` and `construct_from_params` assemble the artifact,
-with G, and the trace.  `_points_and_weights`, the census's entry, stops
-once the weights v are computed: it builds no G and no trace, so no
-locator list and no `_u_products`.
+lambda (none for the extended code), the logs of its locators and its
+trace fields, the last computed only on demand.  Each family writes its
+locators in the closed form that the lemmas behind it give, in O(n + t)
+(see `_coset_union`, `_subspace_grid` and `_root_translates`); the O(n^2)
+brute force of `grs` is never called here, and the tests keep it as the
+oracle of every closed form.  `build` and `construct_from_params`
+assemble the artifact, with G, and the trace, whose locators and u are
+read from the same logs.  `_points_and_weights`, the census's entry, stops
+once the weights v are computed: it builds no G, no trace and no locator
+list.
 
 Each hypothesis is written once, in one clause table: per theorem, rows of
 (clause text, failing condition) in checking order, and the length n.  The
@@ -53,7 +58,6 @@ from .grs import (
     EvalVector,
     assemble_self_dual_grs,
     assemble_self_dual_xgrs,
-    locator_logs,
     self_dual_weights,
 )
 
@@ -133,11 +137,12 @@ Built = tuple[CodeArtifact, ConstructionTrace]
 
 class _Evaluation(NamedTuple):
     """What a family gives the assembly: the evaluation vector, lambda (None
-    for the extended code), and the family's own trace fields, computed only
-    when called."""
+    for the extended code), the logs of its locators, and the family's own
+    trace fields, computed only when called."""
 
     a: EvalVector
     lam: int | None
+    log_locators: np.ndarray  # of L(a_i) at the finite points, in closed form
     trace_fields: Callable[[], dict]
 
 
@@ -276,7 +281,12 @@ def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
     sum A of the chosen indices (A_even / A_odd: the t-th index must give A
     that parity) or every index (all_even: the scan steps by 2).
 
-    Fresh-coset test: stride*i*m mod (q-1) not among the chosen keys."""
+    Fresh-coset test: stride*i*m mod (q-1) not among the chosen keys.  The
+    keys repeat with period o = (q-1)/gcd(q-1, stride*m) in i, so the scan
+    returns an arithmetic progression from 0: I = 0, 1, ..., t-1 (any),
+    0, 2, ..., 2(t-1) (all_even), or 0, 1, ..., t-2 and one last index
+    that fixes A's parity (A_even / A_odd).  `_key_locator_logs` relies on
+    this shape."""
     if parity not in ("any", "all_even", "A_even", "A_odd"):
         raise ValueError(f"unknown parity mode {parity!r}")
     want = {"A_even": 0, "A_odd": 1}.get(parity)
@@ -309,20 +319,48 @@ def _stride(params: ConstructionParams) -> int:
     return params.r - 1 if params.s is None else (params.r + 1) // params.s
 
 
-def _coset_points(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> list[int]:
-    """Points g^{k(q-1)/m + stride*z}, z over I (outer), 0 <= k < m (inner)."""
+def _coset_point_logs(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> np.ndarray:
+    """Logs of the points g^{k(q-1)/m + stride*z}, z over I (rows), 0 <= k < m
+    (columns)."""
     q1 = ctx.q - 1
     z = np.array(I, dtype=np.int64)[:, None]
-    logs = np.arange(m, dtype=np.int64) * (q1 // m) + stride * z
-    return ctx.np_tables[0][logs % q1].ravel().tolist()
+    return (np.arange(m, dtype=np.int64) * (q1 // m) + stride * z) % q1
 
 
-def _u_products(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> dict[int, int]:
-    """u_z = prod_{l in I, l != z} (g^{stride*z*m} - g^{stride*l*m}), the
-    locators of these points, which lie in distinct cosets and so are
-    distinct and nonzero."""
-    logs = np.array([stride * z * m % (ctx.q - 1) for z in I], dtype=np.int64)
-    return dict(zip(I, ctx.np_tables[0][locator_logs(ctx, logs)].tolist()))
+def _key_locator_logs(ctx: FieldCtx, step: int, I: tuple[int, ...]) -> np.ndarray:
+    """Logs of u_z = prod_{l in I, l != z} (kappa_z - kappa_l), kappa_z =
+    g^{step*z}, for distinct keys and I of the shape `select_coset_reps`
+    returns: 0, s, 2s, ..., (M-1)s, then at most one more index x.
+
+    The first M keys are powers c^j of c = g^{step*s}.  Taking c^min(j, l)
+    out of each factor, log u_j = j(2M-3-j)/2 log c + S_j + S_{M-1-j}
+    + j (q-1)/2, where S_j = sum_{1 <= i <= j} log(1 - c^i) and
+    log(1 - c^i) = zech[i log c + (q-1)/2]: one cumulative sum.  The key of
+    x adds one factor to each u_j and is a product of M factors itself, so
+    the whole is O(|I|)."""
+    q1 = ctx.q - 1
+    half = q1 // 2
+    zech = ctx.np_zech
+    M = len(I)
+    s = I[1] if M > 1 else 1
+    if I[-1] != s * (M - 1):
+        M -= 1
+    if I[:M] != tuple(range(0, s * M, s)):
+        raise ValueError(f"indices {list(I)} are not 0, s, 2s, ... and at most one more")
+    log_c = step * s % q1
+    j = np.arange(M, dtype=np.int64)
+    keys = j * log_c
+    S = np.zeros(M, dtype=np.int64)
+    S[1:] = zech[(keys[1:] + half) % q1].cumsum()
+    out = j * (2 * M - 3 - j) // 2 % q1 * log_c
+    out += S
+    out += S[::-1]
+    out += j * half
+    if M < len(I):
+        # log(kappa_j - kappa_x) = log kappa_j + log(1 - kappa_x / kappa_j)
+        to_x = keys + zech[(step * I[-1] % q1 - keys + half) % q1]
+        out = np.append(out + to_x, (to_x + half).sum())
+    return out % q1
 
 
 def _check_budget(params: ConstructionParams) -> None:
@@ -332,7 +370,12 @@ def _check_budget(params: ConstructionParams) -> None:
 
 def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     """T1i, T1ii, T2, T3i and T3ii.  The "ii" variants put 0 first; T1ii, T2
-    and T3ii give the extended code."""
+    and T3ii give the extended code.
+
+    The nonzero points are the roots of prod_z (x^m - kappa_z), kappa_z =
+    g^{stride*m*z}, so at a point a of coset z, L(a) = m a^{m-1} u_z, with
+    u_z over the keys (`_key_locator_logs`).  With 0 added, the polynomial
+    gains a factor x: L(a) = m kappa_z u_z, and L(0) = prod_z (-kappa_z)."""
     th, m, t, r = params.theorem, params.m, params.t, params.r
     stride = _stride(params)
     parity = "any"
@@ -344,15 +387,25 @@ def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
         # with r = 1 (mod 4) is excluded by the hypotheses)
         parity = "A_even" if r % 4 == 3 else "A_odd"
     I, A = select_coset_reps(ctx, stride, m, t, parity)
-    points = _coset_points(ctx, stride, m, I)
+    q1 = ctx.q - 1
+    exp, log = ctx.np_tables
+    logs = _coset_point_logs(ctx, stride, m, I)
+    log_u = _key_locator_logs(ctx, stride * m, I)
+    log_mu = log[m % ctx.p] + log_u  # of m u_z
+    points = exp[logs].ravel().tolist()
     if th.endswith("ii"):
+        keys = stride * m % q1 * np.array(I, dtype=np.int64) % q1
+        zero = (keys.sum() + t * (q1 // 2)) % q1
+        log_locs = np.concatenate(([zero], np.repeat((log_mu + keys) % q1, m)))
         points = [0] + points
+    else:
+        log_locs = ((m - 1) * logs + log_mu[:, None]).ravel() % q1
     a = EvalVector(ctx, tuple(points), extended=th in ("T1ii", "T2", "T3ii"))
     lam = None
     if not a.extended:
         lam = 1 if th == "T3i" else ctx.pow_v(ctx.g_val, (r + 1) * (t - 1) // 2 - m * A)
-    return _Evaluation(a, lam, lambda: {
-        "I": I, "A": A, "u": _u_products(ctx, stride, m, I),
+    return _Evaluation(a, lam, log_locs, lambda: {
+        "I": I, "A": A, "u": dict(zip(I, exp[log_u].tolist())),
         "xi_s": None if params.s is None else ctx.root_of_unity_v(params.s)})
 
 
@@ -381,7 +434,12 @@ def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
         for aj in alphas
     ]
     a = EvalVector(ctx, tuple(points), extended=True)
-    return _Evaluation(a, None, lambda: {"beta": beta, "V_basis": basis})
+    # the points are the additive group W = S beta + S, so every L(a_i) is
+    # prod_{w in W, w != 0} w
+    W = np.array(points, dtype=np.int64)
+    log_w = ctx.np_tables[1][W[W != 0]].sum() % (ctx.q - 1)
+    return _Evaluation(a, None, np.full(len(points), log_w),
+                       lambda: {"beta": beta, "V_basis": basis})
 
 
 # --- family 5: subfield-subspace translates of 2t-th roots of unity ---
@@ -400,7 +458,11 @@ def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     c = reduce(ctx.mul_v, chain((u for u in V if u),
                                 (ctx.sub_v(ctx.add_v(1, u), w) for u in V for w in roots[1:])), 1)
     a = EvalVector(ctx, tuple(points), extended=False)
-    return _Evaluation(a, c, lambda: {"c": c, "omega": omega, "V_basis": basis})
+    # at omega^j + u, L = c omega^{-j |V|}
+    log = ctx.np_tables[1]
+    j = np.repeat(np.arange(2 * t, dtype=np.int64), len(V))
+    log_locs = (log[c] - j * len(V) * log[omega]) % (ctx.q - 1)
+    return _Evaluation(a, c, log_locs, lambda: {"c": c, "omega": omega, "V_basis": basis})
 
 
 _FAMILIES = {"T4": _subspace_grid, "T5": _root_translates}
@@ -411,11 +473,11 @@ def _evaluation(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
 
 
 def _construct(ctx: FieldCtx, params: ConstructionParams) -> Built:
-    a, lam, trace_fields = _evaluation(ctx, params)
+    a, lam, log_locs, trace_fields = _evaluation(ctx, params)
     if a.extended:
-        art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict())
+        art, locs = assemble_self_dual_xgrs(a, params.label(), params.to_dict(), log_locs)
     else:
-        art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict())
+        art, locs = assemble_self_dual_grs(a, lam, params.label(), params.to_dict(), log_locs)
     return art, ConstructionTrace(ctx, params, lam=lam, locators=locs, **trace_fields())
 
 
@@ -425,8 +487,8 @@ def _points_and_weights(ctx: FieldCtx, params: ConstructionParams
     more: no G, no locator list and no trace.  Census spot checks judge the
     code from these alone."""
     _check_budget(params)
-    a, lam, _ = _evaluation(ctx, params)
-    return a, self_dual_weights(a, lam)
+    a, lam, log_locs, _ = _evaluation(ctx, params)
+    return a, self_dual_weights(a, lam, log_locs)
 
 
 def build(theorem: str, p: int, d: int, **kw) -> Built:

@@ -7,9 +7,14 @@ assembly engines turn an evaluation vector into a self-dual [n, n/2] code by
 solving v_i^2 = 1/(lambda L(a_i)) (plain) or v_i^2 = -1/L(a_i) (extended),
 where L(a_i) is the product of differences with the other points.
 
-Assembly runs in numpy on logarithms to the base g.  For nonzero points,
-log(a_i - a_j) = log a_i + zech[log a_j - log a_i + (q-1)/2], so every
-locator is one row sum of Zech lookups mod q-1.  A target g^l is a square
+Assembly runs in numpy on logarithms to the base g.  The construction
+families hand the assemblies the logs of their locators, which the paper's
+lemmas give in closed form in O(n + t) (`constructions`).  Without them,
+for any distinct points, the locators are computed by brute force
+(`locator_logs`, `all_locators`), which the tests keep as the oracle of the
+closed forms: for nonzero points, log(a_i - a_j) = log a_i +
+zech[log a_j - log a_i + (q-1)/2], so every locator is one row sum of Zech
+lookups mod q-1, n^2 in all.  A target g^l is a square
 exactly when l is even, and the roots of 1/g^l are g^h and g^(h + (q-1)/2)
 with h = (-l mod (q-1))/2; the weight is the smaller encoding of the two.
 This log form is the one definition of the canonical root; `self_dual_weights`
@@ -99,10 +104,10 @@ class CodeArtifact:
 
 
 # The one block size, in entries (4 MB as int64), so that no working set
-# grows with n^2 or d k n.  Read at call time by the locator kernel, G's
-# rows and G's JSON text here, and by the digit-plane, Gram, structure-test
-# and codeword blocks of `verify`; not by its power sums, whose two slabs
-# of about sqrt(2k) rows stay far below G.
+# grows with n^2 or d k n.  Read at call time by the brute-force locator
+# kernel, G's rows and G's JSON text here, and by the digit-plane, Gram,
+# structure-test and codeword blocks of `verify`; not by its power sums,
+# whose two slabs of about sqrt(2k) rows stay far below G.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -218,45 +223,53 @@ def _square_root_weights(ctx: FieldCtx, target_logs: np.ndarray) -> tuple[int, .
 
 
 def assemble_self_dual_grs(
-    a: EvalVector, lam: int, label: str = "grs", params: dict | None = None
+    a: EvalVector, lam: int, label: str = "grs", params: dict | None = None,
+    log_locators: np.ndarray | None = None,
 ) -> tuple[CodeArtifact, list[int]]:
     """Lemma-style assembly: requires lambda * L(a_i) to be a nonzero square
-    at every point, then sets v_i = sqrt(1 / (lambda L(a_i))).
+    at every point, then sets v_i = sqrt(1 / (lambda L(a_i))).  The logs of
+    the L(a_i) may be given, as the families' closed forms give them; they
+    are computed by brute force (`_log_locators`) only when they are not.
 
-    Returns the artifact together with the computed locators (callers cache
-    them in the construction trace)."""
+    Returns the artifact together with the locators (callers cache them in
+    the construction trace)."""
     if a.extended:
         raise DimensionMismatch("plain assembly got an extended evaluation vector")
-    return _assemble(a, lam, label, params)
+    return _assemble(a, lam, label, params, log_locators)
 
 
 def assemble_self_dual_xgrs(
-    a: EvalVector, label: str = "xgrs", params: dict | None = None
+    a: EvalVector, label: str = "xgrs", params: dict | None = None,
+    log_locators: np.ndarray | None = None,
 ) -> tuple[CodeArtifact, list[int]]:
     """Extended assembly: requires -L(a_i) to be a nonzero square at every
     finite point, then sets v_i = sqrt(-1 / L(a_i)); the infinity coordinate
-    keeps weight 1."""
+    keeps weight 1.  The logs of the L(a_i) are optional, as above."""
     if not a.extended:
         raise DimensionMismatch("extended assembly needs the extended flag set")
-    return _assemble(a, None, label, params)
+    return _assemble(a, None, label, params, log_locators)
 
 
-def _assemble(a: EvalVector, lam: int | None, label: str, params: dict | None
-              ) -> tuple[CodeArtifact, list[int]]:
+def _assemble(a: EvalVector, lam: int | None, label: str, params: dict | None,
+              log_locators: np.ndarray | None) -> tuple[CodeArtifact, list[int]]:
     """The body of both assemblies; lam is None for the extended code."""
     _require_assemblable(a, lam)
-    locs = all_locators(a)
-    v = ScalingVector(a.ctx, _weights(a, lam, a.ctx.np_tables[1][locs]))
+    if log_locators is None:
+        log_locators = _log_locators(a)
+    v = ScalingVector(a.ctx, _weights(a, lam, log_locators))
     k = a.n // 2
     G = (xgrs_generator_matrix if a.extended else grs_generator_matrix)(a, v, k)
+    locs = a.ctx.np_tables[0][log_locators].tolist()
     return CodeArtifact(a.ctx, a, v, k, G, label, params or {}), locs
 
 
-def self_dual_weights(a: EvalVector, lam: int | None) -> tuple[int, ...]:
+def self_dual_weights(a: EvalVector, lam: int | None,
+                      log_locators: np.ndarray | None = None) -> tuple[int, ...]:
     """The weights v of the assemblies (lam is None for the extended code),
-    without G or the list of locators: the locators stay logs."""
+    without G or the list of locators: the locators stay logs, given or
+    computed by brute force as in the assemblies."""
     _require_assemblable(a, lam)
-    return _weights(a, lam, _log_locators(a))
+    return _weights(a, lam, _log_locators(a) if log_locators is None else log_locators)
 
 
 def _require_assemblable(a: EvalVector, lam: int | None) -> None:

@@ -184,26 +184,31 @@ def _gram_witness(ctx: FieldCtx, G, P: np.ndarray) -> tuple[int, int] | None:
     the Hankel matrix H[i][l] = P[i + l] of the 2k - 1 encodings P; None
     when G G^T = -H.
 
-    Rows are computed in blocks, so that the (2d - 1)-plane accumulator of
-    `field_matmul_t` holds about grs._BLOCK_ENTRIES entries, each from its
-    diagonal rightwards.  G G^T + H is symmetric: when the blocks above
-    are zero right of their diagonals, their rows are zero, so is every
-    entry left of the next block's diagonal, and that block's first nonzero
-    entry is the first in row-major order.  The first differing block ends
-    the check."""
+    Rows are computed in blocks, each from its diagonal rightwards: one
+    row first, then twice as many each time, up to the rows whose
+    (2d - 1)-plane accumulator in `field_matmul_t` holds about
+    grs._BLOCK_ENTRIES entries, so that a witness in the first rows costs
+    little.  G G^T + H is symmetric: when the blocks above are zero right
+    of their diagonals, their rows are zero, so is every entry left of the
+    next block's diagonal, and that block's first nonzero entry is the
+    first in row-major order, whatever the blocks' sizes.  The first
+    differing block ends the check."""
     G = np.asarray(G, dtype=np.int64)
     k = len(G)
     exp, log = ctx.np_tables
     q1 = ctx.q - 1
     target = np.where(P != 0, exp[(log[P] + q1 // 2) % q1], 0)  # -P
-    rows = max(1, grs._BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
-    for top in range(0, k, rows):
+    cap = max(1, grs._BLOCK_ENTRIES // ((2 * ctx.d - 1) * k))
+    top, rows = 0, 1
+    while top < k:
         block = field_matmul_t(ctx, G[top:top + rows], G[top:])
         i, l = np.ogrid[:len(block), :k - top]
         differs = block != target[2 * top + i + l]
         if differs.any():
             r, c = divmod(int(differs.argmax()), k - top)
             return top + r, top + c
+        top += rows
+        rows = min(2 * rows, cap)
     return None
 
 
@@ -255,8 +260,9 @@ def power_sum_verdict(a: EvalVector, weights) -> tuple[bool, int | None]:
 
 def gram_is_zero(ctx: FieldCtx, G) -> bool:
     """True iff G * G^T is the zero matrix, computed exactly by
-    `field_matmul_t`, one row block at a time (`_gram_witness`)."""
-    return _gram_witness(ctx, G, np.zeros(2 * len(G) - 1, dtype=np.int64)) is None
+    `field_matmul_t`, one row block at a time (`_gram_witness`).  With no
+    rows, G G^T is 0 x 0, and zero."""
+    return not len(G) or _gram_witness(ctx, G, np.zeros(2 * len(G) - 1, dtype=np.int64)) is None
 
 
 def _grs_columns(art: CodeArtifact) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,15 @@
 """GRS oracles for the tests: the brute-force locator, written only on the
-scalar `mul_v`/`sub_v` of a field, and the closed forms that the paper's
-lemmas give for the locators of each family, which are tested point by point
-against it."""
+scalar `mul_v`/`sub_v` of a field, a brute force at chosen points for long
+evaluation vectors, which subtracts digit by digit, and the closed forms that
+the paper's lemmas give for the locators of each family, which are tested
+point by point against the first."""
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, product
+
+import numpy as np
 
 from mdssd.constructions import _stride
 from mdssd.errors import UnsupportedTheorem
@@ -32,6 +35,23 @@ def locator(a, i: int) -> int:
     for j, aj in enumerate(a.points):
         if j != i:
             out = ctx.mul_v(out, ctx.sub_v(ai, aj))
+    return out
+
+
+def locator_logs_at(a, rows) -> list[int]:
+    """Brute-force logs of L(a_i) for the point indices in `rows`: each the
+    sum of the logs of the differences a_i - a_j, j != i, subtracted digit
+    by digit in base p, so that no Zech table is read.  O(n d) numpy work a
+    row, for lengths where `grs.all_locators` would take n^2."""
+    ctx = a.ctx
+    p, q1 = ctx.p, ctx.q - 1
+    places = p ** np.arange(ctx.d, dtype=np.int64)
+    digits = np.array(a.points, dtype=np.int64)[:, None] // places % p
+    out = []
+    for i in rows:
+        diffs = np.delete((digits[i] - digits) % p @ places, i)
+        assert diffs.all(), "repeated point"
+        out.append(int(ctx.np_tables[1][diffs].sum() % q1))
     return out
 
 

@@ -202,8 +202,10 @@ def test_spot_check_builds_no_generator_matrix_and_no_trace(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("a spot check reached the artifact path")
 
-    for module, name in ((constructions, "_u_products"), (constructions, "assemble_self_dual_grs"),
+    # no G, no trace and no brute-force locators
+    for module, name in ((constructions, "assemble_self_dual_grs"),
                          (constructions, "assemble_self_dual_xgrs"), (grs, "all_locators"),
+                         (grs, "_log_locators"), (grs, "locator_logs"),
                          (grs, "_generator_matrix")):
         monkeypatch.setattr(module, name, refuse)
     rep = census_report(6889, spot_check_bound=128)

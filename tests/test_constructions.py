@@ -3,18 +3,22 @@ small-field codes, closed-form locators, and the parameter enumeration."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 import sympy
 
 import field_oracles as oracles
-from grs_oracles import closed_form_locator, locator, root_subspace
+from grs_oracles import closed_form_locator, locator, locator_logs_at, root_subspace
 from mdssd.constructions import (
     _HYPOTHESES,
     MATERIALIZE_BUDGET,
     THEOREMS,
     _array_verdicts,
     _candidates,
+    _evaluation,
+    _key_locator_logs,
     build,
     construct_from_params,
     iter_valid_params,
@@ -31,7 +35,7 @@ from mdssd.errors import (
     UnsupportedTheorem,
 )
 from mdssd.field import make_field
-from mdssd.grs import artifact_to_dict, to_json
+from mdssd.grs import all_locators, artifact_to_dict, locator_logs, to_json
 from mdssd.verify import check_self_dual
 
 
@@ -139,6 +143,30 @@ def test_select_coset_reps_parity_modes():
         select_coset_reps(ctx, stride, m, 2, "bogus")
 
 
+def test_select_coset_reps_returns_an_arithmetic_progression():
+    """I = 0, s, 2s, ... with s = 2 for all_even and 1 otherwise, where
+    only A_even and A_odd may move the last index: the shape that
+    `_key_locator_logs` reads, for every stride, m | q-1 and t."""
+    shapes = 0
+    for p, d in ((3, 2), (5, 2), (7, 2), (3, 3)):
+        ctx = make_field(p, d)
+        q1 = ctx.q - 1
+        for stride in range(1, q1):
+            for m in sympy.divisors(q1):
+                for t in range(1, 12):
+                    for parity in ("any", "all_even", "A_even", "A_odd"):
+                        try:
+                            I, A = select_coset_reps(ctx, stride, m, t, parity)
+                        except (NotEnoughCosets, ParityInfeasible):
+                            continue
+                        s = 2 if parity == "all_even" else 1
+                        last = t - 1 if parity.startswith("A_") else t
+                        assert I[:last] == tuple(range(0, s * last, s)) and len(I) == t
+                        assert A == sum(I)
+                        shapes += 1
+    assert shapes > 5000
+
+
 def test_select_coset_reps_parity_infeasible():
     ctx = make_field(3, 2)
     # stride 2, m 2: the even-index scan revisits the same coset immediately
@@ -234,6 +262,98 @@ def test_closed_form_locator_matches_oracle(p, d, n_cap):
         brute = [locator(art.a, i) for i in range(len(art.a.points))]
         for i in range(len(art.a.points)):
             assert closed_form_locator(pr, trace, i) == brute[i], pr.label()
+
+
+# --- the engines' closed-form locators against brute force ---
+
+SWEEP_Q = (9, 25, 49, 81, 121, 169, 289)
+# full brute force up to this length; beyond it, sampled rows
+FULL_LOCATORS_N = 512
+
+
+def _engine_locators(ctx, pr):
+    """The evaluation vector of `pr` and its locators as the family gives
+    them, in closed form."""
+    ev = _evaluation(ctx, pr)
+    return ev.a, ctx.np_tables[0][ev.log_locators].tolist()
+
+
+def test_engine_locators_match_brute_force_on_the_small_sweep():
+    theorems = set()
+    for q in SWEEP_Q:
+        (p, d), = sympy.factorint(q).items()
+        ctx = make_field(p, d)
+        for pr in iter_valid_params(p, d, 16):
+            a, locs = _engine_locators(ctx, pr)
+            assert locs == all_locators(a), (q, pr.label())
+            theorems.add(pr.theorem)
+    assert theorems == set(THEOREMS)
+
+
+@pytest.mark.parametrize("p", [83, 151])
+def test_engine_locators_match_brute_force_at_every_length(p):
+    """The first two tuples of every length up to q + 1: all locators by
+    brute force up to n = FULL_LOCATORS_N, and beyond it the zero point,
+    the first point, the middle one and the last, by digit-wise
+    differences."""
+    ctx = make_field(p, 2)
+    seen: dict[int, int] = {}
+    for pr in iter_valid_params(p, 2, p * p + 1):
+        seen[pr.n] = seen.get(pr.n, 0) + 1
+        if seen[pr.n] > 2:
+            continue
+        ev = _evaluation(ctx, pr)
+        if pr.n <= FULL_LOCATORS_N:
+            assert ctx.np_tables[0][ev.log_locators].tolist() == all_locators(ev.a), pr.label()
+        else:
+            rows = sorted({0, 1, len(ev.a.points) // 2, len(ev.a.points) - 1})
+            assert ev.log_locators[rows].tolist() == locator_logs_at(ev.a, rows), pr.label()
+    assert len(seen) == {83: 597, 151: 1228}[p]
+
+
+@pytest.mark.parametrize("theorem,p,d,params", [
+    ("T1i", 151, 2, {"m": 6, "t": 71}),
+    ("T2", 151, 2, {"m": 15, "t": 67}),
+    ("T4", 3, 10, {"e": 3}),
+    ("T1i", 151, 2, {"m": 150, "t": 26}),
+])
+def test_engine_locators_match_brute_force_on_reference_codes(theorem, p, d, params):
+    # n = 426, 1006, 730 and 3900
+    pr = validate(theorem, p, d, **params)
+    a, locs = _engine_locators(make_field(p, d), pr)
+    assert locs == all_locators(a)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (7, 2), (3, 5), (83, 2), (151, 2)])
+def test_key_locator_logs_match_brute_force(p, d):
+    """u_z over the keys g^{step*z}, z in I = 0, s, ..., (M-1)s and at
+    most one more index, against `locator_logs` on the key logs, for seeded
+    steps that keep the keys distinct; t = 1, 2 and s = 1, 2 included."""
+    ctx = make_field(p, d)
+    q1 = ctx.q - 1
+    rng = random.Random(q1)
+    cases = 0
+    for M in (1, 2, 3, 5, 17):
+        for s in (1, 2, 3):
+            for extra in (None, 0, 1, 7):
+                I = tuple(range(0, s * M, s))
+                if extra is not None:
+                    I += (s * (M - 1) + 1 + extra,)
+                for step in rng.sample(range(1, q1), min(q1 - 1, 6)):
+                    keys = np.array(I, dtype=np.int64) * step % q1
+                    if len(set(keys.tolist())) < len(I):
+                        continue
+                    assert _key_locator_logs(ctx, step, I).tolist() == \
+                        locator_logs(ctx, keys).tolist(), (step, I)
+                    cases += 1
+    assert cases >= {8: 20}.get(q1, 200)
+
+
+def test_key_locator_logs_refuse_other_index_sets():
+    ctx = make_field(7, 2)
+    for I in ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 3), (2, 4)):
+        with pytest.raises(ValueError, match="are not 0, s, 2s"):
+            _key_locator_logs(ctx, 5, I)
 
 
 def test_u_product_power_identity():

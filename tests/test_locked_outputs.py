@@ -377,6 +377,38 @@ def test_large_construct_output_matches_locked_digest(q, theorem, params, tmp_pa
     assert digest == LOCKED["large"][_large_key(q, theorem, params)]
 
 
+def test_engines_never_compute_locators_by_brute_force(monkeypatch, tmp_path):
+    """With the O(n^2) brute force refusing every call, the families'
+    closed-form locators give the locked bytes: one `mdssd construct` per
+    theorem over F_49 with its MDS checks on, the n = 426 code over 151^2,
+    and the census at 83^2 with spot checks up to n = 128."""
+    import mdssd.grs as grs
+
+    def refuse(*args, **kw):
+        raise AssertionError("an engine computed its locators by brute force")
+
+    for name in ("locator_logs", "_log_locators", "all_locators"):
+        monkeypatch.setattr(grs, name, refuse)
+    sweep = dict(LOCKED["sweep"])
+    firsts = {}
+    for pr in iter_valid_params(7, 2, SWEEP_N_MAX):
+        firsts.setdefault(pr.theorem, pr)
+    assert list(firsts) == list(THEOREMS)
+    for pr in firsts.values():
+        flags = [arg for key, val in pr.to_dict().items() if key != "theorem"
+                 for arg in (f"--{'k' if key == 'k_sub' else key}", str(val))]
+        path = tmp_path / f"{pr.theorem}.json"
+        assert main(["construct", "--q", "49", "--theorem", pr.theorem, *flags,
+                     "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert doc.pop("verification")["self_dual"]
+        assert _sha(to_json(doc)) == sweep[f"q=49 {pr.label()}"]
+    params = {"m": 6, "t": 71}
+    digest = large_digest(22801, "T1i", params, tmp_path / "large.json")
+    assert digest == LOCKED["large"][_large_key(22801, "T1i", params)]
+    assert _sha(to_json(census_report(6889, 128).to_dict())) == LOCKED["census"]["6889,128"]
+
+
 def test_enumeration_is_complete_and_clause_texts_are_locked():
     accepted, rejections = brute_force()
     for (p, d), ok in accepted.items():

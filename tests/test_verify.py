@@ -158,6 +158,13 @@ def test_large_code_gram_check_is_fast():
     assert check_self_dual(art)
 
 
+def test_gram_is_zero_without_rows_or_entries():
+    # a 0 x 0 Gram matrix is zero, and so is that of rows without entries
+    ctx = make_field(3, 2)
+    for G in ([], [[]], [[], []]):
+        assert gram_is_zero(ctx, G)
+
+
 def _count_calls(monkeypatch, name):
     import mdssd.verify as verify
 
@@ -1199,6 +1206,60 @@ def test_gram_witness_is_the_first_nonzero_entry_on_one_entry_changes():
                     assert witness is None
                     continue
                 assert witness == _oracle_gram_witness(ctx, changed), (art.n, i, j)
+
+
+@pytest.mark.parametrize("block_entries", [None, 16])
+def test_gram_witness_grows_its_row_blocks(block_entries, monkeypatch):
+    """`_gram_witness` takes 1, 2, 4, ... rows at a time, up to its block,
+    and names the entry that the full product names: for seeded one-entry
+    changes of the n = 426 code in row 0, a middle row and the last row,
+    whose witnesses lie in row 0 and cost one 1-row product, and for an
+    extended code (n = 46) with its column at infinity zeroed, whose only
+    nonzero Gram entry is the last.  The same through `_self_dual_checks`."""
+    import mdssd.grs as grs
+    import mdssd.verify as verify
+
+    art, _ = build("T1i", 151, 2, m=6, t=71)
+    ctx, k = art.ctx, art.k
+    rng = random.Random(art.n)
+    cases = []
+    for row in (0, k // 2, k - 1):
+        for _ in range(2):
+            G = np.array(art.G)
+            col = rng.randrange(art.n)
+            G[row, col] = ctx.add_v(int(G[row, col]), rng.randrange(1, ctx.q))
+            cases.append((art, G, _gram_witness_by_product(ctx, G)))
+    extended, _ = build("T2", 151, 2, m=15, t=3)
+    deep = np.array(extended.G)
+    deep[-1, -1] = 0
+    cases.append((extended, deep, (extended.k - 1, extended.k - 1)))
+    assert _gram_witness_by_product(ctx, deep) == cases[-1][2]
+    if block_entries:
+        monkeypatch.setattr(grs, "_BLOCK_ENTRIES", block_entries)
+    products = []
+    real = verify.field_matmul_t
+    monkeypatch.setattr(verify, "field_matmul_t",
+                        lambda ctx, A, B: products.append(len(A)) or real(ctx, A, B))
+    for code, G, expected in cases:
+        assert expected[0] == 0 or code is extended
+        products.clear()
+        assert verify._gram_witness(ctx, G, np.zeros(2 * code.k - 1, dtype=np.int64)) == expected
+        assert products == ([1] if code is art else _growing_blocks(code.k, 3 * code.k))
+        assert _self_dual_checks(_with_G(code, G))[3] == expected
+
+
+def _growing_blocks(k, entries_per_row):
+    """The row counts of `_gram_witness` over all k rows: 1, 2, 4, ... up
+    to the block, the last one cut at k."""
+    import mdssd.grs as grs
+
+    cap = max(1, grs._BLOCK_ENTRIES // entries_per_row)
+    rows, top, size = [], 0, 1
+    while top < k:
+        rows.append(min(size, k - top))
+        top += size
+        size = min(2 * size, cap)
+    return rows
 
 
 def test_one_entry_change_at_n_426_skips_elimination_and_full_gram(monkeypatch, tmp_path,
