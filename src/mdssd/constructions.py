@@ -4,9 +4,12 @@ Families 1-3 (T1i, T1ii, T2, T3i, T3ii) are one coset constructor: the points
 are t cosets of the order-m subgroup of F_q*, with representatives g^{stride*z}
 for a stride of r-1, or (r+1)/s in family 3.  The variants differ only in a
 parity rule for the indices z, in whether 0 and infinity are added, and in
-lambda.  Family 4 is a translated subspace grid, family 5 subfield-subspace
-translates of roots of unity; both take their subspace from one span,
-`_span`.  All of them delegate to the assembly engines in `grs`.
+lambda.  `select_coset_reps` gives the indices in closed form, 0, s, 2s,
+... and one last index, from the period o of the coset keys and the bound S
+of the indices.  Family 4 is a translated subspace grid, family 5
+subfield-subspace translates of roots of unity; both take their subspace
+from one span, `_span`.  All of them delegate to the assembly engines in
+`grs`.
 
 The families stop at (a, lambda): each gives its evaluation vector, its
 lambda (none for the extended code), the logs of its locators and its
@@ -276,40 +279,39 @@ def validate(theorem: str, p: int, d: int, *, m: int | None = None, t: int | Non
 
 def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
                       parity: str = "any") -> tuple[tuple[int, ...], int]:
-    """Greedy ascending scan for indices i with g^{stride*i} in pairwise
-    distinct cosets of the order-m subgroup.  `parity` constrains either the
-    sum A of the chosen indices (A_even / A_odd: the t-th index must give A
-    that parity) or every index (all_even: the scan steps by 2).
+    """Indices I, with their sum A, of t representatives g^{stride*i} of
+    pairwise distinct cosets of the order-m subgroup: those that an
+    ascending scan over i < S = (q-1)/gcd(q-1, stride) takes first, in
+    closed form.  `parity` constrains either A (A_even / A_odd: the last
+    index gives A that parity) or every index (all_even: even i only).
 
-    Fresh-coset test: stride*i*m mod (q-1) not among the chosen keys.  The
-    keys repeat with period o = (q-1)/gcd(q-1, stride*m) in i, so the scan
-    returns an arithmetic progression from 0: I = 0, 1, ..., t-1 (any),
-    0, 2, ..., 2(t-1) (all_even), or 0, 1, ..., t-2 and one last index
-    that fixes A's parity (A_even / A_odd).  `_key_locator_logs` relies on
-    this shape."""
+    Index i lands in the coset of key stride*i*m mod (q-1), and the keys
+    repeat with period o = (q-1)/gcd(q-1, stride*m), a divisor of S.  So I
+    is 0, s, ..., (t-2)s and a last index x, with s = 2 and x = 2(t-1) for
+    all_even (o/2 cosets if o is even, else min(o, ceil(S/2))), and s = 1
+    otherwise (o cosets).  x is t-1 for any; for A_even / A_odd, the first
+    of t-1, t and t-1+o below S whose key is fresh (x mod o >= t-1) and
+    which gives A its parity.  `_coset_union` reads this progression."""
     if parity not in ("any", "all_even", "A_even", "A_odd"):
         raise ValueError(f"unknown parity mode {parity!r}")
-    want = {"A_even": 0, "A_odd": 1}.get(parity)
     q1 = ctx.q - 1
-    subgroup_size = q1 // gcd(q1, stride)  # indices repeat beyond this
-    chosen: list[int] = []
-    keys: set[int] = set()
-    total = 0
-    for i in range(0, subgroup_size, 2 if parity == "all_even" else 1):
-        key = stride * i * m % q1
-        if key in keys or (want is not None and len(chosen) == t - 1
-                           and (total + i) % 2 != want):
-            continue
-        chosen.append(i)
-        keys.add(key)
-        total += i
-        if len(chosen) == t:
-            return tuple(chosen), total
+    S = q1 // gcd(q1, stride)
+    o = q1 // gcd(q1, stride * m)
     if parity == "all_even":
-        raise ParityInfeasible(f"only {len(chosen)} even-index cosets available, needed {t}")
-    if want is not None and len(chosen) == t - 1:
+        count = min(o, (S + 1) // 2) if o % 2 else o // 2
+        if not 0 < t <= count:
+            raise ParityInfeasible(f"only {count} even-index cosets available, needed {t}")
+        return tuple(range(0, 2 * t, 2)), t * (t - 1)
+    want = {"A_even": 0, "A_odd": 1}.get(parity)
+    if not 0 < t <= o + (want is not None):
+        raise NotEnoughCosets(t, o)
+    x, A = t - 1, t * (t - 1) // 2
+    if want is not None and A % 2 != want:
+        x = t if t < o else t - 1 + o  # the next index with a fresh key
+        A += x - (t - 1)
+    if t > o or x >= S or want is not None and A % 2 != want:
         raise ParityInfeasible(f"no final index gives A ≡ {want} (mod 2)")
-    raise NotEnoughCosets(t, len(chosen))
+    return (*range(t - 1), x), A
 
 
 # --- families 1-3: unions of t cosets of the order-m subgroup ---
@@ -319,48 +321,37 @@ def _stride(params: ConstructionParams) -> int:
     return params.r - 1 if params.s is None else (params.r + 1) // params.s
 
 
-def _coset_point_logs(ctx: FieldCtx, stride: int, m: int, I: tuple[int, ...]) -> np.ndarray:
-    """Logs of the points g^{k(q-1)/m + stride*z}, z over I (rows), 0 <= k < m
-    (columns)."""
-    q1 = ctx.q - 1
-    z = np.array(I, dtype=np.int64)[:, None]
-    return (np.arange(m, dtype=np.int64) * (q1 // m) + stride * z) % q1
-
-
-def _key_locator_logs(ctx: FieldCtx, step: int, I: tuple[int, ...]) -> np.ndarray:
-    """Logs of u_z = prod_{l in I, l != z} (kappa_z - kappa_l), kappa_z =
-    g^{step*z}, for distinct keys and I of the shape `select_coset_reps`
-    returns: 0, s, 2s, ..., (M-1)s, then at most one more index x.
+def _key_locator_logs(ctx: FieldCtx, step: int, s: int, M: int,
+                      x: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Logs of the keys kappa_z = g^{step*z} and of u_z = prod_{l != z}
+    (kappa_z - kappa_l), z over 0, s, 2s, ..., (M-1)s and then x if given,
+    for distinct keys.
 
     The first M keys are powers c^j of c = g^{step*s}.  Taking c^min(j, l)
     out of each factor, log u_j = j(2M-3-j)/2 log c + S_j + S_{M-1-j}
     + j (q-1)/2, where S_j = sum_{1 <= i <= j} log(1 - c^i) and
     log(1 - c^i) = zech[i log c + (q-1)/2]: one cumulative sum.  The key of
     x adds one factor to each u_j and is a product of M factors itself, so
-    the whole is O(|I|)."""
+    the whole is O(M)."""
     q1 = ctx.q - 1
     half = q1 // 2
     zech = ctx.np_zech
-    M = len(I)
-    s = I[1] if M > 1 else 1
-    if I[-1] != s * (M - 1):
-        M -= 1
-    if I[:M] != tuple(range(0, s * M, s)):
-        raise ValueError(f"indices {list(I)} are not 0, s, 2s, ... and at most one more")
     log_c = step * s % q1
     j = np.arange(M, dtype=np.int64)
-    keys = j * log_c
+    keys = j * log_c % q1
     S = np.zeros(M, dtype=np.int64)
     S[1:] = zech[(keys[1:] + half) % q1].cumsum()
     out = j * (2 * M - 3 - j) // 2 % q1 * log_c
     out += S
     out += S[::-1]
     out += j * half
-    if M < len(I):
+    if x is not None:
         # log(kappa_j - kappa_x) = log kappa_j + log(1 - kappa_x / kappa_j)
-        to_x = keys + zech[(step * I[-1] % q1 - keys + half) % q1]
+        log_x = step * x % q1
+        to_x = keys + zech[(log_x - keys + half) % q1]
         out = np.append(out + to_x, (to_x + half).sum())
-    return out % q1
+        keys = np.append(keys, log_x)
+    return keys, out % q1
 
 
 def _check_budget(params: ConstructionParams) -> None:
@@ -389,12 +380,15 @@ def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     I, A = select_coset_reps(ctx, stride, m, t, parity)
     q1 = ctx.q - 1
     exp, log = ctx.np_tables
-    logs = _coset_point_logs(ctx, stride, m, I)
-    log_u = _key_locator_logs(ctx, stride * m, I)
+    x = I[-1] if parity.startswith("A_") else None  # the index that fixes A's parity
+    keys, log_u = _key_locator_logs(ctx, stride * m, 2 if parity == "all_even" else 1,
+                                    t - (x is not None), x)
     log_mu = log[m % ctx.p] + log_u  # of m u_z
+    # the points g^{k(q-1)/m + stride*z}, z over I (rows), 0 <= k < m (columns)
+    logs = (np.arange(m, dtype=np.int64) * (q1 // m)
+            + stride * np.array(I, dtype=np.int64)[:, None]) % q1
     points = exp[logs].ravel().tolist()
     if th.endswith("ii"):
-        keys = stride * m % q1 * np.array(I, dtype=np.int64) % q1
         zero = (keys.sum() + t * (q1 // 2)) % q1
         log_locs = np.concatenate(([zero], np.repeat((log_mu + keys) % q1, m)))
         points = [0] + points

@@ -1,18 +1,20 @@
 """GRS oracles for the tests: the brute-force locator, written only on the
 scalar `mul_v`/`sub_v` of a field, a brute force at chosen points for long
-evaluation vectors, which subtracts digit by digit, and the closed forms that
+evaluation vectors, which subtracts digit by digit, the closed forms that
 the paper's lemmas give for the locators of each family, which are tested
-point by point against the first."""
+point by point against the first, and the greedy scan for coset
+representatives that `select_coset_reps` writes in closed form."""
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain, product
+from math import gcd
 
 import numpy as np
 
 from mdssd.constructions import _stride
-from mdssd.errors import UnsupportedTheorem
+from mdssd.errors import NotEnoughCosets, ParityInfeasible, UnsupportedTheorem
 
 
 def _product(ctx, values) -> int:
@@ -53,6 +55,40 @@ def locator_logs_at(a, rows) -> list[int]:
         assert diffs.all(), "repeated point"
         out.append(int(ctx.np_tables[1][diffs].sum() % q1))
     return out
+
+
+def greedy_coset_reps(ctx, stride: int, m: int, t: int,
+                      parity: str = "any") -> tuple[tuple[int, ...], int]:
+    """Greedy ascending scan for indices i with g^{stride*i} in pairwise
+    distinct cosets of the order-m subgroup.  `parity` constrains either the
+    sum A of the chosen indices (A_even / A_odd: the t-th index must give A
+    that parity) or every index (all_even: the scan steps by 2).
+
+    Fresh-coset test: stride*i*m mod (q-1) not among the chosen keys.  This
+    is the oracle of `select_coset_reps`, with the same refusals."""
+    if parity not in ("any", "all_even", "A_even", "A_odd"):
+        raise ValueError(f"unknown parity mode {parity!r}")
+    want = {"A_even": 0, "A_odd": 1}.get(parity)
+    q1 = ctx.q - 1
+    subgroup_size = q1 // gcd(q1, stride)  # indices repeat beyond this
+    chosen: list[int] = []
+    keys: set[int] = set()
+    total = 0
+    for i in range(0, subgroup_size, 2 if parity == "all_even" else 1):
+        key = stride * i * m % q1
+        if key in keys or (want is not None and len(chosen) == t - 1
+                           and (total + i) % 2 != want):
+            continue
+        chosen.append(i)
+        keys.add(key)
+        total += i
+        if len(chosen) == t:
+            return tuple(chosen), total
+    if parity == "all_even":
+        raise ParityInfeasible(f"only {len(chosen)} even-index cosets available, needed {t}")
+    if want is not None and len(chosen) == t - 1:
+        raise ParityInfeasible(f"no final index gives A ≡ {want} (mod 2)")
+    raise NotEnoughCosets(t, len(chosen))
 
 
 def subfield_span(ctx, basis, sub_q: int) -> list[int]:

@@ -4,13 +4,23 @@ small-field codes, closed-form locators, and the parameter enumeration."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain
+from math import gcd
 
 import numpy as np
 import pytest
 import sympy
 
 import field_oracles as oracles
-from grs_oracles import closed_form_locator, locator, locator_logs_at, root_subspace
+from grs_oracles import (
+    closed_form_locator,
+    greedy_coset_reps,
+    locator,
+    locator_logs_at,
+    root_subspace,
+)
+from mdssd import constructions
 from mdssd.constructions import (
     _HYPOTHESES,
     MATERIALIZE_BUDGET,
@@ -143,11 +153,18 @@ def test_select_coset_reps_parity_modes():
         select_coset_reps(ctx, stride, m, 2, "bogus")
 
 
-def test_select_coset_reps_returns_an_arithmetic_progression():
-    """I = 0, s, 2s, ... with s = 2 for all_even and 1 otherwise, where
-    only A_even and A_odd may move the last index: the shape that
-    `_key_locator_logs` reads, for every stride, m | q-1 and t."""
-    shapes = 0
+def _outcome(select, *args):
+    """What a coset selection gives: (I, A), or its refusal as (error class,
+    message)."""
+    try:
+        return select(*args)
+    except (NotEnoughCosets, ParityInfeasible) as exc:
+        return type(exc), str(exc)
+
+
+def _grid_calls():
+    """(ctx, stride, m, t, parity) for every stride, m | q-1, t <= 11 and
+    parity mode over four fields."""
     for p, d in ((3, 2), (5, 2), (7, 2), (3, 3)):
         ctx = make_field(p, d)
         q1 = ctx.q - 1
@@ -155,16 +172,55 @@ def test_select_coset_reps_returns_an_arithmetic_progression():
             for m in sympy.divisors(q1):
                 for t in range(1, 12):
                     for parity in ("any", "all_even", "A_even", "A_odd"):
-                        try:
-                            I, A = select_coset_reps(ctx, stride, m, t, parity)
-                        except (NotEnoughCosets, ParityInfeasible):
-                            continue
-                        s = 2 if parity == "all_even" else 1
-                        last = t - 1 if parity.startswith("A_") else t
-                        assert I[:last] == tuple(range(0, s * last, s)) and len(I) == t
-                        assert A == sum(I)
-                        shapes += 1
-    assert shapes > 5000
+                        yield ctx, stride, m, t, parity
+
+
+def _accepted_coset_calls() -> list[tuple]:
+    """The same for every accepted T1i, T1ii, T2, T3i and T3ii tuple at 83^2
+    and 151^2, with the stride and parity mode that `_coset_union` passes,
+    read by stopping it at its call of `select_coset_reps`."""
+    class Called(Exception):
+        pass
+
+    def capture(*args):
+        raise Called(args)
+
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constructions, "select_coset_reps", capture)
+        for p in (83, 151):
+            ctx = make_field(p, 2)
+            for pr in iter_valid_params(p, 2, p * p + 1):
+                if pr.theorem not in ("T4", "T5"):
+                    with pytest.raises(Called) as call:
+                        _evaluation(ctx, pr)
+                    calls.append(call.value.args[0])
+    assert len(calls) == 14596
+    return calls
+
+
+def test_select_coset_reps_returns_an_arithmetic_progression():
+    """The closed form gives what the greedy scan gives, (I, A) or the same
+    refusal, on the grid of `_grid_calls` and on every accepted coset tuple
+    at 83^2 and 151^2: I = 0, s, ..., (t-2)s and a last index x, the
+    progression that `_coset_union` reads.  Every last index of A_even /
+    A_odd (t-1, t and t-1+o, past one period of the keys) and every
+    refusal occurs."""
+    seen = Counter()
+    for args in chain(_grid_calls(), _accepted_coset_calls()):
+        got = _outcome(select_coset_reps, *args)
+        assert got == _outcome(greedy_coset_reps, *args), args
+        if isinstance(got[0], type):
+            seen[got[0].__name__, got[1].split(": ")[-1][:4]] += 1
+            continue
+        (ctx, stride, m, t, parity), (I, A) = args, got
+        o = (ctx.q - 1) // gcd(ctx.q - 1, stride * m)  # the period of the keys
+        s = 2 if parity == "all_even" else 1
+        assert I[:-1] == tuple(range(0, s * (t - 1), s)) and A == sum(I)
+        if parity.startswith("A_"):  # t-1+o is t when o = 1; count it as t
+            seen[{t - 1 + o: "t-1+o", t: "t", t - 1: "t-1"}[I[-1]]] += 1
+    assert set(seen) == {"t-1", "t", "t-1+o", ("NotEnoughCosets", "need"),
+                         ("ParityInfeasible", "only"), ("ParityInfeasible", "no f")}, seen
 
 
 def test_select_coset_reps_parity_infeasible():
@@ -326,34 +382,27 @@ def test_engine_locators_match_brute_force_on_reference_codes(theorem, p, d, par
 
 @pytest.mark.parametrize("p,d", [(3, 2), (7, 2), (3, 5), (83, 2), (151, 2)])
 def test_key_locator_logs_match_brute_force(p, d):
-    """u_z over the keys g^{step*z}, z in I = 0, s, ..., (M-1)s and at
-    most one more index, against `locator_logs` on the key logs, for seeded
-    steps that keep the keys distinct; t = 1, 2 and s = 1, 2 included."""
+    """The keys g^{step*z} and u_z over them, z in I = 0, s, ..., (M-1)s and
+    at most one more index x, against `locator_logs` on the key logs, for
+    seeded steps that keep the keys distinct; t = 1 and 2, s = 1, 2 and 3,
+    and x on the progression or past it included."""
     ctx = make_field(p, d)
     q1 = ctx.q - 1
     rng = random.Random(q1)
     cases = 0
     for M in (1, 2, 3, 5, 17):
         for s in (1, 2, 3):
-            for extra in (None, 0, 1, 7):
-                I = tuple(range(0, s * M, s))
-                if extra is not None:
-                    I += (s * (M - 1) + 1 + extra,)
+            for x in (None, s * (M - 1) + 1, s * (M - 1) + 2, s * (M - 1) + 8):
+                I = (*range(0, s * M, s), *([] if x is None else [x]))
                 for step in rng.sample(range(1, q1), min(q1 - 1, 6)):
                     keys = np.array(I, dtype=np.int64) * step % q1
                     if len(set(keys.tolist())) < len(I):
                         continue
-                    assert _key_locator_logs(ctx, step, I).tolist() == \
-                        locator_logs(ctx, keys).tolist(), (step, I)
+                    got_keys, got_u = _key_locator_logs(ctx, step, s, M, x)
+                    assert got_keys.tolist() == keys.tolist(), (step, I)
+                    assert got_u.tolist() == locator_logs(ctx, keys).tolist(), (step, I)
                     cases += 1
     assert cases >= {8: 20}.get(q1, 200)
-
-
-def test_key_locator_logs_refuse_other_index_sets():
-    ctx = make_field(7, 2)
-    for I in ((0, 1, 3, 4), (0, 2, 3, 5), (1, 2, 3), (2, 4)):
-        with pytest.raises(ValueError, match="are not 0, s, 2s"):
-            _key_locator_logs(ctx, 5, I)
 
 
 def test_u_product_power_identity():
