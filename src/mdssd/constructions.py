@@ -49,6 +49,7 @@ import sympy
 
 from .errors import (
     HypothesisViolated,
+    InvalidCosetCount,
     NotEnoughCosets,
     ParityInfeasible,
     TooLargeToMaterialize,
@@ -291,7 +292,10 @@ def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
     all_even (o/2 cosets if o is even, else min(o, ceil(S/2))), and s = 1
     otherwise (o cosets).  x is t-1 for any; for A_even / A_odd, the first
     of t-1, t and t-1+o below S whose key is fresh (x mod o >= t-1) and
-    which gives A its parity.  `_coset_union` reads this progression."""
+    which gives A its parity.  `_coset_union` reads this progression.
+    Raises InvalidCosetCount for t < 1."""
+    if t < 1:
+        raise InvalidCosetCount(t)
     if parity not in ("any", "all_even", "A_even", "A_odd"):
         raise ValueError(f"unknown parity mode {parity!r}")
     q1 = ctx.q - 1
@@ -299,11 +303,11 @@ def select_coset_reps(ctx: FieldCtx, stride: int, m: int, t: int,
     o = q1 // gcd(q1, stride * m)
     if parity == "all_even":
         count = min(o, (S + 1) // 2) if o % 2 else o // 2
-        if not 0 < t <= count:
+        if t > count:
             raise ParityInfeasible(f"only {count} even-index cosets available, needed {t}")
         return tuple(range(0, 2 * t, 2)), t * (t - 1)
     want = {"A_even": 0, "A_odd": 1}.get(parity)
-    if not 0 < t <= o + (want is not None):
+    if t > o + (want is not None):
         raise NotEnoughCosets(t, o)
     x, A = t - 1, t * (t - 1) // 2
     if want is not None and A % 2 != want:

@@ -107,6 +107,11 @@ class HypothesisViolated(MdssdError):
         self.clause = clause
 
 
+class InvalidCosetCount(MdssdError, ValueError):
+    def __init__(self, t: int):
+        super().__init__(f"t must be at least 1, got t = {_quantity(t)}")
+
+
 class NotEnoughCosets(CannotCarryOut):
     def __init__(self, wanted: int, available: int):
         super().__init__(f"needed {wanted} coset representatives, only {available} exist")

@@ -23,17 +23,19 @@ logs log v_j + i log a_j; `grs_rows` makes any set of such rows from
 arrays of points and weights, for G, which is one read-only int64 array of
 shape (k, n), and for the power sums of `verify`, which never hold G.
 
-G's JSON text is written and read on arrays as well.  `to_json` writes an
-array under "G" from its decimal digits, byte for byte as `json.dumps`
-writes the lists, and `artifact_from_json` parses the writer's canonical
-form of G straight into int64, signed entries included, so that a negative
-entry meets the range check there; any other text goes through
+G's JSON text is written and read on arrays as well, in blocks of whole
+rows (`_text_rows`).  `to_json` gathers each entry's 8-byte slot of text
+from constant tables, byte for byte as `json.dumps` writes the lists, and
+`artifact_from_json` parses the writer's canonical form of G straight into
+int64, eight digits to a 64-bit word, signed entries included, so that a
+negative entry meets the range check there; any other text goes through
 `json.loads` and `artifact_from_dict`'s strict list checks, which word every
 error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
@@ -162,11 +164,15 @@ def grs_rows(ctx: FieldCtx, points: np.ndarray, weights: np.ndarray):
     log_a, log_v = log[points], log[weights]
     zero_points = (points == 0).nonzero()[0]
 
-    def rows(exponents: np.ndarray) -> np.ndarray:
+    def rows(exponents: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows, gathered into `out` (an int64 array or view of their
+        shape) when given, so that G's rows are written once."""
         L = exponents[:, None] * log_a
         L += log_v
         L %= ctx.q - 1
-        R = exp[L]
+        # np.take fills out without a copy ("raise" would buffer it; L is in
+        # range), but costs a microsecond more than indexing on small rows
+        R = exp[L] if out is None else np.take(exp, L, out=out, mode="clip")
         if zero_points.size:
             R[:, zero_points] *= exponents[:, None] == 0
         return R
@@ -176,9 +182,9 @@ def grs_rows(ctx: FieldCtx, points: np.ndarray, weights: np.ndarray):
 
 def _generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     """The read-only (k, n) generator matrix: rows 0..k-1 of `grs_rows` on
-    the finite points, made in row blocks of about _BLOCK_ENTRIES entries,
-    and, when a is extended, a last column that is zero except for a 1 in
-    row k-1 (the x^{k-1} coefficient)."""
+    the finite points, gathered straight into G in row blocks of about
+    _BLOCK_ENTRIES entries, and, when a is extended, a last column that is
+    zero except for a 1 in row k-1 (the x^{k-1} coefficient)."""
     if len(v.weights) != len(a.points) or not 1 <= k <= a.n:
         raise DimensionMismatch(f"need len(v) = len(a.points) and 1 <= k <= n, "
                                 f"got n={a.n}, len(v)={len(v.weights)}, k={k}")
@@ -187,7 +193,7 @@ def _generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     G = np.zeros((k, a.n), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // a.n)
     for lo in range(0, k, step):
-        G[lo:lo + step, :len(a.points)] = rows(np.arange(lo, min(lo + step, k)))
+        rows(np.arange(lo, min(lo + step, k)), out=G[lo:lo + step, :len(a.points)])
     if a.extended:
         G[k - 1, -1] = 1
     G.flags.writeable = False
@@ -322,45 +328,75 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
 
 
 def to_json(obj: dict) -> str:
-    """Canonical JSON: sorted keys, no whitespace.  An int64 array under "G"
-    is written from its digits (`_matrix_json`), with the same bytes as its
-    lists; "G" must then sort first, as it does among an artifact's keys,
-    whose other keys are lowercase."""
+    """Canonical JSON: sorted keys, no whitespace, returned as one str.  An
+    integer array under "G" is written with the same bytes as its lists:
+    by `_matrix_json` when its entries are in [0, 10^7), as every encoding
+    is (q <= 2^20), and through its lists otherwise.  "G" must sort first,
+    as it does among an artifact's keys, whose other keys are lowercase."""
     G = obj.get("G")
-    if not isinstance(G, np.ndarray):
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    rest = json.dumps({key: val for key, val in obj.items() if key != "G"},
-                      sort_keys=True, separators=(",", ":"))
-    return b"".join([b'{"G":[[', *_matrix_json(G), b"]],", rest[1:].encode()]).decode()
+    if isinstance(G, np.ndarray):
+        try:
+            pieces = _matrix_json(G)
+        except IndexError:  # an entry outside [0, 10^7), past the slot tables
+            obj = {**obj, "G": G.tolist()}
+        else:
+            rest = json.dumps({key: val for key, val in obj.items() if key != "G"},
+                              sort_keys=True, separators=(",", ":"))
+            return b"".join([b'{"G":[[', *pieces, b"]],", rest[1:].encode()]).decode()
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _text_rows(n: int) -> int:
+    """Rows of G per block of its text, both ways: about _BLOCK_ENTRIES / 32
+    entries, so that each int64 temporary of a block (128 KB) comes back
+    from the heap still mapped and in cache.  Blocks of _BLOCK_ENTRIES
+    fault in fresh pages for every temporary of every block, and all of G
+    at once is slower still."""
+    return max(1, _BLOCK_ENTRIES // 32 // n)
+
+
+@functools.cache
+def _slot_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The writer's tables (LOW, HIGH, SHIFT), independent of q and made on
+    first use, so that a process that writes no G holds none of them.  An
+    entry v < 10^7 is hi * 10^4 + lo, and its little-endian 8-byte slot is
+    LOW[v - SHIFT[hi]] | HIGH[hi]: bytes 0-2 hold hi's digits (none for
+    hi = 0), bytes 3-6 lo's four digits, and byte 7 a ",".  LOW's first
+    10^4 slots (hi = 0) pad lo with NUL bytes, keeping 0's own "0"; its
+    last 10^4 (hi > 0, where SHIFT[hi] = 10^4 (hi - 1)) pad it with "0"."""
+    lo = np.arange(10_000, dtype=np.uint16)
+    low = np.zeros((2, 10_000, 8), dtype=np.uint8)
+    for byte, place in enumerate((1000, 100, 10, 1), start=3):
+        low[:, :, byte] = lo // place % 10 + ord("0")
+        if place > 1:
+            low[0, :, byte] *= lo >= place
+    low[:, :, 7] = ord(",")
+    high = np.zeros((1000, 8), dtype=np.uint8)
+    high[1:, :3] = low[0, 1:1000, 4:7]
+    shift = 10_000 * np.maximum(np.arange(1000) - 1, 0)
+    tables = low.view("<u8").ravel(), high.view("<u8").ravel(), shift
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _matrix_json(G: np.ndarray) -> list[bytes]:
-    """The text of a (k, n) array of entries >= 0 between the outer "[[" and
-    "]]", in pieces of whole rows.  Each entry gets a little-endian slot of
-    8-byte words: its digits, right-aligned and built one decimal place per
-    pass, then "," (";" after a row's last entry); NUL bytes pad the slot
-    and are deleted, and ";" becomes "],[" between rows."""
+    """The text of a (k, n) array of entries in [0, 10^7) between the outer
+    "[[" and "]]", in pieces of whole rows (`_text_rows`); IndexError for
+    an entry outside that range, whose index v - SHIFT[hi] or hi falls
+    outside LOW or SHIFT, negative entries too.  Each entry's 8-byte slot is gathered
+    whole from `_slot_tables`, a row's last "," becomes ";", the NUL bytes
+    are deleted, and ";" becomes "],[" between rows."""
     k, n = G.shape
-    width = len(str(int(G.max())))
-    words = (width + 8) // 8
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = _text_rows(n)
+    low, high, shift = _slot_tables()
     pieces = []
     for lo in range(0, k, rows):
-        rest = G[lo:lo + rows].ravel()
-        slots = np.zeros((rest.size, words), dtype="<i8")
-        slots[:, -1] = ord(",") << 56
-        slots[n - 1::n, -1] = ord(";") << 56
-        for place in range(width):
-            byte = 8 * words - 2 - place
-            high = rest // 10
-            char = high * -10
-            char += rest
-            char += ord("0")
-            if place:  # a leading zero stays NUL
-                char *= rest > 0
-            char <<= 8 * (byte % 8)
-            slots[:, byte // 8] |= char
-            rest = high
+        v = G[lo:lo + rows].ravel()
+        hi = v // 10_000
+        slots = low[v - shift[hi]]
+        slots |= high[hi]
+        slots[n - 1::n] ^= (ord(",") ^ ord(";")) << 56
         pieces.append(slots.tobytes().translate(None, b"\0").replace(b";", b"],["))
     pieces[-1] = pieces[-1][:-3]
     return pieces
@@ -480,75 +516,113 @@ def artifact_from_json(text: str) -> CodeArtifact:
     return artifact_from_dict({**doc, "G": G})
 
 
-# G's text as `_canonical_parts` hands it to np.fromstring: digits, "-" and
-# "," stay, the brackets of "],[" become spaces, which it skips around a ",",
-# and every other byte becomes NUL.
-_G_TEXT = bytes(c if c in b"-0123456789," else 32 if c in b"[]" else 0 for c in range(256))
-
-# np.fromstring saturates an entry beyond int64 to this value.
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def _canonical_parts(text: str) -> tuple[dict, np.ndarray] | None:
     """(the other fields, G) for text in the writer's canonical form, or None.
 
     The form starts '{"G":[[' ("G" sorts before every lowercase key), every
-    "]" of G is followed by ",[" and the last by "],".  An entry may be
-    signed: a "-" must directly precede its digits, at the entry's start,
-    so that a negative entry (a tampered copy) meets the range check here
-    too.  The checks run cheapest first: one pass over G's text for its
-    characters and the places of its signs, then the rest must parse, hold
-    no second "G" and give G's row count as k and an int n, every entry
-    must be a nonempty run of digits, k * n of them, and each row must hold
-    n.  Only then is G parsed, and the digits of the values' magnitudes must
-    add up to the digits of the text, which rules out leading zeros ("-07"
-    as well as "07"; "-0" is 0); no value may be the int64 maximum, to which
-    np.fromstring saturates every entry beyond int64, whatever its sign.
-    Every entry is then a JSON int, so json.loads(text) gives the same
-    document."""
+    "]" of G is followed by ",[" and the last by "],".  The rest must parse,
+    hold no second "G" and give G's row count as k and an int n >= 1, and
+    G's text must be long enough for k * n entries and their k * n - 1
+    commas (2kn - 1 bytes), before G is allocated.  Then
+    `_read_rows` parses G in blocks of whole rows (`_text_rows`) and
+    accounts for every byte: each is a digit of some entry, a "-" that opens
+    one, a comma, or a bracket of a "],[".  An entry is at most 8 bytes,
+    its optional "-" and then digits without a leading zero ("-0" is 0,
+    "-07" and "07" are not canonical), so every entry is a JSON int and
+    json.loads(text) gives the same document.  A negative entry (a tampered
+    copy) meets the range check here too; a longer entry, which no
+    encoding below 2^20 needs, sends the text to the strict path."""
     if not text.startswith('{"G":[[') or not text.isascii():
         return None
     row_ends = []
     end = text.find("]", 7)
     while text.startswith("],[", end):
-        row_ends.append(end - 7)
+        row_ends.append(end)
         end = text.find("]", end + 3)
     if end < 0 or not text.startswith("]],", end):
-        return None
-    flat = text[7:end].encode().translate(_G_TEXT)
-    if b"\0" in flat:
-        return None
-    chars = np.frombuffer(flat, dtype=np.uint8)
-    digit = chars - ord("0") < 10
-    # each "-" starts an entry, after a "," or a bracket's space; then no
-    # entry holds two runs of digits, and with k * n runs below, each holds
-    # one, after at most one "-"
-    signs = np.flatnonzero(chars[1:] == ord("-"))
-    if signs.size and not np.isin(chars[signs], (ord(","), ord(" "))).all():
         return None
     try:
         doc = json.loads("{" + text[end + 3:])
     except (ValueError, RecursionError):
         return None
     k, n = doc.get("k"), doc.get("n")
-    if "G" in doc or type(k) is not int or type(n) is not int or k != len(row_ends) + 1:
+    if ("G" in doc or type(k) is not int or type(n) is not int or k != len(row_ends) + 1
+            or not 1 <= n <= (end - 6) // (2 * k)):
         return None
-    runs = np.count_nonzero(digit[1:] > digit[:-1]) + np.count_nonzero(digit[:1])
-    # a space is one of a "],[", each of whose "[" follows a "]"
-    if runs != k * n or np.count_nonzero(chars == ord(" ")) != 2 * (k - 1):
-        return None
-    # the comma of each "],[" must be the last of n in its row
+    row_ends.append(end)
+    G = np.empty((k, n), dtype=np.int64)
+    rows = _text_rows(n)
+    for lo in range(0, k, rows):
+        start = row_ends[lo - 1] + 3 if lo else 7
+        if not _read_rows(text, start, row_ends[lo:lo + rows], G[lo:lo + rows].reshape(-1)):
+            return None
+    return doc, G
+
+
+# SWAR digits (Langdale & Lemire, "Parsing Gigabytes of JSON per Second",
+# VLDB J. 28, 2019).  The 8-byte word that ends at an entry's last byte,
+# XOR "0" in every byte and masked to its m digits (_DIGIT_MASKS[m]), holds
+# digit values, each at most 9 exactly when adding 0x76 to it leaves its top
+# bit clear; three multiply-shift steps then sum them with their place
+# values.  An m-digit value below _LEAST_VALUES[m] has a leading zero.
+_ZEROS = 0x3030303030303030
+_DIGIT_MASKS = np.array([0, *((1 << 64) - (1 << 8 * (8 - m)) for m in range(1, 9))],
+                        dtype=np.uint64)
+_LEAST_VALUES = np.array([0, 0, *(10 ** (m - 1) for m in range(2, 9))], dtype=np.uint64)
+
+
+def _read_rows(text: str, start: int, ends: list[int], out: np.ndarray) -> bool:
+    """Parses the canonical text of whole rows of G, text[start:ends[-1]],
+    whose rows end at the "]" positions `ends`, into out (len(ends) * n
+    int64 entries).  False unless that text is exactly n entries a row, each
+    of at most 8 bytes, "-" only at an entry's start and digits after it,
+    without a leading zero."""
+    n = out.size // len(ends)
+    size = ends[-1] - start
+    # 7 bytes before the block, so that every byte of it ends an 8-byte word
+    buf = text[start - 7:ends[-1]].encode()
+    chars = np.frombuffer(buf, dtype=np.uint8, offset=7)
     commas = np.flatnonzero(chars == ord(","))
-    if commas.size != k * n - 1 or not np.array_equal(commas[n - 1::n], np.add(row_ends, 1)):
-        return None
-    G = np.fromstring(flat, dtype=np.int64, sep=",")
-    if G.size != k * n:
-        return None
-    top, bottom = int(G.max()), int(G.min())
-    digits, power = G.size, 10
-    while power <= max(top, -bottom):
-        digits += np.count_nonzero(G >= power) + np.count_nonzero(G <= -power)
-        power *= 10
-    if top == _INT64_MAX or digits != np.count_nonzero(digit):
-        return None
-    return doc, G.reshape(k, n)
+    if commas.size != out.size - 1 or not np.array_equal(
+            commas[n - 1::n], np.subtract(ends[:-1], start - 1)):
+        return False
+    # an entry ends before its comma, or before the "]" of a "],[" or of the
+    # block's end, and starts after the previous comma, or after a "["
+    last = np.empty(out.size, dtype=np.int64)
+    last[:-1] = commas
+    last[-1] = size
+    last[n - 1:-1:n] -= 1
+    last -= 1
+    length = np.empty_like(last)
+    length[0] = last[0] + 1
+    np.subtract(last[1:], commas, out=length[1:])
+    length[n::n] -= 1
+    if length.min() < 1 or length.max() > 8:
+        return False
+    signed = None
+    if buf.find(b"-", 7) >= 0:
+        # an entry with a "-" takes its first byte as its sign, so that any
+        # "-" elsewhere is one of its digits, which the digit test refuses
+        signed = np.searchsorted(last, np.flatnonzero(chars == ord("-")))
+        length[signed] -= 1
+        if length.min() < 1:
+            return False
+    x = np.ndarray((size,), dtype="<u8", buffer=buf, strides=(1,))[last]
+    x ^= _ZEROS
+    x &= _DIGIT_MASKS[length]
+    if np.bitwise_or.reduce(x + 0x7676767676767676) & 0x8080808080808080:
+        return False
+    x *= 10 * (1 << 8) + 1
+    x >>= 8
+    x &= 0x00FF00FF00FF00FF
+    x *= 100 * (1 << 16) + 1
+    x >>= 16
+    x &= 0x0000FFFF0000FFFF
+    x *= 10_000 * (1 << 32) + 1
+    x >>= 32
+    if (x < _LEAST_VALUES[length]).any():
+        return False
+    out[:] = x.view(np.int64)
+    if signed is not None:
+        out[signed] *= -1
+    return True

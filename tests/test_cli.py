@@ -26,7 +26,7 @@ def run(capsys, *argv):
 EXIT_CODES = {
     "MdssdError": 2, "NonPrime": 2, "EvenCharacteristic": 2, "DegreeZero": 2,
     "MalformedArtifact": 2, "HypothesisViolated": 2, "UnsupportedTheorem": 2,
-    "EvenQ": 2, "InvalidLambda": 2,
+    "EvenQ": 2, "InvalidLambda": 2, "InvalidCosetCount": 2,
     "CannotCarryOut": 3, "FieldTooLarge": 3, "TooLargeToMaterialize": 3,
     "TooLargeToValidate": 3, "TooLarge": 3, "BudgetExceeded": 3,
     "NotEnoughCosets": 3, "ParityInfeasible": 3, "SquareConditionViolated": 3,
@@ -448,14 +448,18 @@ CANONICAL_LOOKING = {
     "trailing-minus": (lambda doc: _canonical(doc, 2, 5, "1-"), 2, "Expecting ',' delimiter"),
     "minus-leading-zero": (lambda doc: _canonical(doc, 1, 2, "-07"), 2,
                            "Expecting ',' delimiter"),
+    "eight-digits": (lambda doc: _canonical(doc, 1, 2, "12345678"), 2, _OUTSIDE_ROW_1),
+    "minus-seven-digits": (lambda doc: _canonical(doc, 1, 2, "-1234567"), 2, _OUTSIDE_ROW_1),
+    "nine-digits": (lambda doc: _canonical(doc, 1, 2, "123456789"), 2, _OUTSIDE_ROW_1),
     "int64-min": (lambda doc: _canonical(doc, 1, 2, str(-2**63)), 2, _OUTSIDE_ROW_1),
     "below-int64": (lambda doc: _canonical(doc, 1, 2, str(-2**63 - 1)), 2, _OUTSIDE_ROW_1),
     "far-below-int64": (lambda doc: _canonical(doc, 1, 2, str(-2**70)), 2, _OUTSIDE_ROW_1),
 }
 
 # The texts that the canonical reader itself parses; every other one falls
-# back to the strict path.
-CANONICAL_PARSED = {"minus-zero", "negative", "negative-first", "int64-min"}
+# back to the strict path, as does every entry longer than 8 characters.
+CANONICAL_PARSED = {"minus-zero", "negative", "negative-first", "eight-digits",
+                    "minus-seven-digits"}
 
 
 @pytest.mark.parametrize("name", sorted(CANONICAL_LOOKING))

@@ -38,6 +38,7 @@ from mdssd.constructions import (
 )
 from mdssd.errors import (
     HypothesisViolated,
+    InvalidCosetCount,
     NotEnoughCosets,
     ParityInfeasible,
     TooLargeToMaterialize,
@@ -221,6 +222,14 @@ def test_select_coset_reps_returns_an_arithmetic_progression():
             seen[{t - 1 + o: "t-1+o", t: "t", t - 1: "t-1"}[I[-1]]] += 1
     assert set(seen) == {"t-1", "t", "t-1+o", ("NotEnoughCosets", "need"),
                          ("ParityInfeasible", "only"), ("ParityInfeasible", "no f")}, seen
+
+
+@pytest.mark.parametrize("parity", ["any", "all_even", "A_even", "A_odd"])
+@pytest.mark.parametrize("t", [-1, 0])
+def test_select_coset_reps_refuses_t_below_1(t, parity):
+    with pytest.raises(InvalidCosetCount) as raised:
+        select_coset_reps(make_field(3, 2), 1, 2, t, parity)
+    assert str(raised.value) == f"t must be at least 1, got t = {t}"
 
 
 def test_select_coset_reps_parity_infeasible():
