@@ -165,14 +165,14 @@ def grs_rows(ctx: FieldCtx, points: np.ndarray, weights: np.ndarray):
     zero_points = (points == 0).nonzero()[0]
 
     def rows(exponents: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The rows, gathered into `out` (an int64 array or view of their
+        """The rows, gathered into `out` (a C-contiguous int64 array of their
         shape) when given, so that G's rows are written once."""
         L = exponents[:, None] * log_a
         L += log_v
         L %= ctx.q - 1
-        # np.take fills out without a copy ("raise" would buffer it; L is in
-        # range), but costs a microsecond more than indexing on small rows
-        R = exp[L] if out is None else np.take(exp, L, out=out, mode="clip")
+        # np.take fills a C-contiguous out in place ("raise" would buffer
+        # it; L is in range)
+        R = np.take(exp, L, out=out, mode="clip")
         if zero_points.size:
             R[:, zero_points] *= exponents[:, None] == 0
         return R
@@ -184,17 +184,22 @@ def _generator_matrix(a: EvalVector, v: ScalingVector, k: int) -> np.ndarray:
     """The read-only (k, n) generator matrix: rows 0..k-1 of `grs_rows` on
     the finite points, gathered straight into G in row blocks of about
     _BLOCK_ENTRIES entries, and, when a is extended, a last column that is
-    zero except for a 1 in row k-1 (the x^{k-1} coefficient)."""
+    zero except for a 1 in row k-1 (the x^{k-1} coefficient).  An extended
+    code's rows are gathered with a stand-in last point 1 of weight 1, so
+    that each block is whole rows of G, contiguous; its column is then
+    overwritten."""
     if len(v.weights) != len(a.points) or not 1 <= k <= a.n:
         raise DimensionMismatch(f"need len(v) = len(a.points) and 1 <= k <= n, "
                                 f"got n={a.n}, len(v)={len(v.weights)}, k={k}")
-    rows = grs_rows(a.ctx, np.array(a.points, dtype=np.int64),
-                    np.array(v.weights, dtype=np.int64))
-    G = np.zeros((k, a.n), dtype=np.int64)
+    stand_in = [1] if a.extended else []
+    rows = grs_rows(a.ctx, np.array([*a.points, *stand_in], dtype=np.int64),
+                    np.array([*v.weights, *stand_in], dtype=np.int64))
+    G = np.empty((k, a.n), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // a.n)
     for lo in range(0, k, step):
-        rows(np.arange(lo, min(lo + step, k)), out=G[lo:lo + step, :len(a.points)])
+        rows(np.arange(lo, min(lo + step, k)), out=G[lo:lo + step])
     if a.extended:
+        G[:, -1] = 0
         G[k - 1, -1] = 1
     G.flags.writeable = False
     return G
@@ -329,21 +334,17 @@ def artifact_to_dict(art: CodeArtifact, trace_dict: dict | None = None,
 
 def to_json(obj: dict) -> str:
     """Canonical JSON: sorted keys, no whitespace, returned as one str.  An
-    integer array under "G" is written with the same bytes as its lists:
-    by `_matrix_json` when its entries are in [0, 10^7), as every encoding
-    is (q <= 2^20), and through its lists otherwise.  "G" must sort first,
-    as it does among an artifact's keys, whose other keys are lowercase."""
+    integer array under "G", whose entries must be in [0, 10^7) as every
+    encoding is (q <= 2^20), is written by `_matrix_json` with the same
+    bytes as its lists; IndexError for any other entry.  "G" must sort
+    first, as it does among an artifact's keys, whose other keys are
+    lowercase."""
     G = obj.get("G")
-    if isinstance(G, np.ndarray):
-        try:
-            pieces = _matrix_json(G)
-        except IndexError:  # an entry outside [0, 10^7), past the slot tables
-            obj = {**obj, "G": G.tolist()}
-        else:
-            rest = json.dumps({key: val for key, val in obj.items() if key != "G"},
-                              sort_keys=True, separators=(",", ":"))
-            return b"".join([b'{"G":[[', *pieces, b"]],", rest[1:].encode()]).decode()
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    if not isinstance(G, np.ndarray):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    rest = json.dumps({key: val for key, val in obj.items() if key != "G"},
+                      sort_keys=True, separators=(",", ":"))
+    return b"".join([b'{"G":[[', *_matrix_json(G), b"]],", rest[1:].encode()]).decode()
 
 
 def _text_rows(n: int) -> int:
@@ -384,9 +385,9 @@ def _matrix_json(G: np.ndarray) -> list[bytes]:
     """The text of a (k, n) array of entries in [0, 10^7) between the outer
     "[[" and "]]", in pieces of whole rows (`_text_rows`); IndexError for
     an entry outside that range, whose index v - SHIFT[hi] or hi falls
-    outside LOW or SHIFT, negative entries too.  Each entry's 8-byte slot is gathered
-    whole from `_slot_tables`, a row's last "," becomes ";", the NUL bytes
-    are deleted, and ";" becomes "],[" between rows."""
+    outside LOW or SHIFT, negative entries too.  Each entry's 8-byte slot
+    is gathered whole from `_slot_tables`, a row's last "," becomes ";",
+    the NUL bytes are deleted, and ";" becomes "],[" between rows."""
     k, n = G.shape
     rows = _text_rows(n)
     low, high, shift = _slot_tables()
