@@ -6,10 +6,11 @@ for a stride of r-1, or (r+1)/s in family 3.  The variants differ only in a
 parity rule for the indices z, in whether 0 and infinity are added, and in
 lambda.  `select_coset_reps` gives the indices in closed form, 0, s, 2s,
 ... and one last index, from the period o of the coset keys and the bound S
-of the indices.  Family 4 is a translated subspace grid, family 5
-subfield-subspace translates of roots of unity; both take their subspace
-from one span, `_span`.  All of them delegate to the assembly engines in
-`grs`.
+of the indices; that index is passed apart only where a parity rule moves it
+off (t-1)s.  Family 4 evaluates on the group S beta + S, one F_p-span of
+gamma^i and beta gamma^i, family 5 on omega^j + V, with omega a primitive
+2t-th root of unity and V an F_(p^k)-span; `_span` makes both spans.  All
+of them delegate to the assembly engines in `grs`.
 
 The families stop at (a, lambda): each gives its evaluation vector, its
 lambda (none for the extended code), the logs of its locators and its
@@ -384,9 +385,9 @@ def _coset_union(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     I, A = select_coset_reps(ctx, stride, m, t, parity)
     q1 = ctx.q - 1
     exp, log = ctx.np_tables
-    x = I[-1] if parity.startswith("A_") else None  # the index that fixes A's parity
-    keys, log_u = _key_locator_logs(ctx, stride * m, 2 if parity == "all_even" else 1,
-                                    t - (x is not None), x)
+    s = 2 if parity == "all_even" else 1
+    x = I[-1] if I[-1] != (t - 1) * s else None  # the index off the progression
+    keys, log_u = _key_locator_logs(ctx, stride * m, s, t - (x is not None), x)
     log_mu = log[m % ctx.p] + log_u  # of m u_z
     # the points g^{k(q-1)/m + stride*z}, z over I (rows), 0 <= k < m (columns)
     logs = (np.arange(m, dtype=np.int64) * (q1 // m)
@@ -424,13 +425,10 @@ def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     r = params.r
     gamma = ctx.subfield_generator_v(r)
     basis = tuple(ctx.pow_v(gamma, i) for i in range(params.e))
-    alphas = _span(ctx, basis, ctx.subfield_elements_v(ctx.p))
     beta = ctx.pow_v(ctx.g_val, r - 1)
-    points = [
-        ctx.add_v(ctx.mul_v(ak, beta), aj)
-        for ak in alphas
-        for aj in alphas
-    ]
+    # alpha_j + alpha_k beta over the 2e vectors gamma^i, beta gamma^i: alpha_j fastest
+    points = _span(ctx, basis + tuple(ctx.mul_v(beta, b) for b in basis),
+                   ctx.subfield_elements_v(ctx.p))
     a = EvalVector(ctx, tuple(points), extended=True)
     # the points are the additive group W = S beta + S, so every L(a_i) is
     # prod_{w in W, w != 0} w
@@ -445,7 +443,7 @@ def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
 def _root_translates(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     t = params.t
     sub_q = ctx.p**params.k_sub
-    omega = ctx.pow_v(ctx.subfield_generator_v(sub_q), (sub_q - 1) // (2 * t))
+    omega = ctx.root_of_unity_v(2 * t)  # in the subfield, as 2t | sub_q - 1
     basis = tuple(ctx.pow_v(ctx.g_val, i) for i in range(1, params.e + 1))
     # V = subfield-span of {g, ..., g^e}; coordinates are unique, so
     # V meets the subfield only in 0

@@ -344,7 +344,8 @@ def to_json(obj: dict) -> str:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
     rest = json.dumps({key: val for key, val in obj.items() if key != "G"},
                       sort_keys=True, separators=(",", ":"))
-    return b"".join([b'{"G":[[', *_matrix_json(G), b"]],", rest[1:].encode()]).decode()
+    tail = "," + rest[1:] if len(obj) > 1 else "}"
+    return b"".join([b'{"G":[[', *_matrix_json(G), b"]]", tail.encode()]).decode()
 
 
 def _text_rows(n: int) -> int:

@@ -200,6 +200,27 @@ def test_artifact_json_roundtrip_and_determinism():
     assert artifact_from_dict(tampered) != art
 
 
+def test_artifact_equality_with_another_type_is_not_implemented():
+    art, _ = build("T1ii", 3, 2, m=2, t=2)
+    assert art.__eq__(1) is NotImplemented
+    assert not art == 1 and art != 1
+
+
+def test_field_contexts_of_one_field_made_twice_are_equal():
+    """A context made after the cache is cleared is a new object that
+    equals, hashes and prints as the first, and so do artifacts over it."""
+    first = make_field(3, 2)
+    art, _ = build("T1ii", 3, 2, m=2, t=2)
+    make_field.cache_clear()
+    second = make_field(3, 2)
+    assert second is not first
+    assert second == first and hash(second) == hash(first)
+    assert repr(second) == repr(first) == "FieldCtx(p=3, d=2, q=9)"
+    assert second != make_field(3, 4) and second != (3, 2)
+    again, _ = build("T1ii", 3, 2, m=2, t=2)
+    assert again.ctx is second and again == art
+
+
 def test_artifact_from_dict_rejects_foreign_modulus():
     ctx = make_field(3, 2)
     a = EvalVector(ctx, (1, 6, 2, 3))
@@ -232,7 +253,8 @@ def test_artifact_from_dict_names_first_offending_row(bad, error):
     ("n", -10**5000, "n must be a positive integer, got a negative integer of 16610 bits"),
     ("q", 10**5000, "q must be p^d = 9, got an integer of 16610 bits"),
     ("extended", 10**5000, "extended must be a boolean, got an integer of 16610 bits"),
-], ids=["n", "q", "extended"])
+    ("q", [10**5000], "q must be p^d = 9, got a list holding an integer too long to show"),
+], ids=["n", "q", "extended", "q-list"])
 def test_artifact_from_dict_words_huge_ints_by_bit_length(key, value, shown):
     # repr of an int beyond the interpreter's decimal limit raises
     # ValueError itself; the loader must still raise MalformedArtifact

@@ -57,6 +57,9 @@ def test_writer_writes_json_dumps_bytes(name, monkeypatch):
         pieces = _matrix_json(G)
         assert b"".join([b"[[", *pieces, b"]]"]) == want, block
         assert len(pieces) == -(-G.shape[0] // grs._text_rows(G.shape[1]))
+        # G alone: no "," after its "]]"
+        assert grs.to_json({"G": G}) == json.dumps({"G": G.tolist()}, sort_keys=True,
+                                                   separators=(",", ":"))
 
 
 @pytest.mark.parametrize("G", [
