@@ -11,19 +11,26 @@ g^a + g^b = g^(a + zech[b - a]), where zech[(q-1)/2] = -1 marks
 methods index read-only memoryviews of the tables, which give Python ints
 without a copy; vectorized code gathers from the same arrays.
 
-Set-up runs in a few numpy passes.  The modulus search runs Ben-Or's test
-on the candidate polynomials in ascending order; of degree at most 3 its one
-step is the root test.  The primitive-element search raises
-stacks of multiplication matrices over F_p, with the squarings shared by the
-primes of q-1.  The exp table is filled by doubling: once g^0..g^{L-1} are
-known, the next L entries are g^L times them.  Multiplication by a fixed
-element is F_p-linear, so each step multiplies a block of the base-p digit
-table, kept as small integers throughout, by the d x d matrix of g^L, and
-squares that matrix for the next step; the digits are encoded once at the
-end.  The log table is the inverse permutation, filled by one scatter.
-Adding 1 changes only the constant digit, so the Zech table is the log
-table with each run of p entries rotated by one, gathered at exp.
-`log_muladd` folds the Zech lookup, zero handling and reduction of
+Set-up runs in a few numpy passes and reads the structure of F_q*: with
+m = (q-1)/(p-1), the norm N(c) = c^m of every c lies in F_p, and the norm
+omega of a primitive g generates F_p*.  The modulus search takes the
+candidate polynomials in ascending order, in blocks of p that differ only
+in the constant term, and evaluates each block at the p points at once;
+for d <= 3 the first root-free candidate is irreducible, and for d >= 4
+only root-free candidates go on to Ben-Or's test.  The primitive-element
+search raises stacks of multiplication matrices over F_p: a prime l of
+p-1 is tested on the norm, a scalar, and any other prime l of q-1 on
+whether c^(m/l) is a constant.  The first m entries of the exp table, all
+of them for d = 1, come from doubling: once g^0..g^{L-1} are known, the
+next L are g^L times them, one d x d matrix over F_p applied to a block of
+the base-p digit table per step.  The rest are
+exp[j m + i] = omega^j exp[i], and multiplying by a constant of F_p
+scales each digit mod p with no carry, so they are gathered from scale
+tables built from the powers of omega, at the low and the high half of
+each entry's digits.  The log table is the inverse permutation, filled by
+one scatter.  Adding 1 changes only the constant digit, so the Zech table
+is the log table with each run of p entries rotated by one, gathered at
+exp.  `log_muladd` folds the Zech lookup, zero handling and reduction of
 A <- A + F (x) R on int32 logs into two gathers from tables built on first
 use.
 """
@@ -56,6 +63,13 @@ _TABLE_CHUNK = 4096
 
 # Primitive-element candidates tested per numpy call.
 _CANDIDATES = 16
+
+# Values of the modulus search's root test per numpy call: blocks of p
+# candidates, one block per call once p exceeds it.
+_ROOT_TEST_VALUES = 64
+
+# Entries of the exp table filled per pair of gathers from the scale tables.
+_SCALE_BLOCK = 1 << 16
 
 
 # --- dense polynomial arithmetic over F_p (coefficient lists, constant first) ---
@@ -124,14 +138,30 @@ def _is_irreducible(f: list[int], p: int) -> bool:
 def _find_modulus(p: int, d: int) -> tuple[int, ...]:
     """Smallest-encoding monic irreducible polynomial of degree d over F_p:
     the first candidate, in ascending order of encoding, that passes
-    `_is_irreducible`.  For d <= 3 that test takes one step,
-    gcd(x^p - x, f) = 1, which holds exactly when f has no root in F_p."""
+    `_is_irreducible`.  That test's first step, gcd(x^p - x, f) = 1, holds
+    exactly when f has no root in F_p, and for d <= 3 it is the whole test.
+    The candidates run in blocks of p that share all coefficients but the
+    constant c_0: f = c_0 + r has a root iff -c_0 is a value of r on F_p,
+    so one evaluation of r at the p points marks every c_0 of the block
+    that has a root.  Blocks are evaluated about `_ROOT_TEST_VALUES`
+    values at a time, and only the root-free candidates of degree d >= 4
+    go on to the rest of the test."""
     if d == 1:
         return (0, 1)  # x itself; reduction mod x plays no role for d=1
-    for low in range(p**d):
-        f = [low // p**i % p for i in range(d)] + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
+    # row i holds a^i mod p at the points a; a^d < p^d = q stays in int64
+    powers = np.arange(p) ** np.arange(d + 1)[:, None] % p
+    place = p ** np.arange(d - 1)
+    batch = max(1, _ROOT_TEST_VALUES // p)
+    for start in range(0, p ** (d - 1), batch):
+        highs = np.arange(start, min(start + batch, p ** (d - 1)))
+        coeffs = highs[:, None] // place % p  # c_1 .. c_{d-1} of each block
+        roots = -(coeffs @ powers[1:d] + powers[d]) % p  # the c_0 with a root at a
+        has_root = np.zeros((len(highs), p), dtype=bool)
+        has_root[np.arange(len(highs))[:, None], roots] = True
+        for block, c0 in zip(*np.nonzero(~has_root)):
+            f = [int(c0), *coeffs[block].tolist(), 1]
+            if d <= 3 or _is_irreducible(f, p):
+                return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -168,6 +198,57 @@ def _mat_pow(mats: np.ndarray, e: int, p: int) -> np.ndarray:
         if not e:
             return power
         mats = _reduce(mats @ mats, p)
+
+
+def _doubling(mat: np.ndarray, weights: np.ndarray, count: int, p: int) -> np.ndarray:
+    """(k, count) int32 array whose column i is weights @ (the base-p digits
+    of g^i), for the multiplication matrix mat of g over F_p and a (k, d)
+    float64 weights matrix of encodings.  Filled by doubling: once
+    g^0..g^{L-1} are known, the next L are g^L times them, the (d, L)
+    digit table multiplied by the matrix of g^L, which squares for the next
+    step.  The products run in float64 and are reduced by `_reduce`.  The
+    digits stay small integers, kept only for the columns a later step
+    reads."""
+    d = len(mat)
+    codes = np.empty((len(weights), count), dtype=np.int32)
+    codes[:, 0] = weights[:, 0]
+    digits = np.zeros((d, 1 << (count - 1).bit_length() - 1), dtype=np.min_scalar_type(p - 1))
+    digits[0, 0] = 1
+    step = 1
+    while step < count:
+        for lo in range(0, min(step, count - step), _TABLE_CHUNK):
+            hi = min(lo + _TABLE_CHUNK, step, count - step)
+            block = _reduce(mat @ digits[:, lo:hi].astype(np.float64), p)
+            codes[:, step + lo:step + hi] = weights @ block
+            if 2 * step < count:
+                digits[:, step + lo:step + hi] = block
+        step *= 2
+        if step < count:
+            mat = _reduce(mat @ mat, p)
+    return codes
+
+
+def _scale_tables(omega: int, p: int, width: int, rows: int):
+    """Yield, for start = 1, 1 + rows, ... below p-1, the (r, p^width) int32
+    array whose row i maps each encoding v of `width` base-p digits to that
+    of omega^(start + i) v, each digit scaled mod p.  The digit products are
+    gathered from the powers of omega in F_p, at the digit's log to base
+    omega, and the encodings are built one digit at a time by outer sums."""
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * omega % p)
+    # omega^(j + log x) read at j + log x < 2(p-1); digit 0 reads zeros
+    table = np.zeros(3 * (p - 1), dtype=np.int32)
+    table[:p - 1] = powers
+    table[p - 1:2 * (p - 1)] = table[:p - 1]
+    logs = np.full(p, 2 * (p - 1))
+    logs[table[:p - 1]] = np.arange(p - 1)
+    for start in range(1, p - 1, rows):
+        digit = table.take(np.arange(start, min(start + rows, p - 1))[:, None] + logs)
+        scale = digit
+        for i in range(1, width):
+            scale = (digit[:, :, None] * p**i + scale[:, None, :]).reshape(len(digit), -1)
+        yield scale
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -222,32 +303,43 @@ class FieldCtx:
 
     # -- construction helpers --
 
-    def _primitive_element(self, basis: np.ndarray) -> int:
-        """Smallest encoding whose order is exactly q-1.  For d >= 2 the
-        encodings below p are constants, of order dividing p-1 < q-1.
-        Candidates are tested _CANDIDATES at a time: c is primitive iff no
-        power (q-1)/l, for the primes l | q-1, of its multiplication matrix
-        is the identity.  The primes share their squarings: the (C, d, d)
-        stack is raised to (q-1)/rad(q-1) once, and that to rad/l for each
-        l."""
+    def _primitive_element(self) -> tuple[int, np.ndarray, int]:
+        """Smallest encoding g whose order is exactly q-1, with its float64
+        multiplication matrix over F_p and its norm g^m in F_p,
+        m = (q-1)/(p-1).  For d >= 2 the encodings below p are constants,
+        of order dividing p-1 < q-1.  Candidates are tested _CANDIDATES at
+        a time: c is primitive iff c^((q-1)/l) != 1 for each prime l | q-1.
+        The norm N(c) = c^m lies in F_p, so for l | p-1 the test is
+        N(c)^((p-1)/l) != 1, on scalars.  Every other l divides m, and
+        c^((q-1)/l) = (c^(m/l))^(p-1) is 1 iff c^(m/l) lies in F_p, that is
+        iff column 0 of its multiplication matrix, its own digits, is zero
+        below the diagonal.  These powers share their squarings: the
+        (C, d, d) stack is raised to m/r once, with r the product of these
+        l, then to r/l for each l, and the power for the smallest l to l
+        gives N(c)."""
         p, d, q = self.p, self.d, self.q
-        identity = np.eye(d)
-        rad = math.prod(self.q1_factors)
+        m = (q - 1) // (p - 1)
+        others = [ell for ell in self.q1_factors if (p - 1) % ell]
+        rad = math.prod(others)
+        norm_exps = [(p - 1) // ell for ell in self.q1_factors if (p - 1) % ell == 0]
+        basis = _power_matrices(self.modulus, p)
         for lo in range(2 if d == 1 else p, q, _CANDIDATES):
-            cands = np.arange(lo, min(lo + _CANDIDATES, q), dtype=np.int64)
-            base = _mat_pow(_mul_matrices(cands, basis, p), (q - 1) // rad, p)
-            primitive = np.ones(cands.size, dtype=bool)
-            for ell in self.q1_factors:
-                primitive &= (_mat_pow(base, rad // ell, p) != identity).any(axis=(1, 2))
-            if primitive.any():
-                return int(cands[primitive.argmax()])
+            mats = _mul_matrices(np.arange(lo, min(lo + _CANDIDATES, q)), basis, p)
+            base = power = _mat_pow(mats, m // rad, p)
+            primitive = np.ones(len(mats), dtype=bool)
+            for ell in reversed(others):
+                power = _mat_pow(base, rad // ell, p)  # c^(m/l)
+                primitive &= power[:, 1:, 0].any(axis=1)
+            norm = _mat_pow(power, others[0], p) if others else base
+            for i, n in enumerate(norm[:, 0, 0].astype(int).tolist()):
+                if primitive[i] and all(pow(n, e, p) != 1 for e in norm_exps):
+                    return lo + i, mats[i].copy(), n
         raise AssertionError("no primitive element found")  # unreachable
 
     def _build_tables(self) -> None:
         q1 = self.q - 1
-        basis = _power_matrices(self.modulus, self.p)
-        g_val = self.g_val = self._primitive_element(basis)
-        exp = self._exp_table(g_val, basis)
+        self.g_val, g_mat, omega = self._primitive_element()
+        exp = self._exp_table(g_mat, omega)
         log = np.zeros(self.q, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
         zech = self._zech_table(exp, log)
@@ -259,30 +351,35 @@ class FieldCtx:
         # indexing a memoryview gives a Python int, faster than ndarray.item
         self._exp, self._log, self._zech = map(memoryview, (exp, log, zech))
 
-    def _exp_table(self, g_val: int, basis: np.ndarray) -> np.ndarray:
-        """exp[i] = g^i for 0 <= i < q-1, by doubling: exp[L:2L] = g^L exp[0:L].
-        Multiplication by g^L is F_p-linear, so each step multiplies a block
-        of the (d, q-1) base-p digit table by the d x d matrix M_L of g^L over
-        F_p, and M_2L = M_L^2.  The products run in float64, exact below
-        2^52.  The digits stay small integers through the doubling and are
-        encoded once at the end."""
+    def _exp_table(self, g_mat: np.ndarray, omega: int) -> np.ndarray:
+        """exp[i] = g^i for 0 <= i < q-1, for the primitive element g with
+        multiplication matrix g_mat over F_p and norm omega = g^m,
+        m = (q-1)/(p-1).  For d = 1 every entry comes from `_doubling`.
+        For d >= 2 only the first m do: omega lies in F_p, so
+        exp[j m + i] = omega^j exp[i], and a multiple by a constant of F_p
+        scales each base-p digit mod p, with no carry.  The doubling encodes the low h = floor(d/2) digits and
+        the high d - h digits of each entry apart, lo and hi with
+        exp = lo + H hi, H = p^h.  The scale table T_j of `_scale_tables`
+        maps an encoding v of at most d - h digits to that of omega^j v, so
+        exp[j m + i] = T_j[lo_i] + H T_j[hi_i], two gathers per block of
+        rows j."""
         p, d, q1 = self.p, self.d, self.q - 1
-        digits = np.zeros((d, q1), dtype=np.min_scalar_type(p - 1))
-        digits[0, 0] = 1
-        mat = _mul_matrices(np.array([g_val]), basis, p)[0]
-        step = 1
-        while step < q1:
-            count = min(step, q1 - step)
-            for lo in range(0, count, _TABLE_CHUNK):
-                hi = min(lo + _TABLE_CHUNK, count)
-                block = mat @ digits[:, lo:hi].astype(np.float64)
-                digits[:, step + lo:step + hi] = _reduce(block, p)
-            step *= 2
-            mat = _reduce(mat @ mat, p)
-        exp = np.zeros(q1, dtype=np.int64)
-        for row in digits[::-1]:
-            exp *= p
-            exp += row
+        if d == 1:
+            return _doubling(g_mat, np.ones((1, 1)), q1, p)[0].astype(np.int64)
+        m, h = q1 // (p - 1), d // 2
+        weights = np.array([[p**i if i < h else 0 for i in range(d)],
+                            [0 if i < h else p**(i - h) for i in range(d)]], dtype=np.float64)
+        lo, hi = _doubling(g_mat, weights, m, p)
+        exp = np.empty(q1, dtype=np.int64)
+        np.multiply(hi, p**h, out=exp[:m])
+        exp[:m] += lo
+        start = m
+        for scale in _scale_tables(omega, p, d - h, max(1, _SCALE_BLOCK // m)):
+            block = scale.take(hi, axis=1)
+            block *= p**h
+            block += scale.take(lo, axis=1)
+            exp[start:start + block.size] = block.reshape(-1)
+            start += block.size
         return exp
 
     def _zech_table(self, exp: np.ndarray, log: np.ndarray) -> np.ndarray:

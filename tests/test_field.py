@@ -3,14 +3,17 @@ and the canonical square root."""
 
 from __future__ import annotations
 
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
 import field_oracles as oracles
+import mdssd.field
 from mdssd.errors import (
     DegreeZero,
     EvenCharacteristic,
@@ -253,10 +256,24 @@ def _scalar_tables(ctx):
     return exp, log
 
 
+# The exp table's oracle fields: every odd prime power q < 2^10 with d >= 2,
+# the odd primes below 100 and the reference fields.  Among them are p = 3,
+# where the only constant multiple is the negation, d = 2 with large p, and
+# gcd(d, p-1) > 1 (5^4, 7^3, 3^6).
+ORACLE_FIELDS = sorted({(p, d) for p in sympy.primerange(3, 32) for d in range(2, 10)
+                        if p**d < 1 << 10}
+                       | {(p, 1) for p in sympy.primerange(3, 100)} | set(REFERENCE_FIELDS))
+
+
 @pytest.mark.parametrize("p,d", sorted(REFERENCE_FIELDS))
-def test_tables_match_scalar_recurrence(p, d):
+def test_reference_modulus_and_generator(p, d):
     ctx = make_field(p, d)
     assert (ctx.modulus, ctx.g_val) == REFERENCE_FIELDS[(p, d)]
+
+
+@pytest.mark.parametrize("p,d", ORACLE_FIELDS)
+def test_tables_match_scalar_recurrence(p, d):
+    ctx = make_field(p, d)
     exp, log = _scalar_tables(ctx)
     np_exp, np_log = ctx.np_tables
     assert np_exp.dtype == np_log.dtype == "int64"
@@ -274,8 +291,11 @@ def _scalar_pow(ctx, a, e):
     return result
 
 
+# gcd(d, p-1) > 1 at 7^3, 5^4 and 5^6; q-1 has primes not dividing p-1,
+# which the search tests on c^(m/l) rather than on the norm, at all d >= 2
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (1009, 1), (3, 2), (5, 2), (3, 4), (7, 3),
-                                 (83, 2), (151, 2), (3, 10), (3, 12)])
+                                 (5, 4), (13, 2), (5, 6), (1021, 2), (83, 2), (151, 2),
+                                 (3, 10), (3, 12)])
 def test_generator_search_matches_full_scan(p, d):
     # the search starts at p when d >= 2, past the constants 2..p-1, and
     # tests its candidates in batches
@@ -296,7 +316,7 @@ def _digitwise(ctx, a, b, sign):
     return sum(((a // p**i + sign * (b // p**i)) % p) * p**i for i in range(ctx.d))
 
 
-@pytest.mark.parametrize("p,d", ZECH_FIELDS)
+@pytest.mark.parametrize("p,d", ORACLE_FIELDS)
 def test_zech_table_matches_digitwise_addition(p, d):
     ctx = make_field(p, d)
     zech = ctx.np_zech
@@ -354,9 +374,11 @@ def _first_irreducible(p, d):
                 if _trial_irreducible(f, p))
 
 
-# degree 2 to 12; for d <= 3 Ben-Or's one step, gcd(x^p - x, f) = 1, is the root test
-MODULUS_FIELDS = [(3, 2), (5, 2), (151, 2), (1021, 2), (3, 3), (7, 3), (3, 4), (5, 4), (3, 5),
-                  (3, 6), (5, 6), (3, 7), (3, 8), (5, 8), (3, 9), (3, 10), (3, 11), (3, 12)]
+# degree 2 to 12; for d <= 3 Ben-Or's one step, gcd(x^p - x, f) = 1, is the
+# root test.  With p = 2 mod 3 every x^3 + c has a root (5^3, 11^3, 101^3).
+MODULUS_FIELDS = [(3, 2), (5, 2), (151, 2), (1021, 2), (3, 3), (5, 3), (7, 3), (11, 3), (101, 3),
+                  (3, 4), (5, 4), (3, 5), (3, 6), (5, 6), (3, 7), (3, 8), (5, 8), (3, 9), (3, 10),
+                  (3, 11), (3, 12)]
 
 
 @pytest.mark.parametrize("p,d", MODULUS_FIELDS)
@@ -391,8 +413,12 @@ def test_lists_are_built_on_first_use_from_the_arrays(p, d):
 # tracemalloc peak in bytes of FieldCtx(p, d) plus exp and log Python lists,
 # measured in a fresh process on the code before the tables were built on
 # digit arrays; the arrays and the lists then made up the whole peak.
-# FieldCtx alone must stay under it.
-PEAK_BYTES = {(3, 10): 5_890_808, (151, 2): 2_265_720, (3, 12): 53_130_008}
+# FieldCtx alone must stay under it.  The bounds at 1021^2 and 101^3 are
+# the peaks of FieldCtx alone, measured the same way on the code that still
+# doubled over the whole exp table, so that its scale tables cannot grow
+# the set-up's memory at large p.
+PEAK_BYTES = {(3, 10): 5_890_808, (151, 2): 2_265_720, (3, 12): 53_130_008,
+              (1021, 2): 25_020_124, (101, 3): 24_728_660}
 
 
 @pytest.mark.parametrize("p,d", sorted(PEAK_BYTES))
@@ -405,3 +431,53 @@ def test_table_set_up_peak_memory(p, d):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES[(p, d)]
+
+
+def _constant_expression(node: ast.expr) -> bool:
+    """Whether an expression is built from literals by arithmetic and tuples."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.BinOp):
+        return _constant_expression(node.left) and _constant_expression(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _constant_expression(node.operand)
+    if isinstance(node, ast.Tuple):
+        return all(map(_constant_expression, node.elts))
+    return False
+
+
+def test_field_module_holds_no_cache_beyond_make_field():
+    """Each job pays for the fields it builds: after `make_field.cache_clear()`
+    nothing of an earlier set-up is left in `mdssd.field`.  Its only caches
+    are `make_field`'s lru_cache and the per-field `_muladd_tables`
+    property.  Every other module-level or class-level name is bound to a
+    constant, no default argument is mutable, and no function rebinds a
+    global."""
+    tree = ast.parse(Path(mdssd.field.__file__).read_text())
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    caching = {"cache", "lru_cache", "cached_property"}
+    decorators = {(f.name, ast.unparse(deco)) for f in functions for deco in f.decorator_list}
+    assert decorators == {("make_field", "functools.lru_cache(maxsize=None)"),
+                          ("_muladd_tables", "functools.cached_property")}
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in caching
+            or isinstance(node, ast.Name) and node.id in caching
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] in caching]
+    assert len(uses) == 2  # the two decorators
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                assert node.value is not None and _constant_expression(node.value), \
+                    ast.unparse(node)
+    for f in functions:
+        defaults = f.args.defaults + [d for d in f.args.kw_defaults if d is not None]
+        assert all(map(_constant_expression, defaults)), f.name
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
+
+
+def test_the_cache_guard_sees_a_module_level_table():
+    assert not _constant_expression(ast.parse("_TABLES = {}").body[0].value)
+    assert not _constant_expression(ast.parse("_T = np.zeros(3)").body[0].value)
+    assert _constant_expression(ast.parse("_B = (1 << 16, -2)").body[0].value)
