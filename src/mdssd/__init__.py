@@ -38,7 +38,6 @@ from .grs import (
 from .verify import (
     VerificationReport,
     check_mds_minors,
-    check_self_dual,
     min_distance,
     verify_artifact,
 )
@@ -57,6 +56,5 @@ __all__ = [
     "artifact_from_json", "artifact_record", "artifact_to_dict",
     "assemble_self_dual_grs", "assemble_self_dual_xgrs",
     "to_json",
-    "VerificationReport", "check_mds_minors", "check_self_dual",
-    "min_distance", "verify_artifact",
+    "VerificationReport", "check_mds_minors", "min_distance", "verify_artifact",
 ]

@@ -31,7 +31,7 @@ from math import gcd
 import numpy as np
 import sympy
 
-from .constructions import ConstructionParams, _points_and_weights, valid_param_arrays
+from .constructions import ConstructionParams, _params_at, _points_and_weights, valid_param_arrays
 from .errors import BudgetExceeded, EvenQ, MdssdError, SpotCheckFailed, TooLargeToMaterialize
 from .field import FieldCtx, make_field, odd_prime_power
 from .verify import power_sum_verdict
@@ -150,7 +150,7 @@ def _new_rules(cx: CensusCtx, spot_check_bound: int
     """Per-family length sets, read from the length column of each family's
     accepted tuples, and for each even length up to the bound the tuples that
     give it, in enumeration order, as rows of the accepted int64 columns; a
-    ConstructionParams is made only for a tuple that is tried (`_params`)."""
+    ConstructionParams is made only for a tuple that is tried (`_params_at`)."""
     rules: dict[str, set[int]] = {}
     by_length: dict[int, list[_Tuple]] = {}
     # no length exceeds q + 1; the clamp keeps the comparison within int64
@@ -166,12 +166,6 @@ def _new_rules(cx: CensusCtx, spot_check_bound: int
             for row, length in enumerate(kept["n"].tolist()):
                 by_length.setdefault(length, []).append((th, kept, row))
     return rules, by_length
-
-
-def _params(cx: CensusCtx, tup: _Tuple) -> ConstructionParams:
-    th, columns, row = tup
-    return ConstructionParams(th, cx.p, cx.d,
-                              **{key: int(col[row]) for key, col in columns.items()})
 
 
 def _spot_check(ctx: FieldCtx, pr: ConstructionParams) -> str | None:
@@ -257,8 +251,8 @@ def census_report(q: int, spot_check_bound: int = 0) -> CensusReport:
         for n in sorted(candidates):
             # the failure named is that of the first tuple tried
             failure = None
-            for tup in candidates[n]:
-                pr = _params(cx, tup)
+            for th, columns, row in candidates[n]:
+                pr = _params_at(th, cx.p, cx.d, columns, row)
                 found = _spot_check(ctx, pr)
                 if found is None:
                     spot_checks[n] = f"ok:{pr.label()}"

@@ -39,7 +39,7 @@ the whole call (p an odd prime, d >= 1, q = r^2) are checked once, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from math import gcd
 from types import SimpleNamespace
@@ -153,8 +153,6 @@ class _Evaluation(NamedTuple):
 
 # --- hypotheses: one clause table, two evaluators ---
 
-_is_prime = lru_cache(maxsize=256)(sympy.isprime)
-
 # The array path computes in int64, and refuses q of more bits than this (see
 # valid_param_arrays).
 _ARRAY_BITS = 62
@@ -237,7 +235,7 @@ def _call_clause(theorem: str, p: int, d: int) -> str | None:
     than VALIDATION_BITS bits."""
     if p == 2:
         return ODD_Q_CLAUSE
-    if not _is_prime(p):
+    if not sympy.isprime(p):
         return "p is prime"
     if d < 1:
         return "d >= 1"
@@ -423,12 +421,12 @@ def _span(ctx: FieldCtx, basis, coeffs) -> list[int]:
 
 def _subspace_grid(ctx: FieldCtx, params: ConstructionParams) -> _Evaluation:
     r = params.r
-    gamma = ctx.subfield_generator_v(r)
+    gamma = ctx.root_of_unity_v(r - 1)  # generates F_r*
     basis = tuple(ctx.pow_v(gamma, i) for i in range(params.e))
     beta = ctx.pow_v(ctx.g_val, r - 1)
-    # alpha_j + alpha_k beta over the 2e vectors gamma^i, beta gamma^i: alpha_j fastest
-    points = _span(ctx, basis + tuple(ctx.mul_v(beta, b) for b in basis),
-                   ctx.subfield_elements_v(ctx.p))
+    # alpha_j + alpha_k beta over the 2e vectors gamma^i, beta gamma^i, with
+    # coefficients in F_p, encoded 0..p-1: alpha_j fastest
+    points = _span(ctx, basis + tuple(ctx.mul_v(beta, b) for b in basis), range(ctx.p))
     a = EvalVector(ctx, tuple(points), extended=True)
     # the points are the additive group W = S beta + S, so every L(a_i) is
     # prod_{w in W, w != 0} w
@@ -583,10 +581,16 @@ def valid_param_arrays(p: int, d: int, n_max: int) -> dict[str, dict[str, np.nda
     return {th: _accepted(th, p, d, n_max) for th in THEOREMS}
 
 
+def _params_at(theorem: str, p: int, d: int, columns: dict, row: int) -> ConstructionParams:
+    """The tuple in row `row` of a theorem's accepted columns, as arrays or lists."""
+    return ConstructionParams(theorem, p, d, **{key: int(col[row]) for key, col in columns.items()})
+
+
 def iter_valid_params(p: int, d: int, n_max: int):
     """Yield every ConstructionParams with n <= n_max, deterministically
     ordered by (theorem, parameters), one per row of the columns of
     `valid_param_arrays`."""
-    for th, columns in valid_param_arrays(p, d, n_max).items():
-        for row in zip(*(col.tolist() for col in columns.values())):
-            yield ConstructionParams(th, p, d, **dict(zip(columns, row)))
+    for th, arrays in valid_param_arrays(p, d, n_max).items():
+        columns = {key: col.tolist() for key, col in arrays.items()}  # Python ints, read fast
+        for row in range(len(columns["n"])):
+            yield _params_at(th, p, d, columns, row)

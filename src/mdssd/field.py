@@ -476,16 +476,11 @@ class FieldCtx:
             raise NotDividing(m, self.q - 1)
         return self.pow_v(self.g_val, (self.q - 1) // m)
 
-    def subfield_generator_v(self, sub_q: int) -> int:
-        for e in range(1, self.d + 1):
-            if self.p**e == sub_q and self.d % e == 0:
-                return self.pow_v(self.g_val, (self.q - 1) // (sub_q - 1))
-        raise NotASubfield(sub_q, self.q)
-
     def subfield_elements_v(self, sub_q: int) -> list[int]:
         """All encodings of the subfield with sub_q elements, ascending: 0
         and the powers of its generator, every (q-1)/(sub_q-1)-th exp entry."""
-        self.subfield_generator_v(sub_q)  # raises NotASubfield
+        if sub_q not in [self.p**e for e in range(1, self.d + 1) if self.d % e == 0]:
+            raise NotASubfield(sub_q, self.q)
         return sorted([0, *self.np_tables[0][::(self.q - 1) // (sub_q - 1)].tolist()])
 
     # -- formatting --

@@ -51,9 +51,6 @@ from the table norm (reduction mod q-1, with cancelled sums and Z mapped to
 Z) finish the update.  Both integer tables are built once per field, on
 first use.  A rank step updates the whole trailing block: a row whose
 factor is zero gets a factor log of at least Z, which leaves it unchanged.
-When elimination decides, rank k of a k x n matrix is certified by the
-leading k x k block when that block is nonsingular, and by the full matrix
-only otherwise.
 
 The exhaustive minors are decided from the systematic form.  Gauss-Jordan
 on the leading k x k block A turns G into [D | P] with D diagonal; if A is
@@ -358,13 +355,6 @@ def _require_self_dual_shape(art: CodeArtifact) -> None:
         raise DimensionMismatch("generator matrix shape does not match (k, n)")
 
 
-def _rank_is_k(art: CodeArtifact) -> bool:
-    """rank G = k for the k x n matrix G.  A leading k x k block of rank k
-    proves it after k columns; otherwise the full matrix decides."""
-    G, k = np.asarray(art.G), art.k
-    return field_rank(art.ctx, G[:, :k]) == k or field_rank(art.ctx, G) == k
-
-
 def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
                                                   tuple[int, int] | None]:
     """(rank G = k, the code is self-dual, the ratios a_j when all of G has
@@ -400,7 +390,7 @@ def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
     seen[ratios[S]] = True
     nodes = np.count_nonzero(seen)
     whole = structured.all()
-    if nodes + infinity < k and not _rank_is_k(art):
+    if nodes + infinity < k and field_rank(ctx, G) != k:
         return False, False, None, None
     P = _power_sums(ctx, k, ratios[S], G[0, :finite][S], int(G[-1, -1]) if infinity else 0)
     if not whole:
@@ -412,11 +402,6 @@ def _self_dual_checks(art: CodeArtifact) -> tuple[bool, bool, np.ndarray | None,
         witness = (0, s) if s < k else (s - k + 1, k - 1)
     known = whole and nodes == finite and (not art.a.extended or G[-1, -1] == 1)
     return True, witness is None, ratios if known else None, witness
-
-
-def check_self_dual(art: CodeArtifact) -> bool:
-    _require_self_dual_shape(art)
-    return _self_dual_checks(art)[1]
 
 
 def _subsets(size: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

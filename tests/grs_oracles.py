@@ -102,8 +102,8 @@ def subfield_span(ctx, basis, sub_q: int) -> list[int]:
 
 def grid_coordinates(ctx, params) -> list[int]:
     """Family 4's S: the F_p-span of 1, gamma, ..., gamma^(e-1), where gamma
-    generates the subfield of r elements."""
-    gamma = ctx.subfield_generator_v(params.r)
+    generates the subfield of r elements, g^((q-1)/(r-1))."""
+    gamma = ctx.pow_v(ctx.g_val, (ctx.q - 1) // (params.r - 1))
     return subfield_span(ctx, [ctx.pow_v(gamma, i) for i in range(params.e)], ctx.p)
 
 

@@ -24,7 +24,7 @@ from mdssd.constructions import (
 from mdssd.errors import HypothesisViolated, SpotCheckFailed, TooLargeToMaterialize
 from mdssd.field import make_field
 from mdssd.grs import EvalVector, artifact_to_dict, to_json
-from mdssd.verify import DISTANCE_BUDGET, check_mds_minors, check_self_dual, min_distance
+from mdssd.verify import DISTANCE_BUDGET, check_mds_minors, min_distance, verify_artifact
 
 SMALL_Q = (9, 25, 49, 81, 121, 169, 289)
 N_CAP = 128
@@ -56,7 +56,8 @@ def small_sweep():
 
 
 def test_criterion_1_constructive_sweep(small_sweep):
-    failures = [pr.label() for pr, art, _ in small_sweep if not check_self_dual(art)]
+    failures = [pr.label() for pr, art, _ in small_sweep
+                if not verify_artifact(art, mds=False).self_dual]
     ok = not failures and len(small_sweep) > 0
     report(1, ok, f"{len(small_sweep)} parameter tuples over q in {SMALL_Q} "
                   f"all construct and verify self-dual")
@@ -134,7 +135,8 @@ def test_criterion_5_large_reference_codes():
             outcomes.append((theorem, n, f"rejected: {ex}"))
             continue
         assert art.n == n, (theorem, art.n)
-        outcomes.append((theorem, n, "ok" if check_self_dual(art) else "not self-dual"))
+        self_dual = verify_artifact(art, mds=False).self_dual
+        outcomes.append((theorem, n, "ok" if self_dual else "not self-dual"))
     ok = all(status == "ok" for _, _, status in outcomes)
     report(5, ok, "reference codes (426, 1006, 372, 730): " +
            "; ".join(f"n={n} {status}" for _, n, status in outcomes))

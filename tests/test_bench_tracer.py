@@ -2,7 +2,8 @@
 in the program must fail here rather than break a traced benchmark run.  The
 same holds for the names that `mdssd.__all__` exports.  A traced function
 that the program stops calling must fail here too, rather than leave its
-layer reading 0 on every workload."""
+layer reading 0 on every workload, and so must a public function that
+nothing in the program reads and nothing lists with its reason."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from test_no_dead_code import SRC, references
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
-# Traced functions that nothing in src/mdssd calls, each with its reason.
+# Public functions that nothing in src/mdssd reads, each with its reason;
+# every one of them is traced.
 UNREAD_IN_SRC = {
     "constructions.construct_from_params":
         "public entry for validated parameters; `build` and the census construct without it",
@@ -92,13 +94,25 @@ def unread_functions(trees: dict[str, ast.Module], names) -> list[str]:
     return unread
 
 
+def _src_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_traced_function_is_read_in_src_or_listed_as_unread():
     tracer = _load_tracer()
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     traced = [f"{home}.{attr}" for home, attr, *_ in (*tracer.TRACED, *tracer.GENERATORS)]
     unread = set(unread_functions(trees, traced))
     assert sorted(unread - set(UNREAD_IN_SRC)) == []  # newly unread: call it, or list why not
     assert sorted(set(UNREAD_IN_SRC) - unread) == []  # read again: drop it from the list
+
+
+def test_every_public_function_is_read_in_src_or_listed_as_unread():
+    trees = _src_trees()
+    public = [f"{home}.{node.name}" for home, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    # unread and unlisted: delete it, or list why it stays
+    assert sorted(set(unread_functions(trees, public)) - set(UNREAD_IN_SRC)) == []
 
 
 def test_the_unread_guard_finds_an_uncalled_function():

@@ -58,6 +58,17 @@ def test_no_n_2_mod_4_when_q_3_mod_4():
             assert n % 4 != 2
 
 
+def test_a_rule_claiming_n_2_mod_4_is_refused_only_when_q_is_3_mod_4(monkeypatch):
+    import mdssd.census as census
+
+    prior_rules = census._prior_rules
+    monkeypatch.setattr(census, "_prior_rules",
+                        lambda cx: {**prior_rules(cx), "prior:patched": {6}})
+    with pytest.raises(AssertionError, match=r"q = 3 \(mod 4\): \[6\]$"):
+        census_report(7)
+    assert 6 in census_report(13).per_rule["prior:patched"]  # q = 1 (mod 4)
+
+
 def test_new_lengths_match_enumeration():
     from mdssd.constructions import iter_valid_params
 

@@ -47,7 +47,7 @@ from mdssd.errors import (
 )
 from mdssd.field import make_field
 from mdssd.grs import all_locators, artifact_to_dict, locator_logs, to_json
-from mdssd.verify import check_self_dual
+from mdssd.verify import verify_artifact
 
 
 # --- validation ---
@@ -255,34 +255,34 @@ def test_t1i_f9_reference_code():
     art, trace = build("T1i", 3, 2, m=4, t=1)
     assert art.a.points == (1, 6, 2, 3)  # the 4th roots of unity
     assert trace.lam == 1
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_t1ii_f9():
     art, trace = build("T1ii", 3, 2, m=2, t=2)
     assert art.n == 6 and art.a.extended and art.a.points[0] == 0
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_t1ii_f49_even_m_even_t():
     # m and t both even with r = 3 (mod 4): the A-parity constraint vanishes
     art, _ = build("T1ii", 7, 2, m=4, t=2)
     assert art.n == 10
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_t2_f49():
     art, trace = build("T2", 7, 2, m=3, t=3)
     assert art.n == 10 and art.a.extended
     assert all(z % 2 == 0 for z in trace.I)
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_t3_f49():
     for theorem, n in (("T3i", 8), ("T3ii", 10)):
         art, trace = build(theorem, 7, 2, m=4, t=2, s=4)
         assert art.n == n
-        assert check_self_dual(art)
+        assert verify_artifact(art, mds=False).self_dual
         assert trace.xi_s is not None
 
 
@@ -290,7 +290,7 @@ def test_t4_f9():
     art, trace = build("T4", 3, 2, e=1)
     assert art.n == 10 and art.a.extended
     assert len(set(art.a.points)) == 9  # the whole field
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
     ctx = art.ctx
     # beta = g^{r-1} has norm 1 but lies outside F_r
     assert ctx.pow_v(trace.beta, ctx.p + 1) == 1
@@ -300,7 +300,7 @@ def test_t4_f9():
 def test_t5_f9():
     art, trace = build("T5", 3, 2, k_sub=1, t=1, e=1)
     assert art.n == 6
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
     ctx = art.ctx
     assert oracles.order(ctx, trace.omega) == 2
     # the points are omega^j + u over the subspace V, which meets the
@@ -313,7 +313,7 @@ def test_t5_f9():
 def test_t5_e_zero_reduces_to_roots_of_unity():
     art, trace = build("T5", 7, 2, k_sub=2, t=4, e=0)
     assert art.n == 8 and root_subspace(art.ctx, trace.params) == [0]
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 # --- closed-form locators against the brute-force oracle ---
@@ -446,7 +446,7 @@ def test_iter_valid_params_all_constructible():
     for pr in iter_valid_params(13, 2, 40):
         art, _ = construct_from_params(ctx, pr)
         assert art.n == pr.n
-        assert check_self_dual(art), pr.label()
+        assert verify_artifact(art, mds=False).self_dual, pr.label()
 
 
 def _given(pr):

@@ -194,12 +194,13 @@ def test_root_of_unity():
 
 def test_subfield_generator_and_membership():
     ctx = make_field(3, 2)
-    gen = ctx.subfield_generator_v(3)
-    assert gen == 2  # generates F_3^* = {1, 2}
-    assert set(ctx.subfield_elements_v(3)) == {0, 1, 2}
+    assert ctx.root_of_unity_v(2) == 2  # generates F_3^* = {1, 2}
+    assert ctx.subfield_elements_v(3) == [0, 1, 2]
     assert oracles.in_subfield(ctx, 2, 3) and not oracles.in_subfield(ctx, ctx.g_val, 3)
     with pytest.raises(NotASubfield):
-        ctx.subfield_generator_v(5)
+        ctx.subfield_elements_v(5)
+    with pytest.raises(NotASubfield):  # 3 does not divide 4
+        make_field(3, 4).subfield_elements_v(27)
 
 
 def test_frobenius_fixes_exactly_the_subfield():
@@ -414,16 +415,17 @@ def test_lists_are_built_on_first_use_from_the_arrays(p, d):
 # measured in a fresh process on the code before the tables were built on
 # digit arrays; the arrays and the lists then made up the whole peak.
 # FieldCtx alone must stay under it.  The bounds at 1021^2 and 101^3 are
-# the peaks of FieldCtx alone, measured the same way on the code that still
-# doubled over the whole exp table, so that its scale tables cannot grow
-# the set-up's memory at large p.
+# the peaks of FieldCtx alone, measured in a fresh process with the same
+# field built once before, so that numpy's one-time allocations are left
+# out.  The set-up peaks there with exp, log and Zech alive; the exp fill
+# alone is bounded by `test_exp_fill_peak_memory`.
 PEAK_BYTES = {(3, 10): 5_890_808, (151, 2): 2_265_720, (3, 12): 53_130_008,
-              (1021, 2): 25_020_124, (101, 3): 24_728_660}
+              (1021, 2): 25_019_820, (101, 3): 24_728_452}
 
 
 @pytest.mark.parametrize("p,d", sorted(PEAK_BYTES))
 def test_table_set_up_peak_memory(p, d):
-    FieldCtx(3, 2)  # one-time allocations of numpy are not the field's
+    FieldCtx(p, d)  # numpy's one-time allocations on this field's paths are not the field's
     tracemalloc.start()
     try:
         FieldCtx(p, d)
@@ -431,6 +433,23 @@ def test_table_set_up_peak_memory(p, d):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BYTES[(p, d)]
+
+
+@pytest.mark.parametrize("p,d", [(1021, 2), (101, 3)])
+def test_exp_fill_peak_memory(p, d):
+    # the whole set-up peaks with exp, log and Zech alive, so only the exp
+    # fill alone shows its scale tables: built in blocks they add a tenth
+    # or two of exp's bytes, built in one block more than exp itself
+    ctx = FieldCtx(p, d)
+    _, g_mat, omega = ctx._primitive_element()
+    ctx._exp_table(g_mat, omega)
+    tracemalloc.start()
+    try:
+        ctx._exp_table(g_mat, omega)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * (ctx.q - 1)
 
 
 def _constant_expression(node: ast.expr) -> bool:
@@ -446,25 +465,52 @@ def _constant_expression(node: ast.expr) -> bool:
     return False
 
 
+# The caches of src, as (module, function, decorator): the field and its
+# log_muladd tables, which `make_field.cache_clear()` drops, and two of no
+# argument, which hold nothing of any field.
+CACHES = {("field", "make_field", "functools.lru_cache(maxsize=None)"),
+          ("field", "_muladd_tables", "functools.cached_property"),
+          ("grs", "_slot_tables", "functools.cache"),
+          ("cli", "make_parser", "functools.cache")}
+
+
+def _caching_names(node: ast.AST) -> list[ast.AST]:
+    """The nodes under `node` that name a caching decorator of functools."""
+    caching = {"cache", "lru_cache", "cached_property"}
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr in caching
+            or isinstance(n, ast.Name) and n.id in caching
+            or isinstance(n, ast.alias) and n.name.split(".")[-1] in caching]
+
+
 def test_field_module_holds_no_cache_beyond_make_field():
     """Each job pays for the fields it builds: after `make_field.cache_clear()`
-    nothing of an earlier set-up is left in `mdssd.field`.  Its only caches
-    are `make_field`'s lru_cache and the per-field `_muladd_tables`
-    property.  Every other module-level or class-level name is bound to a
-    constant, no default argument is mutable, and no function rebinds a
-    global."""
+    nothing of an earlier set-up is left in `mdssd`.  The caches of every
+    module of src are those of CACHES, each a decorator, the
+    `functools.cache` ones on functions of no argument, and no caching name
+    is used elsewhere.  In `mdssd.field`, every other module-level or
+    class-level name is bound to a constant, no default argument is
+    mutable, and no function rebinds a global."""
+    decorators, stray = set(), []
+    for path in sorted(Path(mdssd.field.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source)
+        used = set()
+        for f in ast.walk(tree):
+            for deco in getattr(f, "decorator_list", []):
+                names = _caching_names(deco)
+                if names:
+                    decorators.add((path.stem, f.name, ast.unparse(deco)))
+                    used |= set(map(id, names))
+                    if ast.unparse(deco) == "functools.cache":
+                        assert ast.unparse(f.args) == "", f.name
+        stray += [f"{path.name}:{n.lineno}: {source.splitlines()[n.lineno - 1].strip()}"
+                  for n in _caching_names(tree) if id(n) not in used]
+    assert not stray, "\n".join(stray)
+    assert decorators == CACHES
     tree = ast.parse(Path(mdssd.field.__file__).read_text())
     functions = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    caching = {"cache", "lru_cache", "cached_property"}
-    decorators = {(f.name, ast.unparse(deco)) for f in functions for deco in f.decorator_list}
-    assert decorators == {("make_field", "functools.lru_cache(maxsize=None)"),
-                          ("_muladd_tables", "functools.cached_property")}
-    uses = [node for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in caching
-            or isinstance(node, ast.Name) and node.id in caching
-            or isinstance(node, ast.alias) and node.name.split(".")[-1] in caching]
-    assert len(uses) == 2  # the two decorators
     bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
     for body in bodies:
         for node in body:
@@ -481,3 +527,6 @@ def test_the_cache_guard_sees_a_module_level_table():
     assert not _constant_expression(ast.parse("_TABLES = {}").body[0].value)
     assert not _constant_expression(ast.parse("_T = np.zeros(3)").body[0].value)
     assert _constant_expression(ast.parse("_B = (1 << 16, -2)").body[0].value)
+    # a cache made by a call, not by a decorator, is seen at its import and its use
+    tree = ast.parse("from functools import lru_cache\n_f = lru_cache(8)(g)\n")
+    assert len(_caching_names(tree)) == 2

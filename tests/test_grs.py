@@ -41,7 +41,7 @@ from mdssd.grs import (
     to_json,
     xgrs_generator_matrix,
 )
-from mdssd.verify import check_self_dual
+from mdssd.verify import verify_artifact
 
 
 def test_eval_vector_basics():
@@ -132,7 +132,7 @@ def test_assemble_grs_produces_self_dual_code():
     art, locs = assemble_self_dual_grs(a, 1)
     assert art.k == 2 and art.n == 4
     assert locs == all_locators(a)
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_assemble_grs_guards():
@@ -172,7 +172,7 @@ def test_assemble_xgrs_produces_self_dual_code():
     art, locs = assemble_self_dual_xgrs(a)
     assert art.n == 6 and art.k == 3
     assert locs == all_locators(a)
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_lambda_square_class_invariance():
@@ -181,7 +181,7 @@ def test_lambda_square_class_invariance():
     a = EvalVector(ctx, (1, 6, 2, 3))
     art1, _ = assemble_self_dual_grs(a, 1)
     art2, _ = assemble_self_dual_grs(a, ctx.mul_v(ctx.g_val, ctx.g_val))
-    assert check_self_dual(art1) and check_self_dual(art2)
+    assert all(verify_artifact(art, mds=False).self_dual for art in (art1, art2))
 
 
 def test_artifact_json_roundtrip_and_determinism():
@@ -412,7 +412,7 @@ def test_assembly_matches_scalar_square_roots_and_failing_index(p, d, monkeypatc
             seen["ok"] += 1
             art, _ = assemble_self_dual_xgrs(a) if extended else assemble_self_dual_grs(a, lam)
             assert art.v.weights == tuple(oracles.sqrt(ctx, ctx.pow_v(t, -1)) for t in targets)
-            assert check_self_dual(art)
+            assert verify_artifact(art, mds=False).self_dual
     assert seen["ok"] and seen["violated"]
 
 

@@ -21,11 +21,9 @@ from mdssd.verify import (
     MINORS_BUDGET_N,
     VerificationReport,
     _grs_columns,
-    _rank_is_k,
     _self_dual_checks,
     _stored_disagreement,
     check_mds_minors,
-    check_self_dual,
     field_matmul_t,
     field_rank,
     first_singular_minor,
@@ -60,19 +58,19 @@ def test_gram_is_zero_detects_nonzero():
 
 def test_check_self_dual_accepts_reference_code():
     art, _ = build("T1i", 3, 2, m=4, t=1)
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_check_self_dual_rejects_wrong_shape():
     ctx = make_field(7, 1)
     art = _plain_artifact(ctx, (1, 2, 3), (1, 1, 1), 2)
     with pytest.raises(DimensionMismatch):
-        check_self_dual(art)
+        verify_artifact(art, mds=False).self_dual
     # n = 2k, but G is not (k, n)
     art = _plain_artifact(ctx, (1, 2, 3, 4), (1, 1, 1, 1), 2)
     for G in (np.asarray(art.G)[:, :3], np.asarray(art.G)[:1]):
         with pytest.raises(DimensionMismatch, match=r"does not match \(k, n\)"):
-            check_self_dual(_with_G(art, G))
+            verify_artifact(_with_G(art, G), mds=False).self_dual
 
 
 def test_power_sum_verdict_refuses_odd_n_and_a_weight_count_off_len_a():
@@ -85,7 +83,7 @@ def test_power_sum_verdict_refuses_odd_n_and_a_weight_count_off_len_a():
 def test_check_self_dual_rejects_non_self_dual():
     ctx = make_field(7, 1)
     art = _plain_artifact(ctx, (1, 2, 3, 4), (1, 1, 1, 1), 2)
-    assert not check_self_dual(art)
+    assert not verify_artifact(art, mds=False).self_dual
 
 
 def test_mds_minors_on_grs_code():
@@ -155,7 +153,7 @@ def test_large_code_gram_check_is_fast():
     # n = 84 over F_169: vectorized Gram + rank in well under a second
     art, _ = build("T1i", 13, 2, m=12, t=7)
     assert art.n == 84
-    assert check_self_dual(art)
+    assert verify_artifact(art, mds=False).self_dual
 
 
 def test_gram_is_zero_without_rows_or_entries():
@@ -200,8 +198,8 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
     cases = [
         (G, True, {"self_dual": True, "rank_ok": True}, 0, []),
         (corrupted, False, {"self_dual": False, "rank_ok": True}, 0, []),
-        (repeated, False, {"self_dual": False, "rank_ok": False}, 2, []),
-        (zero, True, {"self_dual": False, "rank_ok": False}, 2, []),
+        (repeated, False, {"self_dual": False, "rank_ok": False}, 1, []),
+        (zero, True, {"self_dual": False, "rank_ok": False}, 1, []),
     ]
     for matrix, gram_zero, _, _, _ in cases:
         assert gram_is_zero(good.ctx, matrix) == gram_zero
@@ -214,8 +212,8 @@ def test_verify_artifact_computes_rank_once(monkeypatch):
         block_calls.clear()
         rep = verify_artifact(_with_G(good, matrix), mds=False)
         assert rep.to_dict() == {**report, "mds_checked": "skipped_too_large"}
-        # at most one k x k and one full-width elimination, in that order
-        assert calls == [(good.k, good.k), (good.k, good.n)][:n_calls]
+        # at most one elimination, on the whole of G
+        assert calls == [(good.k, good.n)][:n_calls]
         assert gram_calls == [] and block_calls == blocks
 
 
@@ -390,9 +388,9 @@ def test_rank_matches_scalar_oracle_on_zero_heavy_matrices(p, d):
         k = rng.randint(1, 8)
         G = _zero_heavy_matrix(ctx, rng, k, rng.randint(1, 14))
         assert field_rank(ctx, G) == _oracle_rank(ctx, G)
-        # the leading block of a k x 2k matrix, as _rank_is_k takes it
+        # a k x 2k matrix, as `_self_dual_checks` hands it to field_rank
         G = _zero_heavy_matrix(ctx, rng, k, 2 * k)
-        assert _rank_is_k(_matrix_artifact(ctx, G)) == (_oracle_rank(ctx, G) == k)
+        assert field_rank(ctx, G) == _oracle_rank(ctx, G)
 
 
 @pytest.mark.parametrize("p,d", KERNEL_FIELDS)
@@ -450,8 +448,8 @@ def test_rank_is_k_matches_scalar_oracle(p, d):
         for G in _rank_cases(ctx, rng, k):
             expected = _oracle_rank(ctx, G) == k
             outcomes.add((_oracle_rank(ctx, [row[:k] for row in G]) == k, expected))
-            assert _rank_is_k(_matrix_artifact(ctx, G)) == expected
-    # the leading block decides, falls back to rank k, and to rank < k
+            assert (field_rank(ctx, G) == k) == expected
+    # rank k with the leading block nonsingular or singular, and rank < k
     assert {(True, True), (False, True), (False, False)} <= outcomes
 
 
@@ -908,7 +906,7 @@ def test_verify_cli_on_mutated_entry(f9_doc, tmp_path, capsys, row, col, mutatio
 # --- the GRS structure test against elimination and the full Gram matrix ---
 
 def _direct_checks(art):
-    rank_ok = _rank_is_k(art)
+    rank_ok = field_rank(art.ctx, art.G) == art.k
     return rank_ok, rank_ok and gram_is_zero(art.ctx, art.G)
 
 
@@ -1043,7 +1041,7 @@ def test_self_dual_checks_fall_back_at_k_1(monkeypatch):
         gram_calls.clear()
         witness = None if self_dual else (0, 0)
         assert _self_dual_checks(art) == (True, self_dual, None, witness)
-        assert calls == [(1, 1)] and gram_calls == [(1, 2)]
+        assert calls == [(1, 2)] and gram_calls == [(1, 2)]
         assert _direct_checks(art) == (True, self_dual)
 
 
@@ -1375,7 +1373,7 @@ def test_power_sums_at_k_1_and_with_a_zero_point(monkeypatch):
     assert _assert_power_sums_match_G(art, (1, 2), (1, 2), monkeypatch) == (True, None)
     assert _assert_power_sums_match_G(art, (0, 2), (1, 2), monkeypatch) == (True, None)
     assert _assert_power_sums_match_G(art, (1, 2), (1, 1), monkeypatch) == (True, 0)
-    assert check_self_dual(_with_G(art, [[1, 2]]))  # G alone is self-dual here
+    assert verify_artifact(_with_G(art, [[1, 2]]), mds=False).self_dual  # G alone is self-dual here
     assert _assert_power_sums_match_G(art, (2, 2), (1, 2), monkeypatch) == (False, None)
     assert _assert_power_sums_match_G(art, (1, 2), (1, 0), monkeypatch) == (False, None)
 
